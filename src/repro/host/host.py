@@ -19,7 +19,7 @@ from repro.net.icmp import IcmpLayer
 from repro.net.ip import Interface, IpStack
 from repro.net.nic import Nic
 from repro.net.packet import IPProtocol
-from repro.net.pool import release_frame
+from repro.net.pool import release_frame, retain
 from repro.net.serial_link import SerialPort
 from repro.net.udp import UdpLayer
 from repro.sim.world import World
@@ -107,11 +107,9 @@ class Host:
         if self.cpu is not None:
             # The CPU model defers processing to a later event: claim
             # pooled frames so the wire's release at the end of this
-            # delivery cannot recycle them under the closure
-            # (pool.retain inlined); _process_frame drops the claim.
-            claims = frame._claims
-            if claims:
-                frame._claims = claims + 1
+            # delivery cannot recycle them under the closure;
+            # _process_frame drops the claim.
+            retain(frame)
             self.cpu.submit(
                 self.frame_processing_cost_ns,
                 lambda: self._process_frame(frame, iface))

@@ -16,13 +16,8 @@ from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
-from bisect import insort
-from heapq import heappush
-
 from repro.net.frame import EthernetFrame
-from repro.net.packet import IPPacket
-from repro.net.pool import FRAME_POOL, release_frame, release_packet
-from repro.sim.core import EventHandle
+from repro.net.pool import release_frame
 from repro.sim.world import World
 
 __all__ = ["Cable", "CableEndpoint"]
@@ -62,6 +57,9 @@ class Cable:
             raise ValueError(f"bandwidth must be positive, got {bandwidth_bps}")
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
+        if propagation_delay_ns < 0:
+            raise ValueError(f"propagation delay must be non-negative, "
+                             f"got {propagation_delay_ns}")
         self._world = world
         self._sim = world.sim
         self._ends = (a, b)
@@ -167,43 +165,9 @@ class Cable:
                                     size=frame.size_bytes)
             release_frame(frame)
             return
-        # sim.post inlined (keep in sync): deliveries are never cancelled,
-        # so the event record comes from the kernel free list, and this
-        # runs once per unicast frame on the wire — the post() frame plus
-        # *args packing are measurable at fleet scale.
-        time = now + arrival_delay
-        pool = sim._handle_pool
-        if pool:
-            handle = pool.pop()
-            handle.time = time
-            handle.callback = self._deliver
-            handle.args = (ends[1 - direction], frame)
-            handle.label = self._deliver_label
-            handle._fired = False
-        else:
-            handle = EventHandle.__new__(EventHandle)
-            handle.time = time
-            handle.callback = self._deliver
-            handle.args = (ends[1 - direction], frame)
-            handle.label = self._deliver_label
-            handle._cancelled = False
-            handle._fired = False
-            handle._owner = sim
-            handle._pooled = True
-        sim._seq += 1
-        entry = (time, sim._seq, handle)
-        s0 = time >> 12               # == L0_GRAIN_BITS
-        if s0 - sim._cur0 < 1024:     # == WHEEL_SLOTS
-            if s0 != sim._active_slot:
-                bucket = sim._wheel0[s0 & 1023]
-                if not bucket:
-                    heappush(sim._l0_slots, s0)
-                bucket.append(entry)
-            else:
-                insort(sim._active, entry, sim._active_idx)
-        else:
-            sim._route_far(entry, time)
-        sim._size += 1
+        # Deliveries are never cancelled: a kernel-owned event record.
+        sim.post(arrival_delay, self._deliver, ends[1 - direction], frame,
+                 label=self._deliver_label)
 
     def plan_transmit(self, sender: CableEndpoint,
                       frame: EthernetFrame) -> "tuple[int, CableEndpoint] | None":
@@ -259,24 +223,8 @@ class Cable:
         receiver.receive_frame(frame)
         # Delivery complete: drop the wire claim.  Receivers that keep the
         # frame past this event (switch ingress, deferred CPU processing)
-        # retained their own claim inside receive_frame.  release_frame
-        # inlined (keep in sync): final delivery is usually the last
-        # claim, and this runs once per unicast frame on the wire.
-        claims = frame._claims
-        if claims == 1:
-            frame._claims = 0
-            payload = frame.payload
-            frame.payload = None
-            if len(FRAME_POOL) < 256:  # == FRAME_POOL_MAX
-                FRAME_POOL.append(frame)
-            if type(payload) is IPPacket:
-                pclaims = payload._claims
-                if pclaims > 1:
-                    payload._claims = pclaims - 1
-                elif pclaims:
-                    release_packet(payload)
-        elif claims:
-            frame._claims = claims - 1
+        # retained their own claim inside receive_frame.
+        release_frame(frame)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "CUT" if self._cut else "up"

@@ -16,7 +16,8 @@ from repro.net.arp import ArpTable
 from repro.net.frame import EtherType, EthernetFrame
 from repro.net.nic import Nic
 from repro.net.packet import IPPacket
-from repro.net.pool import FRAME_POOL, PACKET_POOL, demote_frame
+from repro.net.pool import (acquire_frame, acquire_packet, demote_frame,
+                            demote_packet)
 from repro.sim.world import World
 
 __all__ = ["Interface", "IpStack"]
@@ -189,41 +190,17 @@ class IpStack:
             self.packets_sent += 1
             if nic._failed or nic._cable is None or not nic.host_up:
                 return
-            # pool.acquire_packet / acquire_frame inlined (keep in sync):
-            # one packet + one frame per data segment on an established
+            # One packet + one frame per data segment on an established
             # flow goes through here, so the wrappers come from the
-            # recycle pools — no allocator traffic, no call frame.  Both
-            # carry one creator claim that Cable.transmit consumes (it is
-            # released on drop, or after final delivery, cascading
-            # frame -> packet -> segment; see repro.net.pool).
-            payload_size = getattr(payload, "size_bytes", None)
-            if payload_size is None:
-                payload_size = len(payload)
-            if PACKET_POOL:
-                packet = PACKET_POOL.pop()
-                packet.src = src if src is not None else src_ip
-                packet.dst = dst
-                packet.protocol = protocol
-                packet.payload = payload
-                packet.ttl = 64
-                packet.size_bytes = 20 + payload_size  # == IP_HEADER_BYTES
-            else:
-                packet = IPPacket(src if src is not None else src_ip,
-                                  dst, protocol, payload)
-            packet._claims = 1
+            # recycle pools.  Both carry one creator claim that
+            # Cable.transmit consumes (it is released on drop, or after
+            # final delivery, cascading frame -> packet -> segment; see
+            # repro.net.pool).
+            packet = acquire_packet(src if src is not None else src_ip,
+                                    dst, protocol, payload)
             # Nic.send inlined (keep in sync): unusual NICs (injected
             # power gate) take the full method.
-            if FRAME_POOL:
-                frame = FRAME_POOL.pop()
-                frame.dst = mac
-                frame.src = nic.mac
-                frame.ethertype = EtherType.IPV4
-                frame.payload = packet
-                size = 18 + packet.size_bytes  # == ETHERNET_HEADER_BYTES
-                frame.size_bytes = size if size >= 64 else 64
-            else:
-                frame = EthernetFrame(mac, nic.mac, EtherType.IPV4, packet)
-            frame._claims = 1
+            frame = acquire_frame(mac, nic.mac, EtherType.IPV4, packet)
             if "transmit" in nic._cable.__dict__:
                 # Per-instance stubbed transmit (tests drop/duplicate/
                 # reorder frames at will): claim accounting cannot follow
@@ -306,11 +283,7 @@ class IpStack:
             # Taps may retain what they observe (the stream logger, test
             # fixtures keep whole packets): demote the wrapper chain to
             # GC-owned so the pools never recycle an object a tap saw.
-            if packet._claims:
-                packet._claims = 0
-                inner = packet.payload
-                if getattr(inner, "_claims", 0):
-                    inner._claims = 0
+            demote_packet(packet)
             for tap in self._promiscuous_taps:
                 tap(packet)
         # owns() inlined (keep in sync): once per delivered packet.
@@ -330,11 +303,7 @@ class IpStack:
         if self._packet_taps:
             # Same demotion as the promiscuous taps above: tap observers
             # may keep the packet past this event, so it must not recycle.
-            if packet._claims:
-                packet._claims = 0
-                inner = packet.payload
-                if getattr(inner, "_claims", 0):
-                    inner._claims = 0
+            demote_packet(packet)
             for tap in self._packet_taps:
                 tap(packet)
         handler = self._protocols.get(packet.protocol)
@@ -347,11 +316,7 @@ class IpStack:
     def _deliver_up(self, packet: IPPacket) -> None:
         self.packets_received += 1
         if self._packet_taps:
-            if packet._claims:  # tap observers may retain: see receive_frame
-                packet._claims = 0
-                inner = packet.payload
-                if getattr(inner, "_claims", 0):
-                    inner._claims = 0
+            demote_packet(packet)  # tap observers may retain: see receive_frame
             for tap in self._packet_taps:
                 tap(packet)
         handler = self._protocols.get(packet.protocol)

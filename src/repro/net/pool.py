@@ -17,11 +17,15 @@ Each of the three classes carries a ``_claims`` slot:
 * ``_claims == 0`` — *unmanaged*.  The object was built with a plain
   constructor (tests, ARP, control-plane paths) and is owned by the
   garbage collector; :func:`release_frame` & friends are no-ops on it.
-* ``_claims >= 1`` — *managed*.  The object came from an acquire site
+* ``_claims >= 1`` — *managed*.  The object came from an acquire call
   (``IpStack.send``'s cached-plan path, ``TcpConnection._make_segment``)
   with one creator claim.  Every holder that keeps a reference beyond
-  the current event retains (``_claims += 1``); every holder releases
-  when done.  At zero the object is scrubbed and returned to its pool.
+  the current event calls :func:`retain`; every holder releases when
+  done.  At zero the object is scrubbed and returned to its pool.
+
+Only this module and :mod:`repro.tcp.segment` read or write ``_claims``
+or the free lists (``tests/check/test_single_home.py``); every other
+layer calls the functions below.
 
 Release cascades through the wrapping order — recycling a frame releases
 its packet, recycling a packet releases its segment — mirroring how one
@@ -36,15 +40,16 @@ The invariants (also asserted by ``tests/net/test_pool.py``):
 * **Over-release is corruption** and must never happen: a second
   release of the same claim would recycle an object another holder
   still reads.  Claim transfers (``Cable.transmit`` consumes the
-  caller's claim) are documented at each site.
+  caller's claim; ``Switch._ingress`` retains one for the fabric that
+  ``Switch._forward`` settles) are documented at each site.
 * **Payload bytes are never mutated.**  Recycling re-*assigns* fields;
   holders of ``segment.payload`` bytes (the stream logger, receive
   buffers) are safe regardless of claims.
 * **Tap observers demote.**  ``IpStack`` packet/promiscuous taps may
-  legitimately retain whole packets, so the tap firing sites zero the
-  ``_claims`` of the observed packet (and its segment) first — the
-  object leaves the managed regime and the GC owns it from then on.
-  Costs nothing on tap-free topologies (the branch is inside the
+  legitimately retain whole packets, so the tap firing sites call
+  :func:`demote_packet` on the observed packet first — it (and its
+  segment) leaves the managed regime and the GC owns it from then on.
+  Costs nothing on tap-free topologies (the call is inside the
   ``if taps:`` guard).
 
 Pools are process-local module state, deliberately **outside** the
@@ -62,7 +67,8 @@ from repro.net.packet import IP_HEADER_BYTES, IPPacket
 __all__ = ["FRAME_POOL", "PACKET_POOL",
            "FRAME_POOL_MAX", "PACKET_POOL_MAX",
            "acquire_frame", "acquire_packet",
-           "retain", "demote_frame", "release_frame", "release_packet",
+           "retain", "demote_frame", "demote_packet",
+           "release_frame", "release_packet",
            "clear", "stats"]
 
 #: Free-list caps: big enough to cover every wrapper in flight at once in
@@ -71,9 +77,7 @@ __all__ = ["FRAME_POOL", "PACKET_POOL",
 FRAME_POOL_MAX = 256
 PACKET_POOL_MAX = 256
 
-#: The free lists themselves — public because the hottest acquire sites
-#: (``IpStack.send``, ``TcpConnection._make_segment``) inline the pop +
-#: field writes instead of paying a call frame per object.
+#: The free lists themselves (tests inspect their depths and contents).
 FRAME_POOL: list[EthernetFrame] = []
 PACKET_POOL: list[IPPacket] = []
 
@@ -158,10 +162,15 @@ def demote_frame(frame) -> None:
     frame._claims = 0
     packet = frame.payload
     if getattr(packet, "_claims", 0):
-        packet._claims = 0
-        inner = packet.payload
-        if getattr(inner, "_claims", 0):
-            inner._claims = 0
+        demote_packet(packet)
+
+
+def demote_packet(packet) -> None:
+    """Hand a packet (and its segment) over to the GC: the tap boundary."""
+    packet._claims = 0
+    inner = packet.payload
+    if getattr(inner, "_claims", 0):
+        inner._claims = 0
 
 
 def release_frame(frame: EthernetFrame) -> None:
@@ -178,13 +187,7 @@ def release_frame(frame: EthernetFrame) -> None:
     if len(FRAME_POOL) < FRAME_POOL_MAX:
         FRAME_POOL.append(frame)
     if type(payload) is IPPacket:
-        # release_packet's decrement arm inlined (keep in sync): when the
-        # packet has other holders this cascade is a single slot write.
-        claims = payload._claims
-        if claims > 1:
-            payload._claims = claims - 1
-        elif claims:
-            release_packet(payload)
+        release_packet(payload)
 
 
 def release_packet(packet: IPPacket) -> None:
@@ -201,13 +204,7 @@ def release_packet(packet: IPPacket) -> None:
     if len(PACKET_POOL) < PACKET_POOL_MAX:
         PACKET_POOL.append(packet)
     if type(payload) is _SEGMENT_TYPE:
-        # release_segment's decrement arm inlined (keep in sync): the
-        # demux queue usually still holds the segment at this point.
-        claims = payload._claims
-        if claims > 1:
-            payload._claims = claims - 1
-        elif claims:
-            _release_segment(payload)
+        _release_segment(payload)
 
 
 # ------------------------------------------------------------- maintenance

@@ -13,18 +13,13 @@ by both the primary's and the backup's NIC (Figure 2 of the paper).
 
 from __future__ import annotations
 
-from bisect import insort
-from heapq import heappush
 from typing import Optional
 
 from repro.net.addresses import MacAddress
 from repro.net.cable import Cable
 from repro.net.frame import EthernetFrame
 from repro.net.nic import Nic
-from repro.net.packet import IPPacket
-from repro.net.pool import (FRAME_POOL, demote_frame, release_frame,
-                            release_packet)
-from repro.sim.core import EventHandle
+from repro.net.pool import demote_frame, release_frame, retain
 from repro.sim.world import World
 
 __all__ = ["Switch", "SwitchPort"]
@@ -94,6 +89,9 @@ class Switch:
     def __init__(self, world: World, name: str = "switch",
                  forwarding_delay_ns: int = 2_000,
                  egress_filtering: bool = False):
+        if forwarding_delay_ns < 0:
+            raise ValueError(f"forwarding delay must be non-negative, "
+                             f"got {forwarding_delay_ns}")
         self._world = world
         self.name = name
         self.forwarding_delay_ns = forwarding_delay_ns
@@ -150,47 +148,11 @@ class Switch:
             self._mac_table[frame.src] = port
         # The frame outlives the delivering event (the fabric holds it
         # until _forward runs), so take the switch's own claim on pooled
-        # frames; _forward settles it (pool.retain inlined).
-        claims = frame._claims
-        if claims:
-            frame._claims = claims + 1
-        # sim.post inlined (keep in sync): forwards are never cancelled,
-        # so the event record comes from the kernel free list, and this
-        # runs once per frame entering the fabric.
-        sim = self._world.sim
-        time = sim._now + self.forwarding_delay_ns
-        pool = sim._handle_pool
-        if pool:
-            handle = pool.pop()
-            handle.time = time
-            handle.callback = self._forward
-            handle.args = (port, frame)
-            handle.label = self._fwd_label
-            handle._fired = False
-        else:
-            handle = EventHandle.__new__(EventHandle)
-            handle.time = time
-            handle.callback = self._forward
-            handle.args = (port, frame)
-            handle.label = self._fwd_label
-            handle._cancelled = False
-            handle._fired = False
-            handle._owner = sim
-            handle._pooled = True
-        sim._seq += 1
-        entry = (time, sim._seq, handle)
-        s0 = time >> 12               # == L0_GRAIN_BITS
-        if s0 - sim._cur0 < 1024:     # == WHEEL_SLOTS
-            if s0 != sim._active_slot:
-                bucket = sim._wheel0[s0 & 1023]
-                if not bucket:
-                    heappush(sim._l0_slots, s0)
-                bucket.append(entry)
-            else:
-                insort(sim._active, entry, sim._active_idx)
-        else:
-            sim._route_far(entry, time)
-        sim._size += 1
+        # frames; _forward settles it.  Forwards are never cancelled: a
+        # kernel-owned event record.
+        retain(frame)
+        self._world.sim.post(self.forwarding_delay_ns, self._forward,
+                             port, frame, label=self._fwd_label)
 
     def _forward(self, ingress: SwitchPort, frame: EthernetFrame) -> None:
         probes = self._world.probes
@@ -218,22 +180,19 @@ class Switch:
                 mirror = self._mirror_port
                 if (mirror is not None and mirror is not learned
                         and mirror is not ingress):
-                    if frame._claims:
-                        mcable = mirror._cable
-                        if ((cable is not None
-                             and "transmit" in cable.__dict__)
-                                or (mcable is not None
-                                    and "transmit" in mcable.__dict__)):
-                            demote_frame(frame)
+                    mcable = mirror._cable
+                    if ((cable is not None
+                         and "transmit" in cable.__dict__)
+                            or (mcable is not None
+                                and "transmit" in mcable.__dict__)):
+                        demote_frame(frame)
                     if cable is not None:
-                        claims = frame._claims
-                        if claims:
-                            frame._claims = claims + 1
+                        retain(frame)
                         cable.transmit(learned, frame)
                     self.frames_mirrored += 1
                     mirror.transmit(frame)
                 elif cable is not None:
-                    if frame._claims and "transmit" in cable.__dict__:
+                    if "transmit" in cable.__dict__:
                         demote_frame(frame)
                     cable.transmit(learned, frame)
                 else:
@@ -288,8 +247,7 @@ class Switch:
                 # cable, see Cable.__slots__).  The stub may forward the
                 # frame zero or several times, so claim accounting cannot
                 # follow it: demote the whole chain to GC-owned first.
-                if frame._claims:
-                    demote_frame(frame)
+                demote_frame(frame)
                 cable.transmit(port, frame)
                 continue
             if cable._cut:
@@ -338,8 +296,7 @@ class Switch:
             # route through the full-semantics slow path, which re-checks
             # everything properly.
             if odd or cdict:
-                self._plan_slow_target(cable, free_at, direction, receiver,
-                                       frame, now, size_bits_scaled, groups)
+                self._plan_slow_target(cable, direction, frame, groups)
                 continue
             if bandwidth != last_bw:
                 tx_time = size_bits_scaled // bandwidth
@@ -355,86 +312,32 @@ class Switch:
             # The skipped deliveries are still logical events (see
             # credit_events): throughput metrics stay apples-to-apples.
             sim.credit_events(delivered_sinks)
-        # Claims settlement for pooled frames: each scheduled group event
-        # owns one claim ( _deliver_flood releases it); the fabric's own
-        # claim covers the first group, extra groups retain, zero groups
-        # release outright.
-        claims = frame._claims
-        if claims:
-            n_groups = len(groups)
-            if n_groups == 0:
-                release_frame(frame)
-            elif n_groups > 1:
-                frame._claims = claims + n_groups - 1
-        # sim.post inlined (keep in sync): one kernel-owned event per
-        # arrival-time group (usually a single group per flooded frame).
-        deliver_flood = self._deliver_flood
-        flood_label = self._flood_label
+        # One kernel-owned event per arrival-time group (usually a single
+        # group per flooded frame).  Claims: every group event takes its
+        # own claim (_deliver_flood releases it), then the fabric drops
+        # the one _ingress took — with no groups that recycles the frame.
         for delay, group in groups.items():
-            time = now + delay
-            pool = sim._handle_pool
-            if pool:
-                handle = pool.pop()
-                handle.time = time
-                handle.callback = deliver_flood
-                handle.args = (group, frame)
-                handle.label = flood_label
-                handle._fired = False
-            else:
-                handle = EventHandle.__new__(EventHandle)
-                handle.time = time
-                handle.callback = deliver_flood
-                handle.args = (group, frame)
-                handle.label = flood_label
-                handle._cancelled = False
-                handle._fired = False
-                handle._owner = sim
-                handle._pooled = True
-            sim._seq += 1
-            entry = (time, sim._seq, handle)
-            s0 = time >> 12           # == L0_GRAIN_BITS
-            if s0 - sim._cur0 < 1024:  # == WHEEL_SLOTS
-                if s0 != sim._active_slot:
-                    bucket = sim._wheel0[s0 & 1023]
-                    if not bucket:
-                        heappush(sim._l0_slots, s0)
-                    bucket.append(entry)
-                else:
-                    insort(sim._active, entry, sim._active_idx)
-            else:
-                sim._route_far(entry, time)
-            sim._size += 1
+            retain(frame)
+            sim.post(delay, self._deliver_flood, group, frame,
+                     label=self._flood_label)
+        release_frame(frame)
 
-    def _plan_slow_target(self, cable, free_at, direction, receiver, frame,
-                          now, size_bits_scaled, groups) -> None:
+    def _plan_slow_target(self, cable, direction, frame, groups) -> None:
         """Full wire semantics for a sink that turned unusual after the
         flood cache was built (stub, cut, loss, power gate): plan the
-        delivery exactly as the main target loop does and append it to the
+        delivery with :meth:`Cable.plan_transmit` and append it to the
         arrival-time groups."""
+        sender = cable._ends[direction]   # the switch-port end
         if "transmit" in cable.__dict__:
-            # Honour per-instance stubs; the sender is the switch-port end.
-            # The stub may forward zero or several times: demote first.
-            if frame._claims:
-                demote_frame(frame)
-            cable.transmit(cable._ends[direction], frame)
+            # Honour per-instance stubs.  The stub may forward zero or
+            # several times: demote first.
+            demote_frame(frame)
+            cable.transmit(sender, frame)
             return
-        if cable._cut:
-            cable.frames_lost += 1
-            return
-        tx_time = size_bits_scaled // cable.bandwidth_bps
-        free = free_at[direction]
-        start = now if now >= free else free
-        free_at[direction] = start + tx_time
-        if cable._loss_rate > 0.0 and cable._rng.random() < cable._loss_rate:
-            cable.frames_lost += 1
-            self._world.probes.fire("eth.frame_lost", cable.name,
-                                    "frame lost", size=frame.size_bytes)
-            return
-        delay = start - now + tx_time + cable.propagation_delay_ns
-        g = groups.get(delay)
-        if g is None:
-            groups[delay] = g = []
-        g.append((cable, receiver))
+        plan = cable.plan_transmit(sender, frame)
+        if plan is not None:
+            delay, receiver = plan
+            groups.setdefault(delay, []).append((cable, receiver))
 
     def _build_flood_targets(self, ingress: SwitchPort,
                              dst: MacAddress) -> tuple[list, list, int]:
@@ -522,22 +425,7 @@ class Switch:
             receiver.receive_frame(frame)
         # All group deliveries ran synchronously above: drop this group
         # event's claim (receivers that kept the segment retained it).
-        # release_frame inlined (keep in sync): once per flood group.
-        claims = frame._claims
-        if claims == 1:
-            frame._claims = 0
-            payload = frame.payload
-            frame.payload = None
-            if len(FRAME_POOL) < 256:  # == FRAME_POOL_MAX
-                FRAME_POOL.append(frame)
-            if type(payload) is IPPacket:
-                pclaims = payload._claims
-                if pclaims > 1:
-                    payload._claims = pclaims - 1
-                elif pclaims:
-                    release_packet(payload)
-        elif claims:
-            frame._claims = claims - 1
+        release_frame(frame)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Switch {self.name} ports={len(self.ports)}>"

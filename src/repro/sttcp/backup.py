@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.net.addresses import IPAddress
+from repro.net.pool import retain
 from repro.sim.timers import Timer
 from repro.tcp.connection import TcpConnection
 from repro.tcp.segment import TcpSegment, release_segment
@@ -172,11 +173,9 @@ class BackupEngine(SttcpEngine):
         queue = self._pending_segments.setdefault(key, [])
         if len(queue) < _MAX_BUFFERED_SEGMENTS:
             # The tap buffer keeps the segment until the replica exists
-            # (or the key is disposed): claim pooled segments
-            # (pool.retain inlined), released on replay/dispose.
-            claims = segment._claims
-            if claims:
-                segment._claims = claims + 1
+            # (or the key is disposed): claim pooled segments, released
+            # on replay/dispose.
+            retain(segment)
             queue.append(segment)
         return True
 

@@ -39,7 +39,7 @@ from repro.tcp.buffers import ReceiveBuffer, SendBuffer
 from repro.tcp.congestion import (CC_ALGORITHMS, DEFAULT_CC,
                                   make_congestion_control)
 from repro.tcp.rtt import RttEstimator
-from repro.tcp.segment import (SEGMENT_POOL, TcpFlags, TcpSegment,
+from repro.tcp.segment import (TcpFlags, TcpSegment, acquire_segment,
                                release_segment)
 from repro.tcp.seq import SEQ_MASK, SEQ_MOD, seq_add, seq_sub
 
@@ -393,17 +393,9 @@ class TcpConnection:
             segment = pending[0]
             pending.clear()
             self.segment_arrived(segment)
-            # Drop the demux queue's claim.  release_segment inlined
-            # (keep in sync): the wire's claim cascaded away when the
-            # frame recycled, so this is usually the final release.
-            claims = segment._claims
-            if claims == 1:
-                segment._claims = 0
-                segment.payload = b""
-                if len(SEGMENT_POOL) < 256:  # == SEGMENT_POOL_MAX
-                    SEGMENT_POOL.append(segment)
-            elif claims:
-                segment._claims = claims - 1
+            # Drop the demux queue's claim: the wire's claim cascaded away
+            # when the frame recycled, so this is usually the final release.
+            release_segment(segment)
         elif pending:
             batch = pending[:]
             pending.clear()
@@ -753,27 +745,13 @@ class TcpConnection:
                    + (1 if self.peer_fin_consumed else 0)) & SEQ_MASK
         window = recv_buffer.advertise_window()
         self._last_sent_window = window
-        # pool.acquire_segment inlined (keep in sync): every data segment
-        # and pure ack is built here, so it comes from the recycle pool
-        # with one creator claim, released when its wire wrappers die (or
-        # by the backup's suppressor); see repro.net.pool.
-        if SEGMENT_POOL:
-            segment = SEGMENT_POOL.pop()
-            segment.src_port = self.local_port
-            segment.dst_port = self.remote_port
-            segment.seq = seq
-            segment.ack = ack if (flags & TcpFlags.ACK or ack_bit) else 0
-            segment.flags = flags | ack_bit
-            segment.window = window
-            segment.payload = payload
-            segment.size_bytes = 20 + len(payload)  # == TCP_HEADER_BYTES
-        else:
-            segment = TcpSegment(
-                self.local_port, self.remote_port, seq=seq,
-                ack=ack if (flags & TcpFlags.ACK or ack_bit) else 0,
-                flags=flags | ack_bit, window=window, payload=payload)
-        segment._claims = 1
-        return segment
+        # Every data segment and pure ack is built here, so it comes from
+        # the recycle pool with one creator claim, released when its wire
+        # wrappers die (or by the backup's suppressor); see repro.net.pool.
+        return acquire_segment(
+            self.local_port, self.remote_port, seq,
+            ack if (flags & TcpFlags.ACK or ack_bit) else 0,
+            flags | ack_bit, window, payload)
 
     def _emit(self, segment: TcpSegment) -> None:
         payload = segment.payload

@@ -108,7 +108,7 @@ class TcpSegment:
 #: Cap on the free list (see repro.net.pool for sizing rationale).
 SEGMENT_POOL_MAX = 256
 
-#: Public: TcpConnection._make_segment inlines the pop + field writes.
+#: The free list itself (tests inspect its depth and contents).
 SEGMENT_POOL: list[TcpSegment] = []
 
 

@@ -21,6 +21,7 @@ from repro.errors import PortInUseError, TcpError
 from repro.net.addresses import IPAddress
 from repro.net.ip import IpStack
 from repro.net.packet import IPPacket, IPProtocol
+from repro.net.pool import retain
 from repro.sim.world import World
 from repro.tcp.connection import TcpConfig, TcpConnection
 from repro.tcp.segment import TcpFlags, TcpSegment, release_segment
@@ -238,15 +239,11 @@ class TcpStack:
             pending = conn._rx_pending
             # The demux queue keeps the segment past this delivery event:
             # take a claim on pooled segments, dropped by the tick-end
-            # flush after processing (pool.retain inlined).
-            claims = segment._claims
-            if claims:
-                segment._claims = claims + 1
+            # flush after processing.
+            retain(segment)
             pending.append(segment)
             if len(pending) == 1:
-                # at_tick_end inlined (keep in sync): registration is a
-                # bare list append, and this runs once per data segment.
-                self._world.sim._tick_end.append(conn._flush_rx_batch)
+                self._world.sim.at_tick_end(conn._flush_rx_batch)
             return
         listener = self.find_listener(packet.dst, segment.dst_port)
         if listener is not None and segment.syn and not segment.ack_flag:

@@ -1,0 +1,90 @@
+"""One home per protocol: the ownership gate.
+
+Two mechanisms sit under every frame on the wire — how an event enters
+the scheduler's queue, and what a recycle pool's ``_claims`` count means.
+Each used to be hand-copied into its callers ("inlined, keep in sync"),
+and the copies drifted: the scheduler insert in ``Cable.transmit`` lost
+``Simulator.post``'s past-time check.  These tests statically scan
+``src/`` (the way ``tests/obs/test_registry_sync.py`` does for probe
+names) and fail when a module other than the owner names the owner's
+private state, so a new copy cannot land by accident.  There is no
+allow-list: a cross-module copy needs a measured reason in
+docs/performance.md's inlining ledger and a change to this file.
+"""
+
+import re
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[2]
+PACKAGE = REPO / "src" / "repro"
+
+#: name -> (pattern, the only modules that may match it)
+PROTOCOLS = {
+    "scheduler queue internals": (
+        re.compile(r"\b(?:_handle_pool|_wheel0|_wheel1|_l0_slots|_l1_slots"
+                   r"|_active_idx|_active_slot|_cur0|_route_far|_tick_end)\b"
+                   r"|EventHandle\.__new__"
+                   # _seq/_size also name ICMP and heartbeat fields, so
+                   # only the simulator's are matched.
+                   r"|\bsim\._seq\b|\bsim\._size\b"),
+        {"sim/core.py"}),
+    "pool claim counts": (
+        re.compile(r"\b_claims\b"),
+        {"net/pool.py", "tcp/segment.py", "net/frame.py", "net/packet.py"}),
+    "pool free lists": (
+        re.compile(r"\b(?:FRAME_POOL|PACKET_POOL|SEGMENT_POOL)\b"),
+        {"net/pool.py", "tcp/segment.py"}),
+}
+
+#: ``x >> 12  # == L0_GRAIN_BITS``: a literal standing in for a constant.
+_LITERAL_FOR_CONSTANT = re.compile(r"#\s*==\s*([A-Z][A-Z0-9_]{2,})\b")
+
+
+def _sources():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        yield path.relative_to(PACKAGE).as_posix(), \
+            path.read_text(encoding="utf-8")
+
+
+def _where(module, text, match):
+    line = text.count("\n", 0, match.start()) + 1
+    return f"{module}:{line}"
+
+
+def test_each_protocol_is_named_only_by_its_owner():
+    strays = {}
+    seen_at_home = set()
+    for module, text in _sources():
+        for protocol, (pattern, homes) in PROTOCOLS.items():
+            hits = [_where(module, text, m) for m in pattern.finditer(text)]
+            if not hits:
+                continue
+            if module in homes:
+                seen_at_home.add(protocol)
+            else:
+                strays.setdefault(protocol, []).extend(hits)
+    assert seen_at_home == set(PROTOCOLS), (
+        f"scan found nothing in the owning modules for "
+        f"{set(PROTOCOLS) - seen_at_home} — pattern or layout changed?")
+    assert not strays, (
+        f"private state named outside its owning module (call the owner's "
+        f"function instead: sim.post / sim.at_tick_end / pool.retain / "
+        f"release_* / demote_* / acquire_*): {strays}")
+
+
+def test_no_literal_stands_in_for_another_modules_constant():
+    """A ``# == NAME`` comment marks a literal kept equal to a constant by
+    hand.  The owning module may do that on its own hot path; anyone else
+    must import the name."""
+    strays = []
+    owned = 0
+    for module, text in _sources():
+        for m in _LITERAL_FOR_CONSTANT.finditer(text):
+            name = m.group(1)
+            if re.search(rf"^\s*{name}\s*(?::[^=\n]+)?=", text, re.MULTILINE):
+                owned += 1
+            else:
+                strays.append(f"{_where(module, text, m)} ({name})")
+    assert owned, "scan found no '# == NAME' comments at all — regex broken?"
+    assert not strays, (
+        f"literal-with-comment copies of another module's constant: {strays}")

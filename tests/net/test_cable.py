@@ -1,5 +1,8 @@
 """Unit tests for the cable model: delay, serialization, loss, cuts."""
 
+import pytest
+
+from repro.errors import SimulationError
 from repro.net.addresses import MacAddress
 from repro.net.cable import Cable
 from repro.net.frame import EthernetFrame, EtherType
@@ -133,7 +136,6 @@ def test_other_end():
 
 
 def test_bad_parameters_rejected():
-    import pytest
     world = World()
     a, b = Endpoint("a", world), Endpoint("b", world)
     with pytest.raises(ValueError):
@@ -143,7 +145,6 @@ def test_bad_parameters_rejected():
 
 
 def test_foreign_endpoint_rejected():
-    import pytest
     world = World()
     a, b, cable = make(world)
     stranger = Endpoint("s", world)
@@ -197,3 +198,23 @@ def test_plan_transmit_on_cut_cable_counts_loss():
     cable.cut()
     assert cable.plan_transmit(a, frame()) is None
     assert cable.frames_lost == 1
+
+
+def test_negative_propagation_delay_cannot_run_the_clock_backwards():
+    """Regression: ``transmit`` used to carry its own copy of the
+    scheduler insert, without ``Simulator.post``'s past-time check, so a
+    frame sent at t=100 ms over a -50 ms cable was delivered at
+    t=50.009 ms — the clock ran backwards for that callback.  Construction
+    now refuses the value, and a delay mutated afterwards hits the
+    kernel's own check."""
+    world = World()
+    a, b = Endpoint("a", world), Endpoint("b", world)
+    with pytest.raises(ValueError):
+        Cable(world, a, b, propagation_delay_ns=-50_000_000)
+    cable = Cable(world, a, b)
+    cable.propagation_delay_ns = -50_000_000
+    world.sim.schedule(100_000_000, cable.transmit, a, frame())
+    with pytest.raises(SimulationError):
+        world.run()
+    assert b.received == []
+    assert world.sim.now == 100_000_000

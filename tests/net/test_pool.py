@@ -10,7 +10,9 @@ These tests pin the contract documented in ``repro.net.pool``:
 * retain/release pairs balance (a holder who retains keeps the object
   alive through another holder's release);
 * demotion zeroes the whole chain so later releases are no-ops;
-* pools are bounded and ``clear()`` empties them.
+* pools are bounded and ``clear()`` empties them;
+* after a real failover run the pools hold only free, scrubbed objects,
+  each once.
 """
 
 import pytest
@@ -19,8 +21,11 @@ from repro.net import pool
 from repro.net.addresses import IPAddress, MacAddress
 from repro.net.frame import ETHERNET_MIN_FRAME_BYTES, EtherType, EthernetFrame
 from repro.net.packet import IPPacket, IPProtocol
+from repro.scenarios.options import RunOptions
 from repro.tcp.segment import (SEGMENT_POOL, SEGMENT_POOL_MAX, TcpFlags,
                                acquire_segment, release_segment)
+from repro.workloads.engine import WorkloadSpec
+from repro.workloads.runner import run_workload_failover
 
 
 @pytest.fixture(autouse=True)
@@ -166,6 +171,22 @@ def test_demote_frame_handles_bytes_payloads():
     assert frame._claims == 0
 
 
+def test_demote_packet_zeroes_packet_and_segment_only():
+    """The tap boundary: the observed packet and its segment go to the GC;
+    the frame around them still recycles (its cascade finds an unmanaged
+    packet and stops)."""
+    frame, packet, segment = make_chain()
+    pool.demote_packet(packet)
+    assert packet._claims == segment._claims == 0
+    assert frame._claims == 1
+    pool.release_frame(frame)
+    assert pool.stats() == {"frame_pool": 1, "packet_pool": 0,
+                            "segment_pool": 0}
+    assert packet.payload is segment      # nothing scrubbed
+    pool.demote_packet(pool.acquire_packet(
+        IPAddress("10.0.0.1"), IPAddress("10.0.0.2"), IPProtocol.UDP, b"x"))
+
+
 # ---------------------------------------------------------------- bounds
 
 def test_pools_are_bounded():
@@ -190,3 +211,29 @@ def test_clear_empties_all_pools():
     pool.clear()
     assert pool.stats() == {"frame_pool": 0, "packet_pool": 0,
                             "segment_pool": 0}
+
+
+# ------------------------------------------------- integrity after a run
+
+def test_pools_are_sound_after_a_real_failover_run():
+    """Every layer reaches the pools through this module's functions
+    only; after a whole workload — handshakes, bulk data, the backup's
+    tap and suppressor, a crash and a takeover — what they left behind
+    must be exactly what the protocol promises: free, scrubbed, and each
+    object pooled once (a duplicate identity is the signature of an
+    over-release).  The depths are pinned because they are a function of
+    the claim accounting alone: a retain or release that moves shows up
+    here before it shows up as corruption."""
+    result = run_workload_failover(
+        WorkloadSpec(connections=8, bytes_per_conn=40_000),
+        fault_at_s=0.15, num_clients=8, options=RunOptions(seed=3))
+    assert result.all_intact and len(result.records) == 8
+    assert pool.stats() == {"frame_pool": 21, "packet_pool": 21,
+                            "segment_pool": 22}
+    for free_list, scrubbed in ((pool.FRAME_POOL, None),
+                                (pool.PACKET_POOL, None),
+                                (SEGMENT_POOL, b"")):
+        assert len({id(obj) for obj in free_list}) == len(free_list)
+        for obj in free_list:
+            assert obj._claims == 0
+            assert obj.payload == scrubbed

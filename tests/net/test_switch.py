@@ -1,6 +1,9 @@
 """Unit tests for the learning switch: learning, flooding, multicast,
 and the SPAN mirror used by the old-architecture ablation."""
 
+import pytest
+
+from repro.errors import SimulationError
 from repro.net.addresses import BROADCAST_MAC, MacAddress
 from repro.net.cable import Cable
 from repro.net.frame import EthernetFrame, EtherType
@@ -267,3 +270,17 @@ def test_real_nic_multicast_join_reaches_filtered_flood():
     sender.send(MULTI)
     world.run()
     assert nic.frames_received == 1
+
+
+def test_negative_forwarding_delay_is_rejected():
+    """Same drift as the cable's: ``_ingress`` inlined the scheduler
+    insert without its past-time check.  Construction refuses the value;
+    a delay mutated afterwards hits ``Simulator.post``."""
+    with pytest.raises(ValueError):
+        Switch(World(), forwarding_delay_ns=-1)
+    world, switch, (a, b, c), _ = build()
+    switch.forwarding_delay_ns = -1_000_000
+    a.send(b.mac)
+    with pytest.raises(SimulationError):
+        world.run()
+    assert b.received == [] and c.received == []

@@ -5,10 +5,13 @@ The kernel's contract (docs/scheduler.md): events fire in global
 bucket, level-0/level-1 wheel, or overflow heap — an event happens to
 land in, and no matter how the cursor advances or how entries migrate
 between tiers.  We check it the direct way: run arbitrary programs of
-schedule / schedule_at / cancel / run(until) operations (including
-scheduling and cancelling from inside callbacks) through the real
-:class:`Simulator` and through a 20-line reference heap scheduler, and
-require byte-identical fire logs.
+schedule / schedule_at / post / cancel / run(until) operations (including
+scheduling, posting and cancelling from inside callbacks) through the
+real :class:`Simulator` and through a 20-line reference heap scheduler,
+and require byte-identical fire logs.  ``post`` is the entry point every
+frame on the wire takes: its kernel-owned handles are recycled through
+the simulator's free list while the program's user-held handles are not,
+and a post from inside a callback can land in the bucket being fired.
 """
 
 import itertools
@@ -47,6 +50,9 @@ class HeapScheduler:
         heappush(self._heap, (time, self._seq, handle))
         return handle
 
+    def post(self, delay, callback, *args):
+        self.schedule(delay, callback, *args)
+
     def run(self, until=None):
         while self._heap:
             time, _seq, handle = self._heap[0]
@@ -72,12 +78,15 @@ DELAYS = st.one_of(
 
 CHILD_OP = st.one_of(
     st.tuples(st.just("sched"), DELAYS, st.just(())),
+    st.tuples(st.just("post"), DELAYS, st.just(())),
     st.tuples(st.just("cancel"), st.integers(0, 63)),
 )
 OP = st.one_of(
     st.tuples(st.just("sched"), DELAYS,
               st.lists(CHILD_OP, max_size=3).map(tuple)),
     st.tuples(st.just("sched_at"), DELAYS,
+              st.lists(CHILD_OP, max_size=3).map(tuple)),
+    st.tuples(st.just("post"), DELAYS,
               st.lists(CHILD_OP, max_size=3).map(tuple)),
     st.tuples(st.just("cancel"), st.integers(0, 63)),
 )
@@ -108,6 +117,9 @@ def execute(scheduler, program):
             handles.append(
                 scheduler.schedule_at(now() + spec[1], fire,
                                       next(ids), spec[2]))
+        elif spec[0] == "post":
+            # No handle comes back: the record is the kernel's to recycle.
+            scheduler.post(spec[1], fire, next(ids), spec[2])
         elif handles:
             handles[spec[1] % len(handles)].cancel()
 
