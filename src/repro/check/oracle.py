@@ -3,8 +3,17 @@
 :class:`InvariantOracle` subscribes to a :class:`~repro.sim.world.World`'s
 probe bus and checks every firing against the catalogue in
 :mod:`repro.check.invariants`.  It is pure observer: attaching it changes
-no timing and no behaviour (probe fields are built eagerly by the
-emitters), and detaching restores the zero-overhead idle path.
+no timing and no behaviour, and detaching restores the zero-overhead idle
+path.  (Emitters build a probe's fields only while something is
+subscribed to it, so the oracle's seven subscriptions do make those
+emitters do that work.)
+
+Every invariant is evaluated on every event it applies to and counted in
+:attr:`InvariantOracle.checks`; what is lazy is the *evidence*.  The
+``conn``/``detail`` strings of a :class:`Violation` are formatted only
+when a check fails, and a wire-layer violation stores the decoded
+``describe_frame`` row of the offending frame, not the frame: frames
+are pooled and recycled as the run goes on.
 
 Three front doors, all documented in ``docs/invariants.md``:
 
@@ -22,10 +31,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.check.invariants import INVARIANTS
+from repro.net.addresses import MacAddress
 from repro.net.packet import IPPacket
 from repro.obs.bus import ProbeEvent
+from repro.obs.export import describe_frame
 from repro.sim.core import millis
-from repro.tcp.segment import TcpSegment
+from repro.tcp.segment import TcpFlags, TcpSegment
 from repro.tcp.seq import seq_add, seq_sub
 
 __all__ = ["CheckTopology", "Violation", "InvariantViolationError",
@@ -67,7 +78,9 @@ class Violation:
     time: int             # virtual ns of the offending probe event
     conn: str             # connection / flow / service identifier
     detail: str           # human-readable specifics (observed vs expected)
-    event: Optional[ProbeEvent] = None   # the probe record itself
+    #: The probe record itself; a ``frame`` field holds the decoded row
+    #: (:func:`~repro.obs.export.describe_frame`), not the pooled frame.
+    event: Optional[ProbeEvent] = None
 
     def __str__(self) -> str:
         return (f"[{self.time / 1e9:12.6f}s] {self.invariant}: {self.conn}: "
@@ -117,6 +130,10 @@ class InvariantOracle:
                  max_recorded: int = 200):
         self.world = world
         self.topology = topology
+        self._primary_mac = self._backup_mac = None
+        if topology is not None:
+            self._primary_mac = MacAddress(topology.primary_mac).value
+            self._backup_mac = MacAddress(topology.backup_mac).value
         self.max_recorded = max_recorded
         self.violations: list[Violation] = []
         self.violation_count = 0           # keeps counting past the cap
@@ -164,11 +181,16 @@ class InvariantOracle:
                 invariant, event.time if event else self.world.now,
                 conn, detail, event))
 
-    def _check(self, invariant: str, ok: bool, event: ProbeEvent, conn: str,
-               detail: str) -> None:
-        self.checks[invariant] += 1
-        if not ok:
-            self._fail(invariant, event, conn, detail)
+    def _fail_wire(self, invariant: str, ev: ProbeEvent, packet: IPPacket,
+                   detail: str) -> None:
+        """A wire-layer breach: filed under the packet's flow direction,
+        with the frame decoded now — it is pooled, and carries other
+        traffic by the time anybody reads the violation."""
+        seg = packet.payload
+        decoded = {**ev.fields, "frame": describe_frame(ev.fields["frame"])}
+        self._fail(invariant, ev._replace(fields=decoded),
+                   f"{packet.src}:{seg.src_port}->{packet.dst}:{seg.dst_port}",
+                   detail)
 
     def report(self) -> str:
         """Human-readable summary: per-invariant check/violation counts."""
@@ -192,32 +214,46 @@ class InvariantOracle:
             # First sighting, or a new incarnation reusing the name.
             state = self._endpoints[ev.source] = _EndpointState(
                 una=una, rcv_nxt=f.get("rcv_nxt", 0))
-        self._check("tcp.snd-una-le-nxt", una <= nxt, ev, ev.source,
-                    f"snd_una={una} > snd_nxt={nxt}")
-        self._check("tcp.snd-una-monotone", una >= state.una, ev, ev.source,
-                    f"snd_una retreated {state.una} -> {una}")
-        state.una = max(state.una, una)
+        checks = self.checks
+        checks["tcp.snd-una-le-nxt"] += 1
+        if una > nxt:
+            self._fail("tcp.snd-una-le-nxt", ev, ev.source,
+                       f"snd_una={una} > snd_nxt={nxt}")
+        checks["tcp.snd-una-monotone"] += 1
+        if una < state.una:
+            self._fail("tcp.snd-una-monotone", ev, ev.source,
+                       f"snd_una retreated {state.una} -> {una}")
+        else:
+            state.una = una
         mss = f.get("mss")
         if mss:
             cwnd, ssthresh = f.get("cwnd"), f.get("ssthresh")
-            self._check("tcp.cwnd-floor", cwnd >= mss, ev, ev.source,
-                        f"cwnd={cwnd} < 1 MSS ({mss})")
-            self._check("tcp.ssthresh-floor", ssthresh >= 2 * mss, ev,
-                        ev.source, f"ssthresh={ssthresh} < 2 MSS ({2 * mss})")
+            checks["tcp.cwnd-floor"] += 1
+            if cwnd < mss:
+                self._fail("tcp.cwnd-floor", ev, ev.source,
+                           f"cwnd={cwnd} < 1 MSS ({mss})")
+            checks["tcp.ssthresh-floor"] += 1
+            if ssthresh < 2 * mss:
+                self._fail("tcp.ssthresh-floor", ev, ev.source,
+                           f"ssthresh={ssthresh} < 2 MSS ({2 * mss})")
         off = f.get("off")
         if off is not None and "SYN" not in flags and "RST" not in flags:
             # (RSTs are exempt: a reset for a bogus handshake ack echoes
             # the offender's ack field as its seq, per RFC 793.)
-            self._check("tcp.seq-in-window", una <= off <= nxt, ev,
-                        ev.source,
-                        f"segment offset {off} outside [una={una}, "
-                        f"nxt={nxt}]")
+            checks["tcp.seq-in-window"] += 1
+            if not una <= off <= nxt:
+                self._fail("tcp.seq-in-window", ev, ev.source,
+                           f"segment offset {off} outside [una={una}, "
+                           f"nxt={nxt}]")
         rcv_nxt = f.get("rcv_nxt")
         if rcv_nxt is not None:
-            self._check("tcp.rcv-nxt-monotone", rcv_nxt >= state.rcv_nxt,
-                        ev, ev.source,
-                        f"rcv_next retreated {state.rcv_nxt} -> {rcv_nxt}")
-            state.rcv_nxt = max(state.rcv_nxt, rcv_nxt)
+            checks["tcp.rcv-nxt-monotone"] += 1
+            if rcv_nxt < state.rcv_nxt:
+                self._fail("tcp.rcv-nxt-monotone", ev, ev.source,
+                           f"rcv_next retreated {state.rcv_nxt} -> "
+                           f"{rcv_nxt}")
+            else:
+                state.rcv_nxt = rcv_nxt
 
     def _on_deliver(self, ev: ProbeEvent) -> None:
         off, length = ev.fields.get("off"), ev.fields.get("len", 0)
@@ -226,10 +262,11 @@ class InvariantOracle:
         state = self._endpoints.setdefault(ev.source, _EndpointState())
         if off == 0 and state.deliver_next > 0:
             state.deliver_next = 0   # new incarnation reusing the name
-        self._check("tcp.deliver-contiguous", off == state.deliver_next,
-                    ev, ev.source,
-                    f"delivery at offset {off}, expected "
-                    f"{state.deliver_next} (gap or re-delivery)")
+        self.checks["tcp.deliver-contiguous"] += 1
+        if off != state.deliver_next:
+            self._fail("tcp.deliver-contiguous", ev, ev.source,
+                       f"delivery at offset {off}, expected "
+                       f"{state.deliver_next} (gap or re-delivery)")
         state.deliver_next = off + length
 
     # --------------------------------------------------------- wire layer
@@ -242,64 +279,81 @@ class InvariantOracle:
         seg = packet.payload
         if not isinstance(seg, TcpSegment):
             return
-        fkey = (str(packet.src), seg.src_port, str(packet.dst), seg.dst_port)
+        # Flow directions are keyed by the addresses' integer values;
+        # _fail_wire renders the key for a violation.
+        src, dst = packet.src._value, packet.dst._value
+        sport, dport = seg.src_port, seg.dst_port
+        fkey = (src, sport, dst, dport)
+        flags = seg.flags
+        syn, rst = flags & TcpFlags.SYN, flags & TcpFlags.RST
         flow = self._flows.get(fkey)
-        if flow is None or seg.syn:
+        if flow is None or syn:
             # New flow direction, or a new incarnation (a SYN legitimately
             # restarts the sequence space; ST-TCP takeover never SYNs).
             flow = self._flows[fkey] = _FlowDirState()
-        conn = f"{fkey[0]}:{fkey[1]}->{fkey[2]}:{fkey[3]}"
-        self._check_topology(ev, frame, seg, conn)
-        end = seq_add(seg.seq, len(seg.payload)
-                      + (1 if seg.syn else 0) + (1 if seg.fin else 0))
-        if not seg.rst:
-            if flow.hi_seq is not None:
-                jump = seq_sub(seg.seq, flow.hi_seq)
-                self._check("wire.seq-continuity", abs(jump) < _SEQ_BAND,
-                            ev, conn,
-                            f"seq {seg.seq} is {jump:+d} from the running "
-                            f"max {flow.hi_seq} (discontinuous space)")
-            if flow.hi_seq is None or seq_sub(seg.seq, flow.hi_seq) > 0:
-                flow.hi_seq = seg.seq
+        if (self.topology is not None
+                and self.topology.service_port in (sport, dport)):
+            self._check_topology(ev, frame.src._value, packet)
+        checks = self.checks
+        seq = seg.seq
+        end = seq_add(seq, len(seg.payload) + (1 if syn else 0)
+                      + (1 if flags & TcpFlags.FIN else 0))
+        if not rst:
+            hi_seq = flow.hi_seq
+            if hi_seq is None:
+                flow.hi_seq = seq
+            else:
+                jump = seq_sub(seq, hi_seq)
+                checks["wire.seq-continuity"] += 1
+                if abs(jump) >= _SEQ_BAND:
+                    self._fail_wire("wire.seq-continuity", ev, packet,
+                                    f"seq {seq} is {jump:+d} from the running "
+                                    f"max {hi_seq} (discontinuous space)")
+                if jump > 0:
+                    flow.hi_seq = seq
         if flow.max_end is None or seq_sub(end, flow.max_end) > 0:
             flow.max_end = end
-        if seg.ack_flag and not seg.rst:
-            if flow.hi_ack is not None:
-                retreat = seq_sub(seg.ack, flow.hi_ack)
-                self._check("wire.ack-monotone", retreat >= 0, ev, conn,
-                            f"ack retreated {flow.hi_ack} -> {seg.ack} "
-                            f"({retreat:+d})")
-            if flow.hi_ack is None or seq_sub(seg.ack, flow.hi_ack) > 0:
-                flow.hi_ack = seg.ack
-            reverse = self._flows.get((fkey[2], fkey[3], fkey[0], fkey[1]))
+        if flags & TcpFlags.ACK and not rst:
+            ack = seg.ack
+            hi_ack = flow.hi_ack
+            if hi_ack is None:
+                flow.hi_ack = ack
+            else:
+                retreat = seq_sub(ack, hi_ack)
+                checks["wire.ack-monotone"] += 1
+                if retreat < 0:
+                    self._fail_wire("wire.ack-monotone", ev, packet,
+                                    f"ack retreated {hi_ack} -> {ack} "
+                                    f"({retreat:+d})")
+                if retreat > 0:
+                    flow.hi_ack = ack
+            reverse = self._flows.get((dst, dport, src, sport))
             if reverse is not None and reverse.max_end is not None:
-                beyond = seq_sub(seg.ack, reverse.max_end)
-                self._check("wire.ack-beyond-data", beyond <= 0, ev, conn,
-                            f"ack {seg.ack} is {beyond:+d} beyond the "
-                            f"peer's highest sent byte {reverse.max_end}")
+                beyond = seq_sub(ack, reverse.max_end)
+                checks["wire.ack-beyond-data"] += 1
+                if beyond > 0:
+                    self._fail_wire("wire.ack-beyond-data", ev, packet,
+                                    f"ack {ack} is {beyond:+d} beyond the "
+                                    f"peer's highest sent byte "
+                                    f"{reverse.max_end}")
 
-    def _check_topology(self, ev: ProbeEvent, frame, seg: TcpSegment,
-                        conn: str) -> None:
-        topo = self.topology
-        if topo is None:
-            return
-        if topo.service_port not in (seg.src_port, seg.dst_port):
-            return
-        src_mac = str(frame.src)
-        if src_mac == topo.backup_mac:
-            self._check("wire.backup-silent",
-                        self._takeover_at is not None
-                        and ev.time >= self._takeover_at,
-                        ev, conn,
-                        "backup emitted a service-flow frame before "
-                        "takeover (output suppression breached)")
-        elif src_mac == topo.primary_mac and self._takeover_at is not None:
-            self._check("wire.primary-silent",
-                        ev.time <= self._takeover_at + _TAKEOVER_GRACE_NS,
-                        ev, conn,
-                        f"primary emitted a service-flow frame "
-                        f"{(ev.time - self._takeover_at) / 1e6:.1f} ms "
-                        f"after takeover (dual active)")
+    def _check_topology(self, ev: ProbeEvent, src_mac: int,
+                        packet: IPPacket) -> None:
+        """Wire-role checks on one service-flow frame from ``src_mac``."""
+        takeover_at = self._takeover_at
+        if src_mac == self._backup_mac:
+            self.checks["wire.backup-silent"] += 1
+            if takeover_at is None or ev.time < takeover_at:
+                self._fail_wire("wire.backup-silent", ev, packet,
+                                "backup emitted a service-flow frame before "
+                                "takeover (output suppression breached)")
+        elif src_mac == self._primary_mac and takeover_at is not None:
+            self.checks["wire.primary-silent"] += 1
+            if ev.time > takeover_at + _TAKEOVER_GRACE_NS:
+                self._fail_wire("wire.primary-silent", ev, packet,
+                                f"primary emitted a service-flow frame "
+                                f"{(ev.time - takeover_at) / 1e6:.1f} ms "
+                                f"after takeover (dual active)")
 
     # ---------------------------------------------------- heartbeat layer
 
@@ -309,8 +363,10 @@ class InvariantOracle:
             return
         prev_seq = self._hb_seq.get(ev.source)
         if prev_seq is not None:
-            self._check("hb.seq-monotone", hb.seq > prev_seq, ev, ev.source,
-                        f"heartbeat seq {hb.seq} after {prev_seq}")
+            self.checks["hb.seq-monotone"] += 1
+            if hb.seq <= prev_seq:
+                self._fail("hb.seq-monotone", ev, ev.source,
+                           f"heartbeat seq {hb.seq} after {prev_seq}")
         self._hb_seq[ev.source] = hb.seq
         for progress in hb.connections:
             key = (ev.source, progress.key)
@@ -320,12 +376,12 @@ class InvariantOracle:
                         progress.last_app_byte_read)
             prev = self._hb_progress.get(key)
             if prev is not None:
-                ok = all(now >= before for now, before
-                         in zip(counters, prev))
-                self._check("hb.progress-monotone", ok, ev,
-                            f"{ev.source}:{progress.key}",
-                            f"progress counters retreated {prev} -> "
-                            f"{counters}")
+                self.checks["hb.progress-monotone"] += 1
+                if any(now < before for now, before in zip(counters, prev)):
+                    self._fail("hb.progress-monotone", ev,
+                               f"{ev.source}:{progress.key}",
+                               f"progress counters retreated {prev} -> "
+                               f"{counters}")
             self._hb_progress[key] = counters
 
     # -------------------------------------------------------- sttcp layer

@@ -29,9 +29,10 @@ class MacAddress:
     a multicast address are flooded by the switch to every port.
     """
 
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_str")
 
     def __init__(self, value: "str | int | MacAddress"):
+        self._str = None  # rendered on first str(); the value never changes
         if isinstance(value, MacAddress):
             self._value = value._value
         elif isinstance(value, int):
@@ -70,8 +71,12 @@ class MacAddress:
         return hash(self._value)
 
     def __str__(self) -> str:
-        raw = f"{self._value:012x}"
-        return ":".join(raw[i:i + 2] for i in range(0, 12, 2))
+        text = self._str
+        if text is None:
+            raw = f"{self._value:012x}"
+            text = self._str = ":".join(raw[i:i + 2]
+                                        for i in range(0, 12, 2))
+        return text
 
     def __repr__(self) -> str:
         return f"MacAddress('{self}')"
@@ -84,9 +89,10 @@ BROADCAST_MAC = MacAddress("ff:ff:ff:ff:ff:ff")
 class IPAddress:
     """An IPv4 address (dotted quad or int)."""
 
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_str")
 
     def __init__(self, value: "str | int | IPAddress"):
+        self._str = None  # rendered on first str(); the value never changes
         if isinstance(value, IPAddress):
             self._value = value._value
         elif isinstance(value, int):
@@ -129,8 +135,12 @@ class IPAddress:
         return hash(self._value)
 
     def __str__(self) -> str:
-        v = self._value
-        return f"{v >> 24 & 255}.{v >> 16 & 255}.{v >> 8 & 255}.{v & 255}"
+        text = self._str
+        if text is None:
+            v = self._value
+            text = self._str = (f"{v >> 24 & 255}.{v >> 16 & 255}."
+                                f"{v >> 8 & 255}.{v & 255}")
+        return text
 
     def __repr__(self) -> str:
         return f"IPAddress('{self}')"

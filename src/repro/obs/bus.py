@@ -1,39 +1,52 @@
 """The probe bus — components fire named probe points, observers attach.
 
-The bus is layered on the :class:`~repro.sim.trace.TraceLog`: a fire of a
-``traced`` probe produces exactly the trace record the component used to
-emit directly (same category, source, message and fields), so existing
-trace-based tests see identical output.  Non-traced probes (the
-high-volume packet taps) reach only bus subscribers.
+A fire of a ``traced`` probe also produces exactly the
+:class:`~repro.sim.trace.TraceLog` record the component used to emit
+directly (same category, source, message and fields), so trace-based
+tests see identical output.  Non-traced probes (the high-volume packet
+taps) reach only bus subscribers.
+
+Dispatch is compiled, not looked up.  Every subscription or trace-filter
+change rebuilds one table, ``probe -> (category, default message, sinks)``,
+where ``sinks`` is an immutable tuple: the probe's own subscribers in
+subscription order, then the wildcards, then — for a traced probe whose
+category the trace log keeps — the log's mirror, last.  A fire indexes
+that table once, builds one :class:`ProbeEvent` and walks the tuple.
+Because the tuple a fire walks is never mutated, **a subscription change
+made from inside a callback takes effect from the next fire**: every
+sink attached when the fire began still sees the event, and none
+attached during it does.
 
 The design goal is zero overhead when nobody is listening.  Hot emitters
-ask :meth:`ProbeBus.wants` first — a single cached dict lookup — and skip
-building their field values entirely when a fire would reach no
-subscriber, no wildcard, and (for traced probes) no enabled trace
-category.  The cache is invalidated on every subscription change and
-whenever the trace log's category filter changes.
+ask :meth:`ProbeBus.wants` first — a single dict lookup, true exactly
+when the probe's sink tuple is non-empty — and skip building their field
+values entirely when a fire would do no work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from repro.obs.registry import PROBES, ProbeSpec, UnknownProbeError
 
 __all__ = ["ProbeEvent", "ProbeBus"]
 
 
-@dataclass(frozen=True)
-class ProbeEvent:
-    """One probe firing, as delivered to subscribers."""
+class ProbeEvent(NamedTuple):
+    """One probe firing, as delivered to subscribers (immutable).
+
+    ``fields`` holds what the emitter passed; a value may be a live
+    simulator object that is only valid during the callback (``eth.frame``
+    passes a pooled frame — copy it with
+    :func:`~repro.obs.export.describe_frame` to keep it).
+    """
 
     time: int                    # virtual time, ns
     probe: str                   # registered probe name, e.g. "tcp.retransmit"
     category: str                # the probe's trace category
     source: str                  # component name, e.g. "primary.tcp"
     message: str                 # human-readable summary
-    fields: dict[str, Any] = field(default_factory=dict)
+    fields: dict[str, Any]       # what the emitter passed, by keyword
 
     @property
     def time_s(self) -> float:
@@ -43,29 +56,35 @@ class ProbeEvent:
 
 Subscriber = Callable[[ProbeEvent], None]
 
-# (spec, default message) per probe name, shared by every bus instance —
-# the registry is immutable, so this is computed once at import.
-_PROBE_INFO: dict[str, tuple[ProbeSpec, str]] = {
-    name: (spec, name.split(".", 1)[1] if "." in name else name)
+_new_event = tuple.__new__
+
+# (category, default message, traced) per probe name, shared by every bus
+# instance — the registry is immutable, so this is computed once at import.
+_PROBE_INFO: dict[str, tuple[str, str, bool]] = {
+    name: (spec.category, name.split(".", 1)[1] if "." in name else name,
+           spec.traced)
     for name, spec in PROBES.items()}
 
 
 class ProbeBus:
     """Named probe points with per-probe and wildcard subscribers."""
 
-    __slots__ = ("_clock", "_trace", "_subs", "_all", "wants_map", "fired")
+    __slots__ = ("_clock", "_trace", "_subs", "_all", "_table", "wants_map",
+                 "fired")
 
     def __init__(self, clock: Callable[[], int], trace=None):
         self._clock = clock
         self._trace = trace
         self._subs: dict[str, list[Subscriber]] = {}
         self._all: list[Subscriber] = []
-        # probe -> "would a fire do any work", eagerly recomputed for every
-        # registered probe on any subscription or trace-filter change.
-        # Hot emitters index this dict directly (``probes.wants_map[...]``)
-        # — subscription changes are rare, per-frame fires are not.
+        # probe -> (category, default message, sinks, reaches a subscriber),
+        # recompiled for every registered probe on any subscription or
+        # trace-filter change — those are rare, per-frame fires are not.
+        self._table: dict[str, tuple[str, str, tuple, bool]] = {}
+        # probe -> "would a fire do any work" (a non-empty sink tuple).
+        # Hot emitters index this dict directly (``probes.wants_map[...]``).
         self.wants_map: dict[str, bool] = {}
-        self.fired = 0  # probes that actually built an event for a subscriber
+        self.fired = 0  # fires that reached a subscriber (mirror-only: no)
         self._invalidate()
         if trace is not None:
             trace.on_filter_change(self._invalidate)
@@ -96,9 +115,10 @@ class ProbeBus:
 
     def enabled(self, probe: str) -> bool:
         """True when a fire of ``probe`` would reach at least one
-        subscriber — hot paths may use this to skip building expensive
-        field values."""
-        return bool(self._subs.get(probe)) or bool(self._all)
+        subscriber.  Answers from the same compiled entry as
+        :meth:`wants`; the one difference is that the trace-log mirror
+        of a traced probe makes ``wants`` true but is not a subscriber."""
+        return self.wants(probe) and self._table[probe][3]
 
     def wants(self, probe: str) -> bool:
         """True when a fire of ``probe`` would do *any* work — reach a
@@ -112,16 +132,19 @@ class ProbeBus:
             raise
 
     def _invalidate(self) -> None:
-        """Recompute the whole wants map (subscription/filter change)."""
+        """Recompile every probe's entry (subscription/filter change)."""
         subs = self._subs
-        any_all = bool(self._all)
+        wildcards = tuple(self._all)
         trace = self._trace
-        m = self.wants_map
-        for name, (spec, _msg) in _PROBE_INFO.items():
-            value = bool(subs.get(name)) or any_all
-            if not value and spec.traced and trace is not None:
-                value = trace.wants(spec.category)
-            m[name] = value
+        table = self._table
+        wants_map = self.wants_map
+        for name, (category, default_message, traced) in _PROBE_INFO.items():
+            sinks = tuple(subs.get(name, ())) + wildcards
+            subscribed = bool(sinks)
+            if traced and trace is not None and trace.wants(category):
+                sinks += (trace.mirror,)  # last: record order unchanged
+            table[name] = (category, default_message, sinks, subscribed)
+            wants_map[name] = bool(sinks)
 
     # --------------------------------------------------------------- firing
 
@@ -134,25 +157,21 @@ class ProbeBus:
         :class:`~repro.obs.registry.UnknownProbeError` — the registry is
         the single source of truth, so drift fails fast.
         """
-        info = _PROBE_INFO.get(probe)
-        if info is None:
+        entry = self._table.get(probe)
+        if entry is None:
             self._spec(probe)  # raises UnknownProbeError with the hint
-            raise AssertionError("unreachable")  # pragma: no cover
-        spec, default_message = info
-        subs = self._subs.get(probe)
-        if subs or self._all:
+        category, default_message, sinks, subscribed = entry
+        if not sinks:
+            return
+        if subscribed:
             self.fired += 1
-            event = ProbeEvent(self._clock(), probe, spec.category, source,
-                               message if message is not None
-                               else default_message, fields)
-            for callback in subs or ():
-                callback(event)
-            for callback in self._all:
-                callback(event)
-        if spec.traced and self._trace is not None:
-            self._trace.record(spec.category, source,
-                               message if message is not None
-                               else default_message, **fields)
+        # tuple.__new__ directly: the generated ProbeEvent.__new__ is one
+        # more Python frame per fire for the same tuple.
+        event = _new_event(ProbeEvent, (
+            self._clock(), probe, category, source,
+            message if message is not None else default_message, fields))
+        for sink in sinks:
+            sink(event)
 
     # ----------------------------------------------------------------- misc
 

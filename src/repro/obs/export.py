@@ -11,6 +11,16 @@ bus and accumulates three artifacts:
   switch, with decoded IP/TCP/UDP/ICMP/ARP summaries
   (``level="frames"``).
 
+Rows are *captured* when the probe fires and *decoded* when somebody asks
+for them.  The two fixed-shape, high-volume rows — a TCP/IP frame and a
+transmitted segment — are captured as one flat tuple of scalars and
+immutable address objects, copied out of the pooled frame/segment (never
+a reference to one: it is recycled as soon as the callback returns);
+everything else is rare and is decoded on the spot.  :attr:`ObsSession.frames`
+and :attr:`ObsSession.tcp_rows` turn the captures into the documented
+dict rows, and :meth:`ObsSession.write` renders the fixed-shape captures
+straight to their JSON text.
+
 Every export is deterministic: rows carry only virtual time and
 seed-derived values, JSON keys are sorted, and row order is fire order —
 so two runs with the same seed produce byte-identical files (the
@@ -20,15 +30,18 @@ this).  Formats are documented in ``docs/observability.md``.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import os
-from typing import Any, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.net.frame import EthernetFrame
 from repro.net.packet import IPPacket
 from repro.obs.bus import ProbeEvent
 from repro.obs.metrics import (MetricsRegistry, format_snapshot_json,
                                format_snapshot_text)
+from repro.obs.registry import PROBES
 from repro.tcp.segment import TcpFlags, TcpSegment
 
 __all__ = ["ObsSession", "OBS_LEVELS", "describe_frame", "jsonl_line"]
@@ -46,14 +59,71 @@ _SUMMARY_PROBES = frozenset(
         "fin-held", "fin-released", "retain-overflow", "unrecoverable",
         "ping-probing")])
 
+#: Probes whose every fire also bumps a derived ``*_total`` counter.
+_TOTALS = {
+    "eth.frame": "eth.frames_total",
+    "tcp.segment_tx": "tcp.segments_sent_total",
+    "tcp.retransmit": "tcp.retransmissions_total",
+    "tcp.segment_rx": "tcp.segments_received_total",
+    "hb.send": "hb.sent_total",
+    "hb.recv": "hb.received_total",
+    "sttcp.suppress": "sttcp.suppressed_segments_total",
+}
+
 
 def jsonl_line(row: dict) -> str:
     """One canonical JSONL row: sorted keys, compact, newline-terminated."""
     return json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+# ------------------------------------------------------------- frame rows
+#
+# A captured TCP/IP frame is the flat tuple
+#   (src, dst, ethertype, bytes,  ip src, ip dst, protocol, ttl,
+#    sport, dport, seq, ack, flags (int), window, payload length)
+# and the session prefixes (t, ingress).  _tcp_frame_body and
+# _TCP_FRAME_JSON are its two renderings; tests/obs/test_lazy_rows.py
+# holds them to each other.
+
+def _capture_tcp_frame(frame: EthernetFrame) -> Optional[tuple]:
+    """The scalars of a TCP-in-IP frame, or None for any other frame."""
+    packet = frame.payload
+    if isinstance(packet, IPPacket):
+        segment = packet.payload
+        if isinstance(segment, TcpSegment):
+            return (frame.src, frame.dst, frame.ethertype, frame.size_bytes,
+                    packet.src, packet.dst, packet.protocol, packet.ttl,
+                    segment.src_port, segment.dst_port, segment.seq,
+                    segment.ack, segment.flags, segment.window,
+                    len(segment.payload))
+    return None
+
+
+def _tcp_frame_body(captured: tuple) -> dict:
+    (src, dst, ethertype, size, ip_src, ip_dst, protocol, ttl,
+     sport, dport, seq, ack, flags, window, length) = captured
+    return {"src": str(src), "dst": str(dst), "type": ethertype,
+            "bytes": size,
+            "ip": {"src": str(ip_src), "dst": str(ip_dst),
+                   "proto": protocol, "ttl": ttl},
+            "tcp": {"sport": sport, "dport": dport, "seq": seq, "ack": ack,
+                    "flags": TcpFlags.describe(flags), "win": window,
+                    "len": length}}
+
+
+_TCP_FRAME_JSON = (
+    '{"bytes":%d,"dst":"%s","ingress":%s,'
+    '"ip":{"dst":"%s","proto":%s,"src":"%s","ttl":%d},'
+    '"src":"%s","t":%d,'
+    '"tcp":{"ack":%d,"dport":%d,"flags":"%s","len":%d,"seq":%d,"sport":%d,'
+    '"win":%d},"type":%s}\n')
+
+
 def describe_frame(frame: EthernetFrame) -> dict:
     """Decode a frame into a JSON-ready dict (the pcap-row body)."""
+    captured = _capture_tcp_frame(frame)
+    if captured is not None:
+        return _tcp_frame_body(captured)
     row: dict[str, Any] = {"src": str(frame.src), "dst": str(frame.dst),
                            "type": frame.ethertype,
                            "bytes": frame.size_bytes}
@@ -62,12 +132,7 @@ def describe_frame(frame: EthernetFrame) -> dict:
         row["ip"] = {"src": str(payload.src), "dst": str(payload.dst),
                      "proto": payload.protocol, "ttl": payload.ttl}
         inner = payload.payload
-        if isinstance(inner, TcpSegment):
-            row["tcp"] = {"sport": inner.src_port, "dport": inner.dst_port,
-                          "seq": inner.seq, "ack": inner.ack,
-                          "flags": TcpFlags.describe(inner.flags),
-                          "win": inner.window, "len": len(inner.payload)}
-        elif payload.protocol == "udp":
+        if payload.protocol == "udp":
             row["udp"] = {"sport": getattr(inner, "src_port", None),
                           "dport": getattr(inner, "dst_port", None),
                           "payload": type(getattr(inner, "payload",
@@ -82,12 +147,90 @@ def describe_frame(frame: EthernetFrame) -> dict:
     return row
 
 
+def _frame_row(captured) -> dict:
+    """The documented ``frames.jsonl`` row of one capture."""
+    if type(captured) is dict:
+        return captured
+    row = _tcp_frame_body(captured[2:])
+    row["t"], row["ingress"] = captured[:2]
+    return row
+
+
+def _frames_text(captures: Iterable) -> str:
+    """``frames.jsonl``: byte-for-byte ``jsonl_line`` of every row."""
+    quote = functools.cache(json.dumps)
+    lines = []
+    for captured in captures:
+        if type(captured) is dict:
+            lines.append(jsonl_line(captured))
+            continue
+        (t, ingress, src, dst, ethertype, size, ip_src, ip_dst, protocol,
+         ttl, sport, dport, seq, ack, flags, window, length) = captured
+        lines.append(_TCP_FRAME_JSON % (
+            size, dst, "null" if ingress is None else ingress,
+            ip_dst, quote(protocol), ip_src, ttl, src, t,
+            ack, dport, TcpFlags.describe(flags), length, seq, sport,
+            window, quote(ethertype)))
+    return "".join(lines)
+
+
+# ---------------------------------------------------------- timeline rows
+#
+# A captured transmission is (t, conn) + the values of exactly these
+# ``tcp.segment_tx`` fields, in this order.  A fire with any other field
+# set (a congestion controller that adds its own, say) and every
+# retransmission is decoded on the spot instead.
+
+_TX_KEYS = ("seq", "ack", "flags", "len", "win", "cwnd", "flight", "off",
+            "una", "nxt", "rcv_nxt", "mss", "ssthresh")
+_tx_values = operator.itemgetter(*_TX_KEYS)
+
+_TX_JSON = (
+    '{"ack":%d,"conn":%s,"cwnd":%d,"ev":"tx","flags":%s,"flight":%d,'
+    '"len":%d,"mss":%d,"nxt":%d,"off":%s,"rcv_nxt":%d,"seq":%d,'
+    '"ssthresh":%d,"t":%d,"una":%d,"win":%d}\n')
+
+
+def _decoded_tcp_row(event: ProbeEvent, kind: str) -> dict:
+    row = {"t": event.time, "conn": event.source, "ev": kind}
+    row.update({k: _jsonable(v) for k, v in event.fields.items()})
+    return row
+
+
+def _tcp_row(captured) -> dict:
+    """The documented ``tcp_timeline.jsonl`` row of one capture."""
+    if type(captured) is dict:
+        return captured
+    row = {"t": captured[0], "conn": captured[1], "ev": "tx"}
+    row.update(zip(_TX_KEYS, captured[2:]))
+    return row
+
+
+def _timeline_text(captures: Iterable) -> str:
+    """``tcp_timeline.jsonl``: byte-for-byte ``jsonl_line`` of every row."""
+    quote = functools.cache(json.dumps)
+    lines = []
+    for captured in captures:
+        if type(captured) is dict:
+            lines.append(jsonl_line(captured))
+            continue
+        (t, conn, seq, ack, flags, length, window, cwnd, flight, off,
+         una, nxt, rcv_nxt, mss, ssthresh) = captured
+        lines.append(_TX_JSON % (
+            ack, quote(conn), cwnd, quote(flags), flight, length, mss, nxt,
+            "null" if off is None else off, rcv_nxt, seq, ssthresh, t, una,
+            window))
+    return "".join(lines)
+
+
 class ObsSession:
     """One scenario's worth of observation, attached to a world's bus.
 
     Levels are cumulative: ``counters`` < ``timeline`` < ``frames``.  The
-    session subscribes a single wildcard callback, so detaching it
-    (:meth:`detach`) restores the zero-overhead idle path.
+    session subscribes one pre-bound handler per registered probe —
+    what a fire of that probe has to do is decided here, once, not per
+    event — and detaching them (:meth:`detach`) restores the
+    zero-overhead idle path.
     """
 
     def __init__(self, world, level: str = "frames"):
@@ -96,73 +239,149 @@ class ObsSession:
         self.world = world
         self.level = level
         self.metrics = MetricsRegistry()
-        self.frames: list[dict] = []
-        self.tcp_rows: list[dict] = []
         self.events: list[dict] = []
+        self._frames: list = []     # captures, see "frame rows" above
+        self._tcp_rows: list = []   # captures, see "timeline rows" above
         self._last_hb_rx: Optional[int] = None
-        self._sub = world.probes.subscribe_all(self._on_probe)
+        subscribe = world.probes.subscribe
+        self._subs = [subscribe(probe, self._handler(probe))
+                      for probe in PROBES]
 
     def detach(self) -> None:
         """Stop observing (the collected data stays queryable)."""
-        self.world.probes.unsubscribe(self._sub)
+        for sub in self._subs:
+            self.world.probes.unsubscribe(sub)
+        self._subs.clear()
+
+    @property
+    def frames(self) -> list[dict]:
+        """The ``frames.jsonl`` rows so far, decoded (a fresh list)."""
+        return [_frame_row(captured) for captured in self._frames]
+
+    @property
+    def tcp_rows(self) -> list[dict]:
+        """The ``tcp_timeline.jsonl`` rows so far, decoded (a fresh list)."""
+        return [_tcp_row(captured) for captured in self._tcp_rows]
 
     # -------------------------------------------------------- accumulation
+    #
+    # Counters are created on a probe's first fire, not when its handler
+    # is bound, so counters.json lists exactly the probes that fired.
 
-    def _on_probe(self, event: ProbeEvent) -> None:
-        self.metrics.counter(event.probe).inc()
-        probe = event.probe
-        fields = event.fields
+    def _handler(self, probe: str) -> Callable[[ProbeEvent], None]:
+        """The one callback this session attaches to ``probe``."""
         if probe == "eth.frame":
-            frame = fields["frame"]
-            self.metrics.counter("eth.frames_total").inc()
-            self.metrics.counter("eth.bytes_total").inc(frame.size_bytes)
-            if self.level == "frames":
-                row = describe_frame(frame)
-                row["t"] = event.time
-                row["ingress"] = fields.get("ingress")
-                self.frames.append(row)
-        elif probe == "tcp.segment_tx":
-            self.metrics.counter("tcp.segments_sent_total").inc()
-            self.metrics.counter("tcp.bytes_sent_total").inc(
-                fields.get("len", 0))
-            if "cwnd" in fields:
-                self.metrics.histogram("tcp.cwnd_bytes").observe(
-                    fields["cwnd"])
-            if self.level != "counters":
-                self.tcp_rows.append(self._tcp_row(event, "tx"))
-        elif probe == "tcp.retransmit":
-            self.metrics.counter("tcp.retransmissions_total").inc()
-            if self.level != "counters":
-                self.tcp_rows.append(self._tcp_row(event, "rtx"))
-        elif probe == "tcp.segment_rx":
-            self.metrics.counter("tcp.segments_received_total").inc()
-        elif probe == "hb.send":
-            self.metrics.counter("hb.sent_total").inc()
-        elif probe == "hb.recv":
-            self.metrics.counter("hb.received_total").inc()
-            now = event.time
-            if self._last_hb_rx is not None:
-                self.metrics.histogram("hb.interarrival_ns").observe(
-                    now - self._last_hb_rx)
-            self._last_hb_rx = now
-        elif probe == "sttcp.suppress":
-            self.metrics.counter("sttcp.suppressed_segments_total").inc()
-        elif probe == "sttcp.retain":
-            self.metrics.counter("sttcp.retained_bytes_total").inc(
-                fields.get("len", 0))
-        elif probe == "sttcp.takeover":
-            self.metrics.gauge("sttcp.takeover_at_ns").set(event.time)
-        if probe in _SUMMARY_PROBES:
-            self.events.append({
-                "t": event.time, "probe": probe, "source": event.source,
-                "message": event.message,
-                "fields": {k: _jsonable(v) for k, v in fields.items()}})
+            return self._frame_handler()
+        if probe == "tcp.segment_tx":
+            return self._segment_tx_handler()
+        metrics = self.metrics
+        total = _TOTALS.get(probe)
+        then = self._follow_up(probe)
+        fired = derived = None
 
-    @staticmethod
-    def _tcp_row(event: ProbeEvent, kind: str) -> dict:
-        row = {"t": event.time, "conn": event.source, "ev": kind}
-        row.update({k: _jsonable(v) for k, v in event.fields.items()})
-        return row
+        def handle(event: ProbeEvent) -> None:
+            nonlocal fired, derived
+            if fired is None:
+                fired = metrics.counter(probe)
+                if total is not None:
+                    derived = metrics.counter(total)
+            fired.value += 1
+            if derived is not None:
+                derived.value += 1
+            if then is not None:
+                then(event)
+        return handle
+
+    def _follow_up(self, probe: str) -> Optional[Callable[[ProbeEvent], None]]:
+        """What a fire of ``probe`` does besides being counted."""
+        if probe == "tcp.retransmit" and self.level == "counters":
+            return None
+        return {"tcp.retransmit": self._keep_retransmit,
+                "hb.recv": self._hb_interarrival,
+                "sttcp.retain": self._retained,
+                "sttcp.takeover": self._takeover,
+                }.get(probe, self._summarize
+                      if probe in _SUMMARY_PROBES else None)
+
+    def _frame_handler(self) -> Callable[[ProbeEvent], None]:
+        metrics = self.metrics
+        keep = self._frames.append if self.level == "frames" else None
+        fired = total = octets = None
+
+        def handle(event: ProbeEvent) -> None:
+            nonlocal fired, total, octets
+            if fired is None:
+                fired = metrics.counter("eth.frame")
+                total = metrics.counter(_TOTALS["eth.frame"])
+                octets = metrics.counter("eth.bytes_total")
+            fields = event.fields
+            frame = fields["frame"]
+            fired.value += 1
+            total.value += 1
+            octets.inc(frame.size_bytes)
+            if keep is not None:
+                prefix = (event.time, fields.get("ingress"))
+                captured = _capture_tcp_frame(frame)
+                if captured is not None:
+                    keep(prefix + captured)
+                else:
+                    row = describe_frame(frame)
+                    row["t"], row["ingress"] = prefix
+                    keep(row)
+        return handle
+
+    def _segment_tx_handler(self) -> Callable[[ProbeEvent], None]:
+        metrics = self.metrics
+        keep = self._tcp_rows.append if self.level != "counters" else None
+        fired = total = octets = cwnd_bytes = None
+
+        def handle(event: ProbeEvent) -> None:
+            nonlocal fired, total, octets, cwnd_bytes
+            if fired is None:
+                fired = metrics.counter("tcp.segment_tx")
+                total = metrics.counter(_TOTALS["tcp.segment_tx"])
+                octets = metrics.counter("tcp.bytes_sent_total")
+            fields = event.fields
+            fired.value += 1
+            total.value += 1
+            octets.inc(fields.get("len", 0))
+            if "cwnd" in fields:
+                if cwnd_bytes is None:
+                    cwnd_bytes = metrics.histogram("tcp.cwnd_bytes")
+                cwnd_bytes.observe(fields["cwnd"])
+            if keep is not None:
+                if len(fields) == len(_TX_KEYS):
+                    try:
+                        keep((event.time, event.source) + _tx_values(fields))
+                        return
+                    except KeyError:
+                        pass
+                keep(_decoded_tcp_row(event, "tx"))
+        return handle
+
+    def _keep_retransmit(self, event: ProbeEvent) -> None:
+        self._tcp_rows.append(_decoded_tcp_row(event, "rtx"))
+
+    def _hb_interarrival(self, event: ProbeEvent) -> None:
+        now = event.time
+        if self._last_hb_rx is not None:
+            self.metrics.histogram("hb.interarrival_ns").observe(
+                now - self._last_hb_rx)
+        self._last_hb_rx = now
+
+    def _retained(self, event: ProbeEvent) -> None:
+        self.metrics.counter("sttcp.retained_bytes_total").inc(
+            event.fields.get("len", 0))
+
+    def _takeover(self, event: ProbeEvent) -> None:
+        self.metrics.gauge("sttcp.takeover_at_ns").set(event.time)
+        self._summarize(event)
+
+    def _summarize(self, event: ProbeEvent) -> None:
+        self.events.append({
+            "t": event.time, "probe": event.probe, "source": event.source,
+            "message": event.message,
+            "fields": {k: _jsonable(v) for k, v in event.fields.items()}})
 
     # ----------------------------------------------------------- finishing
 
@@ -228,11 +447,9 @@ class ObsSession:
         _write("summary.txt", self._summary_text(snapshot))
         _write("summary.json", jsonl_line(self.summary()))
         if self.level in ("timeline", "frames"):
-            _write("tcp_timeline.jsonl",
-                   "".join(jsonl_line(row) for row in self.tcp_rows))
+            _write("tcp_timeline.jsonl", _timeline_text(self._tcp_rows))
         if self.level == "frames":
-            _write("frames.jsonl",
-                   "".join(jsonl_line(row) for row in self.frames))
+            _write("frames.jsonl", _frames_text(self._frames))
         return paths
 
     def _summary_text(self, snapshot: dict) -> str:

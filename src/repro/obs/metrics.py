@@ -84,6 +84,12 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
+        # BOUNDS[i] == 4**i, so an int's bucket is ceil(log4(value)), read
+        # off its bit length; anything above 2**62 lands in +inf (last).
+        if type(value) is int:
+            index = ((value - 1).bit_length() + 1) >> 1 if value > 1 else 0
+            self._buckets[min(index, len(self.BOUNDS))] += 1
+            return
         for i, bound in enumerate(self.BOUNDS):
             if value <= bound:
                 self._buckets[i] += 1

@@ -67,7 +67,19 @@ class TraceLog:
         """Append an event (no-op if the category is filtered out)."""
         if self._enabled is not None and category not in self._enabled:
             return
-        rec = TraceRecord(self._clock(), category, source, message, fields)
+        self._keep(TraceRecord(self._clock(), category, source, message,
+                               fields))
+
+    def mirror(self, event) -> None:
+        """Keep a traced probe's fire as the record its emitter used to
+        write directly.  The :class:`~repro.obs.bus.ProbeBus` attaches
+        this as the probe's last sink only while the category is enabled
+        (it recompiles on every filter change), so no filter check here.
+        """
+        self._keep(TraceRecord(event.time, event.category, event.source,
+                               event.message, event.fields))
+
+    def _keep(self, rec: TraceRecord) -> None:
         self._records.append(rec)
         for sub in self._subscribers:
             sub(rec)

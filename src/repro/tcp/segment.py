@@ -23,13 +23,21 @@ class TcpFlags:
     @staticmethod
     def describe(flags: int) -> str:
         """Render flag bits as e.g. 'SYN|ACK'."""
-        names = []
-        for bit, name in ((TcpFlags.SYN, "SYN"), (TcpFlags.ACK, "ACK"),
-                          (TcpFlags.FIN, "FIN"), (TcpFlags.RST, "RST"),
-                          (TcpFlags.PSH, "PSH")):
-            if flags & bit:
-                names.append(name)
-        return "|".join(names) if names else "-"
+        return _FLAG_NAMES[flags & 0x1F]
+
+
+def _flag_names(flags: int) -> str:
+    names = [name for bit, name in ((TcpFlags.SYN, "SYN"),
+                                    (TcpFlags.ACK, "ACK"),
+                                    (TcpFlags.FIN, "FIN"),
+                                    (TcpFlags.RST, "RST"),
+                                    (TcpFlags.PSH, "PSH"))
+             if flags & bit]
+    return "|".join(names) if names else "-"
+
+
+#: Every combination of the five flag bits, rendered once.
+_FLAG_NAMES = tuple(_flag_names(flags) for flags in range(32))
 
 
 class TcpSegment:

@@ -64,3 +64,35 @@ def test_suppression_breach_trips_oracle():
     fx.run(5)
     assert oracle.violation_count > 0
     assert "wire.backup-silent" in {v.invariant for v in oracle.violations}
+
+
+@pytest.mark.no_invariant_check
+def test_wire_violation_keeps_the_frame_as_it_was_when_it_tripped():
+    """Frames are pooled and recycled as the run goes on, so a wire-layer
+    ``Violation`` must hold a decoded copy of the offending frame, not
+    the frame.  Swapping the MAC hints makes every pre-takeover service
+    frame of the (real) primary a ``wire.backup-silent`` breach; by the
+    end of the run all of those frames have carried other traffic."""
+    from repro.faults.faults import HwCrash
+    from repro.obs.export import describe_frame
+
+    fx = SttcpFixture()
+    world, addresses = fx.tb.world, fx.tb.addresses
+    at_fire: dict[int, list[dict]] = {}
+    world.probes.subscribe(
+        "eth.frame", lambda ev: at_fire.setdefault(ev.time, []).append(
+            describe_frame(ev.fields["frame"])))
+    swapped = CheckTopology(primary_mac=str(addresses.backup_mac),
+                            backup_mac=str(addresses.primary_mac))
+    oracle = InvariantOracle(world, swapped).attach()
+    fx.start_client(total_bytes=200_000)
+    fx.tb.inject.at(seconds(1), HwCrash(fx.tb.primary))
+    fx.run(5)
+    breaches = [v for v in oracle.violations
+                if v.invariant == "wire.backup-silent"]
+    assert len(breaches) > 100
+    for violation in breaches:
+        assert violation.event.fields["frame"] in at_fire[violation.time], \
+            f"evidence of {violation} is not the frame that tripped it"
+    assert any(v.event.fields["frame"]["tcp"]["len"] == 1460
+               for v in breaches), "no data segment among the breaches"

@@ -11,6 +11,18 @@ class TestMacAddress:
         mac = MacAddress("02:00:00:00:00:01")
         assert str(mac) == "02:00:00:00:00:01"
 
+    def test_str_is_rendered_once_and_survives_copy_and_pickle(self):
+        import pickle
+
+        mac = MacAddress(0x02_00_5e_00_ab_01)
+        assert str(mac) is str(mac) == "02:00:5e:00:ab:01"
+        assert str(MacAddress(mac)) == str(pickle.loads(pickle.dumps(mac))) \
+            == "02:00:5e:00:ab:01"
+        ip = IPAddress("10.0.1.200")
+        assert str(ip) is str(ip) == "10.0.1.200"
+        assert str(IPAddress(ip)) == str(pickle.loads(pickle.dumps(ip))) \
+            == "10.0.1.200"
+
     def test_dash_separator_accepted(self):
         assert MacAddress("02-00-00-00-00-01") == MacAddress("02:00:00:00:00:01")
 

@@ -56,6 +56,26 @@ def test_histogram_overflow_goes_to_inf_bucket():
     assert h.to_dict()["buckets"] == {"le_inf": 1}
 
 
+def test_histogram_bit_length_bucket_is_the_first_bound_that_fits():
+    """An int is bucketed from its bit length; every edge (a bound, one
+    below, one above) must land where a scan of BOUNDS puts it."""
+    edges = {0, -5}
+    for bound in Histogram.BOUNDS:
+        edges.update((bound - 1, bound, bound + 1, 2 * bound))
+    for value in sorted(edges):
+        h = Histogram("x")
+        h.observe(value)
+        fits = [b for b in Histogram.BOUNDS if value <= b]
+        expected = f"le_{fits[0]}" if fits else "le_inf"
+        assert h.to_dict()["buckets"] == {expected: 1}, value
+    for value in (0.5, 3.5, 4.0, 1e30):   # floats still scan
+        h = Histogram("x")
+        h.observe(value)
+        fits = [b for b in Histogram.BOUNDS if value <= b]
+        expected = f"le_{fits[0]}" if fits else "le_inf"
+        assert h.to_dict()["buckets"] == {expected: 1}, value
+
+
 def test_empty_histogram_to_dict():
     d = Histogram("x").to_dict()
     assert d["count"] == 0

@@ -115,3 +115,122 @@ def test_fire_without_trace_backend():
     bus.subscribe("hb.send", got.append)
     bus.fire("hb.send", "hb")
     assert len(got) == 1
+
+
+# ------------------------------------------------ changes made during a fire
+#
+# A fire walks an immutable, compiled sink tuple, so a subscription change
+# made from inside a callback takes effect from the next fire.
+
+def test_unsubscribing_itself_does_not_starve_the_next_subscriber():
+    _sim, _trace, bus = make_bus()
+    seen = []
+
+    def first(ev):
+        seen.append("first")
+        bus.unsubscribe(first)
+
+    bus.subscribe("hb.send", first)
+    bus.subscribe("hb.send", lambda ev: seen.append("second"))
+    bus.fire("hb.send", "hb")
+    assert seen == ["first", "second"]
+    bus.fire("hb.send", "hb")
+    assert seen == ["first", "second", "second"]
+
+
+def test_unsubscribing_another_takes_effect_from_the_next_fire():
+    _sim, _trace, bus = make_bus()
+    seen = []
+
+    def second(ev):
+        seen.append("second")
+
+    bus.subscribe("hb.send", lambda ev: bus.unsubscribe(second))
+    bus.subscribe("hb.send", second)
+    bus.fire("hb.send", "hb")
+    assert seen == ["second"]   # attached when the fire began
+    bus.fire("hb.send", "hb")
+    assert seen == ["second"]
+
+
+def test_subscribing_during_a_fire_takes_effect_from_the_next_fire():
+    _sim, _trace, bus = make_bus()
+    seen = []
+
+    def late(ev):
+        seen.append(("late", ev.fields["seq"]))
+
+    def first(ev):
+        seen.append(("first", ev.fields["seq"]))
+        if ev.fields["seq"] == 1:
+            bus.subscribe("hb.send", late)
+            bus.subscribe_all(late)
+
+    bus.subscribe("hb.send", first)
+    bus.fire("hb.send", "hb", seq=1)
+    assert seen == [("first", 1)]
+    bus.fire("hb.send", "hb", seq=2)
+    assert seen[1:] == [("first", 2), ("late", 2), ("late", 2)]
+
+
+def test_trace_filter_change_during_a_fire_takes_effect_from_the_next_fire():
+    _sim, trace, bus = make_bus()
+    trace.set_enabled_categories(set())
+    enable = bus.subscribe(
+        "hb.send", lambda ev: trace.set_enabled_categories({"hb"}))
+    bus.fire("hb.send", "hb", seq=1)    # mirror was not attached yet
+    assert len(trace) == 0
+    bus.unsubscribe(enable)
+    bus.subscribe("hb.send", lambda ev: trace.set_enabled_categories(set()))
+    bus.fire("hb.send", "hb", seq=2)    # mirror was attached: still kept
+    assert [r.fields for r in trace] == [{"seq": 2}]
+    bus.fire("hb.send", "hb", seq=3)
+    assert len(trace) == 1
+
+
+def test_trace_mirror_runs_after_every_subscriber():
+    """Record order is unchanged: a subscriber that writes to the trace
+    from its callback lands before the fire's own mirrored record."""
+    _sim, trace, bus = make_bus()
+    bus.subscribe("hb.send", lambda ev: trace.record("hb", "sub", "saw it"))
+    bus.subscribe_all(lambda ev: None)
+    bus.fire("hb.send", "hb", "sent")
+    assert [r.message for r in trace] == ["saw it", "sent"]
+
+
+# ----------------------------------------------------------- the event type
+
+def test_probe_event_is_immutable_and_keeps_its_field_order():
+    from repro.obs.bus import ProbeEvent
+
+    assert ProbeEvent._fields == ("time", "probe", "category", "source",
+                                  "message", "fields")
+    _sim, _trace, bus = make_bus()
+    got = []
+    bus.subscribe("hb.send", got.append)
+    bus.fire("hb.send", "hb", "sent", seq=1)
+    event = got[0]
+    assert tuple(event) == (0, "hb.send", "hb", "hb", "sent", {"seq": 1})
+    with pytest.raises(AttributeError):
+        event.time = 5
+    with pytest.raises(AttributeError):
+        event.extra = 1
+
+
+# ------------------------------------------ enabled() / wants() / the table
+
+def test_enabled_and_wants_differ_only_by_the_trace_mirror():
+    _sim, trace, bus = make_bus()
+    # Traced probe, category kept, nobody subscribed: the mirror alone.
+    assert bus.wants("hb.send") and not bus.enabled("hb.send")
+    trace.set_enabled_categories(set())
+    assert not bus.wants("hb.send") and not bus.enabled("hb.send")
+    bus.subscribe("hb.send", lambda ev: None)
+    assert bus.wants("hb.send") and bus.enabled("hb.send")
+    for probe in PROBES:
+        assert bus.wants(probe) == bus.wants_map[probe]
+        assert bus.enabled(probe) <= bus.wants(probe)
+    with pytest.raises(UnknownProbeError):
+        bus.enabled("nope.nope")
+    with pytest.raises(UnknownProbeError):
+        bus.wants("nope.nope")

@@ -85,3 +85,35 @@ def test_docs_list_every_probe_and_category():
     missing_cats = [cat for cat in CATEGORIES if f"`{cat}`" not in doc]
     assert not missing_cats, (
         f"categories missing from docs/observability.md: {missing_cats}")
+
+
+def test_every_registered_probe_has_a_compiled_dispatch_entry():
+    """The bus recompiles its whole dispatch table on every subscription
+    or trace-filter change; a registered probe without an entry would
+    make its emitter's ``wants_map[...]`` guard raise mid-run."""
+    from repro.obs.bus import ProbeBus
+    from repro.sim.trace import TraceLog
+
+    trace = TraceLog(lambda: 0)
+    bus = ProbeBus(lambda: 0, trace)
+
+    def compiled():
+        assert set(bus._table) == set(bus.wants_map) == set(PROBES)
+        for name, (category, _message, sinks, subscribed) in \
+                bus._table.items():
+            assert category == PROBES[name].category
+            assert isinstance(sinks, tuple)
+            assert bus.wants_map[name] == bool(sinks)
+            assert subscribed == bus.enabled(name)
+
+    compiled()
+    callback = bus.subscribe("tcp.segment_tx", lambda ev: None)
+    compiled()
+    bus.subscribe_all(callback)
+    compiled()
+    bus.unsubscribe(callback)
+    compiled()
+    trace.set_enabled_categories({"hb"})
+    compiled()
+    trace.set_enabled_categories(None)
+    compiled()

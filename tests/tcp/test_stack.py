@@ -11,6 +11,16 @@ from repro.tcp.states import TcpState
 from tests.tcp.conftest import Collector
 
 
+def test_flag_rendering_table_covers_every_combination():
+    names = (("SYN", TcpFlags.SYN), ("ACK", TcpFlags.ACK),
+             ("FIN", TcpFlags.FIN), ("RST", TcpFlags.RST),
+             ("PSH", TcpFlags.PSH))
+    for flags in range(32):
+        expected = "|".join(n for n, bit in names if flags & bit) or "-"
+        assert TcpFlags.describe(flags) == expected
+    assert TcpFlags.describe(TcpFlags.SYN | TcpFlags.ACK) == "SYN|ACK"
+
+
 def test_listener_port_conflict(lan):
     lan.hosts[0].tcp.listen(80, lambda s: None)
     with pytest.raises(PortInUseError):

@@ -1,0 +1,87 @@
+#!/usr/bin/env python
+"""Fail when watching a run costs more than it should.
+
+Runs the 32-client fleet shape (the repo benchmark's ``fleet_32c``: 32
+streams of 500 kB on the broadcast fabric, primary crashed at 1 s) at
+every rung of the observation ladder — plain, oracle only, each
+``obs_level``, and ``frames`` + oracle, which is what ``--obs-out`` with
+``--check`` and the ``fleet_32c_observed`` workload run — round-robin in
+one process, three rounds, and keeps the minimum of each rung.
+
+The gate is the ratio ``frames+check / plain``.  Both sides are measured
+in the same process within seconds of each other, so a slow or noisy
+runner moves them together and cannot trip it; only per-fire work in
+``repro.obs`` / ``repro.check`` can.  The ladder is printed either way
+(docs/performance.md, "The cost of watching a run", keeps the record).
+
+Run from the repo root: ``python tools/check_obs_overhead.py``.
+Exit code 0 = within the ceiling, 1 = over it.
+"""
+
+from __future__ import annotations
+
+import gc
+import sys
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "src"))
+
+from repro.net import pool  # noqa: E402
+from repro.scenarios import RunOptions  # noqa: E402
+from repro.workloads import WorkloadSpec, run_workload_failover  # noqa: E402
+
+#: ``frames+check / plain`` must stay at or under this.  2.6 before the
+#: compiled dispatch and capture-now/decode-at-export rows, about 1.7
+#: after; the margin is for interpreter versions, not for regressions.
+CEILING = 2.2
+
+ROUNDS = 3
+
+LADDER = (
+    ("plain", {}),
+    ("check", {"check": True}),
+    ("counters", {"obs_level": "counters"}),
+    ("timeline", {"obs_level": "timeline"}),
+    ("frames", {"obs_level": "frames"}),
+    ("frames+check", {"obs_level": "frames", "check": True}),
+)
+
+
+def run_once(options: dict) -> float:
+    """Host seconds of one fleet run with ``options`` switched on."""
+    spec = WorkloadSpec(kind="stream", connections=32,
+                        bytes_per_conn=500_000, mean_interarrival_s=0.02)
+    pool.clear()
+    gc.collect()
+    start = time.perf_counter()
+    result = run_workload_failover(
+        spec, num_clients=32, fault_at_s=1.0, egress_filtering=False,
+        options=RunOptions(seed=1, run_until_s=45.0, **options))
+    wall_s = time.perf_counter() - start
+    if not result.all_intact:
+        raise RuntimeError(f"fleet run with {options} lost a stream")
+    return wall_s
+
+
+def main() -> int:
+    run_once({})  # imports, caches and lazy set-up are not on the ladder
+    best = {name: float("inf") for name, _options in LADDER}
+    for _round in range(ROUNDS):
+        for name, options in LADDER:
+            best[name] = min(best[name], run_once(options))
+    plain = best["plain"]
+    print(f"the cost of watching a run (32-client fleet, minimum of "
+          f"{ROUNDS} round-robin runs)")
+    print(f"  {'rung':14s} {'wall_s':>8s} {'/ plain':>8s}")
+    for name, _options in LADDER:
+        print(f"  {name:14s} {best[name]:8.3f} {best[name] / plain:8.2f}")
+    ratio = best["frames+check"] / plain
+    verdict = "ok" if ratio <= CEILING else "OVER"
+    print(f"frames+check / plain = {ratio:.2f} (ceiling {CEILING}): {verdict}")
+    return 0 if ratio <= CEILING else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
