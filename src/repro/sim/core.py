@@ -5,13 +5,9 @@ with an integer-nanosecond virtual clock.  Components schedule callbacks;
 the kernel executes them in (time, insertion-order) order, so two runs with
 the same seed produce byte-identical traces.
 
-Since the fleet-scale event-core pass the ready queue is no longer a single
-binary heap: near-future deadlines live in a two-level hierarchical timer
-wheel (O(1) insert/cancel) and only far-future events fall back to a heap
-overflow tier.  The full design — wheel geometry, overflow handling,
-tombstone interaction and the determinism argument — is documented in
-``docs/scheduler.md``; the geometry constants below are mirrored there and
-kept in sync by ``tests/check/test_scheduler_doc.py``.
+The ready queue is one binary heap (:mod:`heapq`) of
+``(time, seq, handle, callback, args)`` tuples.  ``docs/scheduler.md``
+says why it is not the timer wheel it replaced, with the measurements.
 
 Design notes
 ------------
@@ -19,22 +15,20 @@ Design notes
   and :data:`NS_PER_S` (plus :func:`seconds`, :func:`millis`, :func:`micros`)
   convert human units without floating-point drift.
 * :meth:`Simulator.schedule` returns an :class:`EventHandle` that can be
-  cancelled; cancellation is O(1) (lazy deletion from the wheel bucket or
-  overflow heap).  Dead entries are compacted away once they outnumber live
-  ones in a non-trivial queue, so arm/cancel churn (timer restarts) cannot
-  grow the queue without bound.
-* Event ordering is the global sort order of ``(time, sequence)`` — the
-  exact order the old single-heap kernel produced.  Buckets hold unsorted
-  ``(time, seq, handle)`` entries and are sorted once when the cursor
-  reaches them; cross-tier ties are merged before firing (see
-  ``docs/scheduler.md`` for the proof sketch).
+  cancelled; cancellation is O(1) (the entry stays in the heap as a
+  tombstone and is skipped when popped).  Tombstones are compacted away
+  once they outnumber live entries in a non-trivial queue, so arm/cancel
+  churn (timer restarts) cannot grow the queue without bound.
+* Event ordering is the sort order of ``(time, seq)``.  ``seq`` is unique,
+  so tuple comparison never reaches the third element and the order does
+  not depend on the heap's internal layout — a compaction's ``heapify``
+  cannot reorder anything.
 * The kernel never catches exceptions raised by callbacks: a bug in a
   protocol implementation should fail the test loudly, not be swallowed.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
@@ -83,7 +77,7 @@ class EventHandle:
     """
 
     __slots__ = ("time", "callback", "args", "_cancelled", "_fired", "label",
-                 "_owner", "_pooled")
+                 "_owner")
 
     def __init__(self, time: int, callback: Callable[..., Any],
                  args: tuple, label: str = "",
@@ -95,10 +89,6 @@ class EventHandle:
         self._cancelled = False
         self._fired = False
         self._owner = owner
-        # Kernel-owned records acquired by Simulator.post() are recycled
-        # into a free list the moment they fire; handles returned to
-        # callers are not (the caller may hold the reference forever).
-        self._pooled = False
 
     def cancel(self) -> None:
         """Prevent the callback from running.  Idempotent."""
@@ -130,6 +120,17 @@ class EventHandle:
         return f"<EventHandle {name} @{self.time}ns {state}>"
 
 
+def _check_delay(delay: int) -> None:
+    """Slow path of ``schedule``/``post`` validation, entered only for a
+    delay that is not a plain non-negative ``int`` (int subclasses pass)."""
+    if not isinstance(delay, int):
+        raise SimulationError(
+            f"delay must be an int (nanoseconds), got {type(delay).__name__}; "
+            f"use seconds()/millis()/micros() helpers")
+    if delay < 0:
+        raise SimulationError(f"cannot schedule in the past (delay={delay})")
+
+
 class Simulator:
     """Deterministic discrete-event scheduler with an int-nanosecond clock.
 
@@ -139,90 +140,30 @@ class Simulator:
         sim.schedule(millis(10), my_callback, arg1, arg2)
         sim.run(until=seconds(5))
 
-    The ready queue is a hierarchical timer wheel with a heap overflow
-    tier (``docs/scheduler.md``): level 0 buckets 4.096 us of virtual time
-    each and spans ~4.19 ms, level 1 buckets ~4.19 ms each and spans
-    ~4.29 s, and anything beyond the level-1 horizon waits in a binary
-    heap until the cursor approaches.  Insert and cancel are O(1) for the
-    wheel tiers; firing order is byte-identical to a single global heap.
-
     The simulator is also the root object from which scenario builders hang
     shared services (trace log, RNG registry); see :mod:`repro.sim.trace`
     and :mod:`repro.sim.rng`.
     """
 
     __slots__ = ("_now", "_seq", "_running", "_events_processed",
-                 "_cancelled_in_queue", "_size", "_cur0", "_l1_start",
-                 "_wheel0", "_wheel1", "_l0_slots", "_l1_slots",
-                 "_overflow", "_active", "_active_idx", "_active_slot",
-                 "_far_min", "_tick_end", "_handle_pool", "_bucket_pool")
-
-    #: log2 of the level-0 bucket width: 4096 ns per slot.
-    L0_GRAIN_BITS = 12
-    #: log2 of the slot count per wheel level (1024 slots).
-    WHEEL_BITS = 10
-    #: Slots per wheel level.
-    WHEEL_SLOTS = 1 << WHEEL_BITS
-    #: log2 of the level-1 bucket width: one level-0 revolution (~4.19 ms).
-    L1_GRAIN_BITS = L0_GRAIN_BITS + WHEEL_BITS
-    #: Virtual time covered by level 0 (~4.19 ms).
-    L0_HORIZON_NS = WHEEL_SLOTS << L0_GRAIN_BITS
-    #: Virtual time covered by levels 0+1 (~4.29 s); beyond this events
-    #: wait in the overflow heap.
-    L1_HORIZON_NS = WHEEL_SLOTS << L1_GRAIN_BITS
+                 "_cancelled_in_queue", "_heap", "_tick_end")
 
     #: Queues smaller than this are never compacted — rebuilding a tiny
     #: queue costs more than carrying its tombstones to the pop.
     COMPACT_MIN_QUEUE = 64
-
-    #: Free-list bounds (see docs/performance.md, "Allocation & GC").
-    #: Excess records beyond the cap fall back to the allocator; the caps
-    #: bound pool memory while covering steady-state in-flight counts.
-    HANDLE_POOL_MAX = 512
-    BUCKET_POOL_MAX = 64
 
     def __init__(self) -> None:
         self._now: int = 0
         self._seq = 0
         self._running = False
         self._events_processed = 0
-        # Entries (incl. tombstones) across all tiers, and tombstone count.
-        self._size = 0
+        # (time, seq, handle, callback, args) entries; handle is None for
+        # fire-and-forget posts.  Cancelled entries stay as tombstones.
+        self._heap: list[tuple] = []
         self._cancelled_in_queue = 0
-        # Wheel cursor state: _cur0 is the absolute level-0 slot the kernel
-        # has advanced to; level 0 covers absolute slots
-        # [_cur0, _cur0 + WHEEL_SLOTS).  _l1_start is the absolute level-1
-        # slot of the cursor; level 1 covers (_l1_start, + WHEEL_SLOTS).
-        self._cur0 = 0
-        self._l1_start = 0
-        self._wheel0: list[list] = [[] for _ in range(self.WHEEL_SLOTS)]
-        self._wheel1: list[list] = [[] for _ in range(self.WHEEL_SLOTS)]
-        # Min-heaps of occupied absolute slot indices per level (lazily
-        # purged; a stale index whose bucket is empty is skipped on pop).
-        self._l0_slots: list[int] = []
-        self._l1_slots: list[int] = []
-        # Far-future events: a (time, seq, handle) binary heap.
-        self._overflow: list[tuple] = []
-        # The bucket currently being fired: a sorted list consumed by
-        # index (cheaper than a heap pop per event).  Same-instant
-        # insertions targeting the active slot are insort-ed behind the
-        # consumption point.
-        self._active: list[tuple] = []
-        self._active_idx = 0
-        self._active_slot = 0
-        # Lower bound on the earliest event resident in L1/overflow; -1
-        # means unknown (forces a full cross-tier peek).  Lets the hot
-        # loop activate L0 buckets without touching the outer tiers.
-        self._far_min: "int | float" = _INF
         # Callbacks to run once all events of the current instant have
         # executed, before the clock advances (see at_tick_end).
         self._tick_end: list = []
-        # Free lists (docs/performance.md, "Allocation & GC"): recycled
-        # EventHandle records for fire-and-forget posts, and recycled
-        # wheel-bucket lists (one list is retired per activated slot —
-        # nearly one per event at fleet scale).
-        self._handle_pool: list[EventHandle] = []
-        self._bucket_pool: list[list] = []
 
     # ------------------------------------------------------------------ time
 
@@ -263,40 +204,12 @@ class Simulator:
         callback after all events already scheduled for the current instant
         (FIFO within a timestamp).
         """
-        if type(delay) is not int and not isinstance(delay, int):
-            raise SimulationError(
-                f"delay must be an int (nanoseconds), got {type(delay).__name__}; "
-                f"use seconds()/millis()/micros() helpers")
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if type(delay) is not int or delay < 0:
+            _check_delay(delay)
         time = self._now + delay
-        # EventHandle.__init__ inlined (keep in sync): one scheduled event
-        # per call makes the constructor frame measurable on its own.
-        handle = EventHandle.__new__(EventHandle)
-        handle.time = time
-        handle.callback = callback
-        handle.args = args
-        handle.label = label
-        handle._cancelled = False
-        handle._fired = False
-        handle._owner = self
-        handle._pooled = False
-        # Routing inlined from _route: this is the hottest call in the
-        # simulator (once per scheduled event).
-        self._seq += 1
-        entry = (time, self._seq, handle)
-        s0 = time >> 12               # == L0_GRAIN_BITS
-        if s0 - self._cur0 < 1024:    # == WHEEL_SLOTS
-            if s0 != self._active_slot:
-                bucket = self._wheel0[s0 & 1023]
-                if not bucket:
-                    heappush(self._l0_slots, s0)
-                bucket.append(entry)
-            else:
-                insort(self._active, entry, self._active_idx)
-        else:
-            self._route_far(entry, time)
-        self._size += 1
+        handle = EventHandle(time, callback, args, label, self)
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (time, seq, handle, callback, args))
         return handle
 
     def post(self, delay: int, callback: Callable[..., Any],
@@ -304,57 +217,18 @@ class Simulator:
         """Run ``callback(*args)`` after ``delay`` nanoseconds — the
         fire-and-forget sibling of :meth:`schedule`.
 
-        No handle is returned, so the event record is *kernel-owned*: it
-        is acquired from a free list and recycled the instant the callback
-        fires, making steady-state posting allocation-free.  Ordering,
-        validation and tick semantics are identical to :meth:`schedule`
-        (same (time, seq) entry routing).  Use it for the delivery-style
-        events that are never cancelled — cable deliveries, switch
-        forwards, loopback dispatch; anything that may need ``cancel()``
-        must use :meth:`schedule`.
+        No handle is created or returned (``label`` is accepted for
+        call-site symmetry and dropped), so a post costs one tuple and one
+        heap push.  Ordering, validation and tick semantics are identical
+        to :meth:`schedule`.  Use it for the delivery-style events that
+        are never cancelled — cable deliveries, switch forwards, loopback
+        dispatch; anything that may need ``cancel()`` must use
+        :meth:`schedule`.
         """
-        if type(delay) is not int and not isinstance(delay, int):
-            raise SimulationError(
-                f"delay must be an int (nanoseconds), got {type(delay).__name__}; "
-                f"use seconds()/millis()/micros() helpers")
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        time = self._now + delay
-        pool = self._handle_pool
-        if pool:
-            handle = pool.pop()
-            handle.time = time
-            handle.callback = callback
-            handle.args = args
-            handle.label = label
-            handle._fired = False
-            # _cancelled stays False (pooled handles are unreachable from
-            # user code, so cancel() can never touch them), _owner stays
-            # self, _pooled stays True.
-        else:
-            handle = EventHandle.__new__(EventHandle)
-            handle.time = time
-            handle.callback = callback
-            handle.args = args
-            handle.label = label
-            handle._cancelled = False
-            handle._fired = False
-            handle._owner = self
-            handle._pooled = True
-        self._seq += 1
-        entry = (time, self._seq, handle)
-        s0 = time >> 12               # == L0_GRAIN_BITS
-        if s0 - self._cur0 < 1024:    # == WHEEL_SLOTS
-            if s0 != self._active_slot:
-                bucket = self._wheel0[s0 & 1023]
-                if not bucket:
-                    heappush(self._l0_slots, s0)
-                bucket.append(entry)
-            else:
-                insort(self._active, entry, self._active_idx)
-        else:
-            self._route_far(entry, time)
-        self._size += 1
+        if type(delay) is not int or delay < 0:
+            _check_delay(delay)
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (self._now + delay, seq, None, callback, args))
 
     def schedule_at(self, time: int, callback: Callable[..., Any],
                     *args: Any, label: str = "") -> EventHandle:
@@ -365,77 +239,30 @@ class Simulator:
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule in the past (time={time} < now={self._now})")
-        handle = EventHandle(time, callback, args, label=label, owner=self)
-        self._seq += 1
-        self._route((time, self._seq, handle))
-        self._size += 1
+        handle = EventHandle(time, callback, args, label, self)
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (time, seq, handle, callback, args))
         return handle
-
-    def _route(self, entry: tuple) -> None:
-        """Place an existing (time, seq, handle) entry into the right tier.
-
-        Used for absolute-time inserts and for migrating entries inward
-        when the cursor advances (L1 bucket cascade, overflow refill) —
-        migrated entries keep their original sequence number, which is what
-        preserves the global (time, seq) firing order.
-        """
-        time = entry[0]
-        s0 = time >> 12
-        if s0 - self._cur0 < 1024:
-            if s0 != self._active_slot:
-                bucket = self._wheel0[s0 & 1023]
-                if not bucket:
-                    heappush(self._l0_slots, s0)
-                bucket.append(entry)
-            else:
-                insort(self._active, entry, self._active_idx)
-        else:
-            self._route_far(entry, time)
-
-    def _route_far(self, entry: tuple, time: int) -> None:
-        """Route an entry beyond the level-0 window: level 1 or overflow."""
-        s1 = time >> 22               # == L1_GRAIN_BITS
-        if s1 - self._l1_start < 1024:
-            bucket = self._wheel1[s1 & 1023]
-            if not bucket:
-                heappush(self._l1_slots, s1)
-            bucket.append(entry)
-        else:
-            heappush(self._overflow, entry)
-        if time < self._far_min:
-            self._far_min = time
-
-    def _note_cancelled(self) -> None:
-        """A queued handle was cancelled; compact once tombstones dominate."""
-        self._cancelled_in_queue += 1
-        if (self._cancelled_in_queue * 2 > self._size
-                and self._size >= self.COMPACT_MIN_QUEUE):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries from every tier."""
-        live = [e for e in self._active[self._active_idx:]
-                if not e[2]._cancelled]
-        self._active = live            # was sorted; filtering keeps order
-        self._active_idx = 0
-        for wheel in (self._wheel0, self._wheel1):
-            for bucket in wheel:
-                if bucket:
-                    bucket[:] = [e for e in bucket if not e[2]._cancelled]
-        self._overflow = [e for e in self._overflow if not e[2]._cancelled]
-        heapify(self._overflow)
-        # Stale slot indices (their bucket is now empty) are skipped
-        # lazily by the search loops.
-        self._size = (len(self._active) + len(self._overflow)
-                      + sum(len(b) for b in self._wheel0 if b)
-                      + sum(len(b) for b in self._wheel1 if b))
-        self._cancelled_in_queue = 0
-        self._far_min = -1  # unknown; next activation does a full peek
 
     def call_soon(self, callback: Callable[..., Any], *args: Any,
                   label: str = "") -> EventHandle:
         """Schedule ``callback`` at the current instant (after pending events)."""
         return self.schedule(0, callback, *args, label=label)
+
+    def _note_cancelled(self) -> None:
+        """A queued handle was cancelled; compact once tombstones dominate.
+
+        The rebuild is in place (same list object), so a ``run`` loop that
+        is executing the cancelling callback keeps a valid queue.
+        """
+        self._cancelled_in_queue += 1
+        heap = self._heap
+        if (self._cancelled_in_queue * 2 > len(heap)
+                and len(heap) >= self.COMPACT_MIN_QUEUE):
+            heap[:] = [entry for entry in heap
+                       if entry[2] is None or not entry[2]._cancelled]
+            heapify(heap)
+            self._cancelled_in_queue = 0
 
     def clock(self) -> int:
         """Current virtual time as a plain method (a picklable bound
@@ -466,201 +293,6 @@ class Simulator:
         for callback in callbacks:
             callback()
 
-    # ------------------------------------------------- cursor / tier search
-
-    def _purge_slot_heap(self, slots: list, wheel: list) -> Optional[int]:
-        """Drop stale slot indices; return the first occupied slot's index
-        after sorting its bucket and purging dead entries from the head,
-        or None when the level is empty."""
-        while slots:
-            s = slots[0]
-            bucket = wheel[s & 1023]
-            if not bucket:
-                heappop(slots)
-                continue
-            if len(bucket) > 1:
-                bucket.sort()
-            dead = 0
-            n = len(bucket)
-            while dead < n and bucket[dead][2]._cancelled:
-                dead += 1
-            if dead:
-                del bucket[:dead]
-                self._cancelled_in_queue -= dead
-                self._size -= dead
-                if not bucket:
-                    heappop(slots)
-                    continue
-            return s
-        return None
-
-    def _purge_overflow(self) -> None:
-        ov = self._overflow
-        while ov and ov[0][2]._cancelled:
-            heappop(ov)
-            self._cancelled_in_queue -= 1
-            self._size -= 1
-
-    def _move_cursor(self, time: int) -> None:
-        s0 = time >> 12
-        if s0 > self._cur0:
-            self._cur0 = s0
-            s1 = time >> 22
-            if s1 > self._l1_start:
-                self._l1_start = s1
-
-    def _activate_l0(self, s0: int) -> None:
-        """Make level-0 slot ``s0`` (already sorted/purged) the active
-        bucket and advance the cursor to it.  The retired active list is
-        cleared (dropping its consumed entries so recycled lists pin no
-        callbacks or frames) and recycled as a future wheel bucket."""
-        heappop(self._l0_slots)
-        idx = s0 & 1023
-        bucket = self._wheel0[idx]
-        pool = self._bucket_pool
-        self._wheel0[idx] = pool.pop() if pool else []
-        self._move_cursor(bucket[0][0])
-        self._active_slot = s0
-        old = self._active
-        self._active = bucket          # sorted by (time, seq)
-        self._active_idx = 0
-        if len(pool) < 64:             # == BUCKET_POOL_MAX
-            old.clear()
-            pool.append(old)
-
-    def _advance(self, until: Optional[int]) -> bool:
-        """Activate the bucket holding the next live event.
-
-        Returns True when ``self._active`` holds the next live event (its
-        time is <= ``until`` when given); False when the queue is drained
-        or the next event lies beyond ``until``.  Migrates entries inward
-        (overflow -> L1 -> L0) as the cursor advances; migration preserves
-        original (time, seq) entries, so order is unaffected.
-        """
-        while True:
-            if self._active_idx < len(self._active):
-                # A cross-tier migration can land entries directly in the
-                # active bucket (same slot as the cursor).
-                if (until is not None
-                        and self._active[self._active_idx][0] > until):
-                    return False
-                return True
-            # _purge_slot_heap(L0) inlined (keep in sync): at fleet scale
-            # events are sparse relative to the 4.1 us slot grain, so
-            # nearly every queue pop comes through here and activates a
-            # fresh bucket — the helper-call frames are measurable.
-            slots = self._l0_slots
-            wheel = self._wheel0
-            s0 = None
-            while slots:
-                s = slots[0]
-                bucket = wheel[s & 1023]
-                if not bucket:
-                    heappop(slots)
-                    continue
-                if len(bucket) > 1:
-                    bucket.sort()
-                if bucket[0][2]._cancelled:
-                    dead = 1
-                    n = len(bucket)
-                    while dead < n and bucket[dead][2]._cancelled:
-                        dead += 1
-                    del bucket[:dead]
-                    self._cancelled_in_queue -= dead
-                    self._size -= dead
-                    if not bucket:
-                        heappop(slots)
-                        continue
-                s0 = s
-                break
-            t0 = wheel[s0 & 1023][0][0] if s0 is not None else None
-            # Fast path: nothing in the outer tiers can precede the L0
-            # candidate, so activate it without touching them.
-            # (_activate_l0 inlined, keep in sync.)
-            if t0 is not None and t0 < self._far_min:
-                if until is not None and t0 > until:
-                    return False
-                heappop(slots)
-                idx = s0 & 1023
-                bucket = wheel[idx]
-                pool = self._bucket_pool
-                wheel[idx] = pool.pop() if pool else []
-                # _move_cursor inlined.
-                sc = t0 >> 12
-                if sc > self._cur0:
-                    self._cur0 = sc
-                    s1 = t0 >> 22
-                    if s1 > self._l1_start:
-                        self._l1_start = s1
-                self._active_slot = s0
-                old = self._active
-                self._active = bucket
-                self._active_idx = 0
-                if len(pool) < 64:     # == BUCKET_POOL_MAX
-                    old.clear()
-                    pool.append(old)
-                return True
-            # Full cross-tier peek.
-            s1 = self._purge_slot_heap(self._l1_slots, self._wheel1)
-            t1 = self._wheel1[s1 & 1023][0][0] if s1 is not None else None
-            self._purge_overflow()
-            tov = self._overflow[0][0] if self._overflow else None
-            best = t0
-            if t1 is not None and (best is None or t1 < best):
-                best = t1
-            if tov is not None and (best is None or tov < best):
-                best = tov
-            if best is None:
-                self._far_min = _INF
-                return False
-            if until is not None and best > until:
-                return False
-            if tov is not None and tov == best:
-                # Pull the overflow head (plus everything else that now
-                # fits the L1 window) into the wheels and re-search.
-                self._move_cursor(tov)
-                horizon_slot = self._l1_start + 1024
-                ov = self._overflow
-                while ov:
-                    head = ov[0]
-                    if head[2]._cancelled:
-                        heappop(ov)
-                        self._cancelled_in_queue -= 1
-                        self._size -= 1
-                        continue
-                    if head[0] >> 22 >= horizon_slot:
-                        break
-                    heappop(ov)
-                    self._route(head)
-                self._far_min = -1
-                continue
-            if t1 is not None and t1 == best:
-                # Cascade the whole L1 bucket down; every entry fits the
-                # new L0 window because an L1 bucket spans exactly one
-                # L0 revolution starting at the new cursor.
-                heappop(self._l1_slots)
-                bucket = self._wheel1[s1 & 1023]
-                self._wheel1[s1 & 1023] = []
-                self._move_cursor(t1)
-                route = self._route
-                for entry in bucket:
-                    if entry[2]._cancelled:
-                        self._cancelled_in_queue -= 1
-                        self._size -= 1
-                    else:
-                        route(entry)
-                self._far_min = -1
-                continue
-            # L0 wins but ties or trails the far bound: refresh the bound
-            # and activate.
-            self._activate_l0(s0)
-            self._far_min = _INF
-            if t1 is not None:
-                self._far_min = t1
-            if tov is not None and tov < self._far_min:
-                self._far_min = tov
-            return True
-
     # --------------------------------------------------------------- running
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
@@ -674,115 +306,48 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
+        if until is not None and not isinstance(until, int):
+            raise SimulationError(
+                f"until must be an int (nanoseconds), got {type(until).__name__}")
+        if max_events is not None and (not isinstance(max_events, int)
+                                       or max_events < 0):
+            raise SimulationError(
+                f"max_events must be a non-negative int, got {max_events!r}")
         self._running = True
         executed = 0
         # Sentinels instead of per-event `is not None` checks: the loop
         # below runs once per event, so even a two-branch saving counts.
         stop = until if until is not None else _INF
         limit = max_events if max_events is not None else _INF
+        heap = self._heap
         try:
-            while True:
-                # Hot path: consume the active (sorted) bucket by index.
-                active = self._active
-                idx = self._active_idx
-                if idx < len(active):
-                    entry = active[idx]
-                    time = entry[0]
-                    if self._tick_end and time > self._now:
-                        # The instant at self._now is complete: flush the
-                        # tick-end batch before the clock advances.  Flushed
-                        # callbacks may schedule at the current instant
-                        # (insort into the active bucket), so re-enter the
-                        # loop rather than falling through.
+            while executed < limit:
+                if not heap:
+                    if self._tick_end:
+                        # Queue drained: the current instant is complete,
+                        # but a tick-end callback may still schedule.
                         self._run_tick_end()
                         continue
-                    if time > stop:
-                        break
-                    self._active_idx = idx + 1
-                    self._size -= 1
-                    handle = entry[2]
+                    break
+                time, _, handle, callback, args = heap[0]
+                if self._tick_end and time > self._now:
+                    # The instant at self._now is complete: flush the
+                    # tick-end batch before the clock advances.  Flushed
+                    # callbacks may schedule at the current instant, so
+                    # look at the head again rather than falling through.
+                    self._run_tick_end()
+                    continue
+                if time > stop:
+                    break
+                heappop(heap)
+                if handle is not None:
                     if handle._cancelled:
                         self._cancelled_in_queue -= 1
                         continue
-                    self._now = time
                     handle._fired = True
-                    handle.callback(*handle.args)
-                    if handle._pooled:
-                        # Kernel-owned record (see post()): break the refs
-                        # so the free list pins no callbacks or frames,
-                        # then recycle.
-                        handle.callback = None
-                        handle.args = None
-                        pool = self._handle_pool
-                        if len(pool) < 512:  # == HANDLE_POOL_MAX
-                            pool.append(handle)
-                    executed += 1
-                    if executed >= limit:
-                        break
-                    continue
-                if self._tick_end:
-                    # Active bucket exhausted: every event at the current
-                    # instant has run (same-instant entries always land in
-                    # the active bucket).  Flush before _advance migrates
-                    # or activates anything — a tick-end callback may still
-                    # schedule at the current instant.
-                    self._run_tick_end()
-                    continue
-                # _advance's L0 fast path inlined (keep in sync): at fleet
-                # scale nearly every bucket activation comes through here —
-                # one _advance frame per event adds up.  Anything unusual
-                # (L0 empty, far bound in play) falls back to the method.
-                slots = self._l0_slots
-                wheel = self._wheel0
-                s0 = None
-                while slots:
-                    s = slots[0]
-                    bucket = wheel[s & 1023]
-                    if not bucket:
-                        heappop(slots)
-                        continue
-                    if len(bucket) > 1:
-                        bucket.sort()
-                    if bucket[0][2]._cancelled:
-                        dead = 1
-                        n = len(bucket)
-                        while dead < n and bucket[dead][2]._cancelled:
-                            dead += 1
-                        del bucket[:dead]
-                        self._cancelled_in_queue -= dead
-                        self._size -= dead
-                        if not bucket:
-                            heappop(slots)
-                            continue
-                    s0 = s
-                    break
-                if s0 is not None:
-                    bucket = wheel[s0 & 1023]
-                    t0 = bucket[0][0]
-                    if t0 < self._far_min:
-                        if t0 > stop:
-                            break
-                        heappop(slots)
-                        bidx = s0 & 1023
-                        pool = self._bucket_pool
-                        wheel[bidx] = pool.pop() if pool else []
-                        # _move_cursor inlined.
-                        sc = t0 >> 12
-                        if sc > self._cur0:
-                            self._cur0 = sc
-                            sl1 = t0 >> 22
-                            if sl1 > self._l1_start:
-                                self._l1_start = sl1
-                        self._active_slot = s0
-                        old = self._active
-                        self._active = bucket
-                        self._active_idx = 0
-                        if len(pool) < 64:     # == BUCKET_POOL_MAX
-                            old.clear()
-                            pool.append(old)
-                        continue
-                if not self._advance(until):
-                    break
+                self._now = time
+                callback(*args)
+                executed += 1
         finally:
             self._running = False
             self._events_processed += executed
@@ -796,42 +361,25 @@ class Simulator:
 
     def peek_next_time(self) -> Optional[int]:
         """Virtual time of the next pending event, or None if queue is empty."""
-        active = self._active
-        idx = self._active_idx
-        n = len(active)
-        while idx < n and active[idx][2]._cancelled:
-            idx += 1
+        heap = self._heap
+        while heap:
+            handle = heap[0][2]
+            if handle is None or not handle._cancelled:
+                return heap[0][0]
+            heappop(heap)
             self._cancelled_in_queue -= 1
-            self._size -= 1
-        self._active_idx = idx
-        best = active[idx][0] if idx < n else None
-        s0 = self._purge_slot_heap(self._l0_slots, self._wheel0)
-        if s0 is not None:
-            t0 = self._wheel0[s0 & 1023][0][0]
-            if best is None or t0 < best:
-                best = t0
-        s1 = self._purge_slot_heap(self._l1_slots, self._wheel1)
-        if s1 is not None:
-            t1 = self._wheel1[s1 & 1023][0][0]
-            if best is None or t1 < best:
-                best = t1
-        self._purge_overflow()
-        if self._overflow:
-            tov = self._overflow[0][0]
-            if best is None or tov < best:
-                best = tov
-        return best
+        return None
 
     @property
     def pending_events(self) -> int:
         """Number of queued, not-yet-cancelled events."""
-        return self._size - self._cancelled_in_queue
+        return len(self._heap) - self._cancelled_in_queue
 
     @property
     def queue_size(self) -> int:
-        """Total queue entries across all tiers, including tombstones of
-        cancelled events that have not been compacted or popped yet."""
-        return self._size
+        """Total queue entries, including tombstones of cancelled events
+        that have not been compacted or popped yet."""
+        return len(self._heap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Simulator t={self.now_s:.6f}s pending={self.pending_events} "

@@ -68,13 +68,15 @@ class DeadlineTimer:
     A TCP retransmission timer is restarted on every new ack — thousands
     of times per connection — but actually *fires* only on loss.  With the
     eager :class:`Timer` every restart is a cancel + schedule pair, which
-    churns wheel buckets with tombstones and triggers periodic compaction
-    sweeps.  Here :meth:`start` is a field write: the logical deadline
-    lives in :attr:`deadline`, and a single scheduled sentinel event
-    re-arms itself forward when it fires before the deadline (the Linux
-    kernel's "deferrable timer" trick).  :meth:`stop` simply clears the
-    deadline; a stale sentinel fires once as a no-op instead of leaving a
-    tombstone in the queue.
+    leaves one tombstone per restart in the event queue and triggers
+    periodic compaction sweeps.  Here :meth:`start` is a field write: the
+    logical deadline lives in :attr:`deadline`, and a single scheduled
+    sentinel event re-arms itself forward when it fires before the
+    deadline (the Linux kernel's "deferrable timer" trick).  :meth:`stop`
+    simply clears the deadline; a stale sentinel fires once as a no-op
+    instead of leaving a tombstone in the queue.  (That reason was
+    measured against the timer wheel; against the heap it is the next
+    entry to re-measure in docs/scheduler.md's ablation ledger.)
 
     The callback still runs at exactly the deadline instant, so virtual-
     time behaviour matches :class:`Timer`; only the (time, seq) tiebreak

@@ -1,7 +1,7 @@
-"""docs/scheduler.md stays in sync with the kernel's wheel geometry.
+"""docs/scheduler.md stays in sync with the kernel's queue constants.
 
 The design chapter's parameter table quotes the `Simulator` class
-constants; retuning the wheel without retuning the chapter (or vice
+constants; retuning the queue without retuning the chapter (or vice
 versa) must fail CI, the same way docs/invariants.md is pinned to the
 invariant catalogue by test_catalogue.py.
 """
@@ -15,10 +15,8 @@ from repro.sim.core import Simulator
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "scheduler.md"
 
-#: Every geometry constant the chapter must document.
-CONSTANTS = ("L0_GRAIN_BITS", "WHEEL_BITS", "WHEEL_SLOTS", "L1_GRAIN_BITS",
-             "L0_HORIZON_NS", "L1_HORIZON_NS", "COMPACT_MIN_QUEUE",
-             "HANDLE_POOL_MAX", "BUCKET_POOL_MAX")
+#: Every tuning constant the chapter must document.
+CONSTANTS = ("COMPACT_MIN_QUEUE",)
 
 
 def doc_table() -> dict[str, int]:
@@ -28,7 +26,7 @@ def doc_table() -> dict[str, int]:
     return {name: int(value.replace("_", "")) for name, value in rows}
 
 
-def test_doc_documents_every_wheel_constant():
+def test_doc_documents_every_queue_constant():
     table = doc_table()
     for name in CONSTANTS:
         assert name in table, f"{name} missing from {DOC.name}'s table"
@@ -45,8 +43,8 @@ def test_doc_values_match_the_code():
             f"retune the chapter to match the kernel")
 
 
-def test_no_undocumented_wheel_constant_in_code():
-    """A new geometry knob on Simulator must be added to the chapter
+def test_no_undocumented_queue_constant_in_code():
+    """A new tuning knob on Simulator must be added to the chapter
     (and to CONSTANTS above)."""
     code_constants = {name for name in vars(Simulator)
                       if re.fullmatch(r"[A-Z0-9_]+", name)}

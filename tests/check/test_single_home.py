@@ -21,12 +21,11 @@ PACKAGE = REPO / "src" / "repro"
 #: name -> (pattern, the only modules that may match it)
 PROTOCOLS = {
     "scheduler queue internals": (
-        re.compile(r"\b(?:_handle_pool|_wheel0|_wheel1|_l0_slots|_l1_slots"
-                   r"|_active_idx|_active_slot|_cur0|_route_far|_tick_end)\b"
-                   r"|EventHandle\.__new__"
-                   # _seq/_size also name ICMP and heartbeat fields, so
-                   # only the simulator's are matched.
-                   r"|\bsim\._seq\b|\bsim\._size\b"),
+        re.compile(r"\b(?:_heap|_tick_end|_cancelled_in_queue)\b"
+                   r"|\bheap(?:push|pop|ify)\b"
+                   # _seq also names ICMP and heartbeat fields, so only
+                   # the simulator's is matched.
+                   r"|\bsim\._seq\b"),
         {"sim/core.py"}),
     "pool claim counts": (
         re.compile(r"\b_claims\b"),
@@ -36,7 +35,7 @@ PROTOCOLS = {
         {"net/pool.py", "tcp/segment.py"}),
 }
 
-#: ``x >> 12  # == L0_GRAIN_BITS``: a literal standing in for a constant.
+#: ``x < 64  # == COMPACT_MIN_QUEUE``: a literal standing in for a constant.
 _LITERAL_FOR_CONSTANT = re.compile(r"#\s*==\s*([A-Z][A-Z0-9_]{2,})\b")
 
 
@@ -74,17 +73,16 @@ def test_each_protocol_is_named_only_by_its_owner():
 
 def test_no_literal_stands_in_for_another_modules_constant():
     """A ``# == NAME`` comment marks a literal kept equal to a constant by
-    hand.  The owning module may do that on its own hot path; anyone else
-    must import the name."""
-    strays = []
-    owned = 0
-    for module, text in _sources():
-        for m in _LITERAL_FOR_CONSTANT.finditer(text):
-            name = m.group(1)
-            if re.search(rf"^\s*{name}\s*(?::[^=\n]+)?=", text, re.MULTILINE):
-                owned += 1
-            else:
-                strays.append(f"{_where(module, text, m)} ({name})")
-    assert owned, "scan found no '# == NAME' comments at all — regex broken?"
-    assert not strays, (
-        f"literal-with-comment copies of another module's constant: {strays}")
+    hand.  The last ones (the wheel geometry inside ``sim/core.py``) went
+    with the wheel, so none is owned any more: a new one, in any module,
+    must use the name."""
+    assert _LITERAL_FOR_CONSTANT.search("if n < 64:  # == COMPACT_MIN_QUEUE")
+    strays = [f"{_where(module, text, m)} ({m.group(1)})"
+              for module, text in _sources()
+              for m in _LITERAL_FOR_CONSTANT.finditer(text)]
+    assert not strays, f"literal-with-comment copies of a constant: {strays}"
+
+
+def test_scheduler_has_no_hand_synced_copies():
+    core = (PACKAGE / "sim" / "core.py").read_text(encoding="utf-8")
+    assert "keep in sync" not in core

@@ -4,7 +4,7 @@ with the invariant oracle attached and every stream intact.
 This is the scaling counterpart of the 32-client workload tests: the
 point is not throughput (benchmarks/bench_core_throughput.py --scaling
 measures that) but that nothing about the fleet configuration — the
-timer wheel under heavy timer load, batched flood delivery, switch
+event queue under heavy timer load, batched flood delivery, switch
 egress filtering, 1024 live TCP stacks — breaks protocol correctness.
 The oracle checks all 15 invariants during the run and the test fails
 on any violation (InvariantViolationError propagates).

@@ -1,21 +1,21 @@
-"""The timer wheel is observationally identical to a single binary heap.
+"""The event queue is observationally identical to a sorted list.
 
 The kernel's contract (docs/scheduler.md): events fire in global
-``(time, insertion-sequence)`` order, no matter which tier — active
-bucket, level-0/level-1 wheel, or overflow heap — an event happens to
-land in, and no matter how the cursor advances or how entries migrate
-between tiers.  We check it the direct way: run arbitrary programs of
-schedule / schedule_at / post / cancel / run(until) operations (including
-scheduling, posting and cancelling from inside callbacks) through the
-real :class:`Simulator` and through a 20-line reference heap scheduler,
-and require byte-identical fire logs.  ``post`` is the entry point every
-frame on the wire takes: its kernel-owned handles are recycled through
-the simulator's free list while the program's user-held handles are not,
-and a post from inside a callback can land in the bucket being fired.
+``(time, insertion-sequence)`` order, tick-end callbacks run after the
+last event of their instant and before the clock moves, a cancelled
+event never fires, and none of it depends on where the heap happens to
+hold an entry or on when tombstones are compacted away.  We check it the
+direct way: run arbitrary programs of schedule / schedule_at / post /
+cancel / at_tick_end / run(until) operations — including scheduling,
+posting, cancelling and registering tick-end work from inside callbacks,
+and bursts large enough that a cancel made mid-``run`` crosses the
+compaction threshold — through the real :class:`Simulator` and through a
+naive model that keeps one sorted list, and require identical fire logs,
+clocks, live counts and next-event times.
 """
 
 import itertools
-from heapq import heappop, heappush
+from bisect import insort
 
 from hypothesis import given, settings, strategies as st
 
@@ -32,14 +32,15 @@ class RefHandle:
         self.cancelled = True
 
 
-class HeapScheduler:
-    """The old kernel, reduced to its semantics: one global (time, seq)
-    min-heap, lazy cancellation, run-to-until clock advancement."""
+class SortedListScheduler:
+    """The kernel reduced to its semantics: one list kept sorted by
+    (time, seq), cancelled entries dropped before every look at the head."""
 
     def __init__(self):
         self.now = 0
         self._seq = 0
-        self._heap = []
+        self._queue = []
+        self._tick_end = []
 
     def schedule(self, delay, callback, *args):
         return self.schedule_at(self.now + delay, callback, *args)
@@ -47,28 +48,46 @@ class HeapScheduler:
     def schedule_at(self, time, callback, *args):
         handle = RefHandle(callback, args)
         self._seq += 1
-        heappush(self._heap, (time, self._seq, handle))
+        insort(self._queue, (time, self._seq, handle))
         return handle
 
     def post(self, delay, callback, *args):
         self.schedule(delay, callback, *args)
 
+    def at_tick_end(self, callback):
+        self._tick_end.append(callback)
+
+    def _live(self):
+        self._queue = [e for e in self._queue if not e[2].cancelled]
+        return self._queue
+
+    @property
+    def pending_events(self):
+        return len(self._live())
+
+    def peek_next_time(self):
+        queue = self._live()
+        return queue[0][0] if queue else None
+
     def run(self, until=None):
-        while self._heap:
-            time, _seq, handle = self._heap[0]
-            if until is not None and time > until:
-                break
-            heappop(self._heap)
-            if handle.cancelled:
+        while True:
+            queue = self._live()
+            if self._tick_end and (not queue or queue[0][0] > self.now):
+                batch, self._tick_end = self._tick_end, []
+                for callback in batch:
+                    callback()
                 continue
+            if not queue or (until is not None and queue[0][0] > until):
+                break
+            time, _seq, handle = queue.pop(0)
             self.now = time
             handle.callback(*handle.args)
         if until is not None and self.now < until:
             self.now = until
 
 
-# Delay mix chosen to hit every tier of the wheel: the active bucket
-# (sub-slot), many L0 slots, the L1 wheel, and the overflow heap.
+# Sub-microsecond ties, wire-scale delays, RTO-scale delays and idle gaps
+# of tens of seconds: same-instant FIFO and far-apart inserts both occur.
 DELAYS = st.one_of(
     st.integers(0, 5_000),
     st.integers(0, 20_000_000),
@@ -76,19 +95,28 @@ DELAYS = st.one_of(
     st.integers(0, 30_000_000_000),
 )
 
+CANCEL_OPS = st.one_of(
+    st.tuples(st.just("cancel"), st.integers(0, 255)),
+    # Enough cancels in one callback to cross cancelled*2 > size.
+    st.tuples(st.just("cancel_range"), st.integers(0, 255),
+              st.integers(0, 200)),
+)
 CHILD_OP = st.one_of(
     st.tuples(st.just("sched"), DELAYS, st.just(())),
     st.tuples(st.just("post"), DELAYS, st.just(())),
-    st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.tuples(st.just("tick_end"), st.just(())),
+    CANCEL_OPS,
 )
+CHILDREN = st.lists(CHILD_OP, max_size=3).map(tuple)
 OP = st.one_of(
-    st.tuples(st.just("sched"), DELAYS,
-              st.lists(CHILD_OP, max_size=3).map(tuple)),
-    st.tuples(st.just("sched_at"), DELAYS,
-              st.lists(CHILD_OP, max_size=3).map(tuple)),
-    st.tuples(st.just("post"), DELAYS,
-              st.lists(CHILD_OP, max_size=3).map(tuple)),
-    st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.tuples(st.just("sched"), DELAYS, CHILDREN),
+    st.tuples(st.just("sched_at"), DELAYS, CHILDREN),
+    st.tuples(st.just("post"), DELAYS, CHILDREN),
+    st.tuples(st.just("tick_end"), CHILDREN),
+    # A fleet's worth of armed timers: the queue grows past
+    # COMPACT_MIN_QUEUE, so the cancels above can trigger a compaction.
+    st.tuples(st.just("burst"), st.integers(0, 160), DELAYS),
+    CANCEL_OPS,
 )
 PROGRAM = st.lists(
     st.tuples(st.lists(OP, max_size=8), st.one_of(st.none(), DELAYS)),
@@ -96,8 +124,10 @@ PROGRAM = st.lists(
 
 
 def execute(scheduler, program):
-    """Run ``program`` on ``scheduler``; return (fire log, final now)."""
+    """Run ``program`` on ``scheduler``; return (fire log, per-step
+    (now, live count, next time) readings)."""
     log = []
+    readings = []
     handles = []
     ids = itertools.count()
 
@@ -110,63 +140,133 @@ def execute(scheduler, program):
         return scheduler.now
 
     def do_op(spec):
-        if spec[0] == "sched":
+        kind = spec[0]
+        if kind == "sched":
             handles.append(
                 scheduler.schedule(spec[1], fire, next(ids), spec[2]))
-        elif spec[0] == "sched_at":
+        elif kind == "sched_at":
             handles.append(
                 scheduler.schedule_at(now() + spec[1], fire,
                                       next(ids), spec[2]))
-        elif spec[0] == "post":
-            # No handle comes back: the record is the kernel's to recycle.
+        elif kind == "post":
             scheduler.post(spec[1], fire, next(ids), spec[2])
-        elif handles:
-            handles[spec[1] % len(handles)].cancel()
+        elif kind == "tick_end":
+            op_id = next(ids)
+            scheduler.at_tick_end(lambda: fire(op_id, spec[1]))
+        elif kind == "burst":
+            for i in range(spec[1]):
+                handles.append(scheduler.schedule(
+                    spec[2] + (i * 37_003) % 5_000_000, fire, next(ids), ()))
+        elif kind == "cancel":
+            if handles:
+                handles[spec[1] % len(handles)].cancel()
+        else:  # cancel_range
+            start = spec[1] % len(handles) if handles else 0
+            for handle in handles[start:start + spec[2]]:
+                handle.cancel()
+
+    def read():
+        readings.append((now(), scheduler.pending_events,
+                         scheduler.peek_next_time()))
 
     for ops, duration in program:
         for spec in ops:
             do_op(spec)
+        read()
         scheduler.run(until=None if duration is None else now() + duration)
+        read()
     scheduler.run()  # drain whatever survived, however far out
-    return log, now()
+    read()
+    return log, readings
 
 
 @given(PROGRAM)
 @settings(max_examples=150, deadline=None)
-def test_wheel_fires_in_heap_order(program):
-    wheel_log, wheel_now = execute(Simulator(), program)
-    heap_log, heap_now = execute(HeapScheduler(), program)
-    assert wheel_log == heap_log
-    assert wheel_now == heap_now
+def test_simulator_matches_sorted_list_model(program):
+    assert execute(Simulator(), program) == \
+        execute(SortedListScheduler(), program)
 
 
 def test_mass_cancel_churn_matches_heap():
-    """Enough tombstones to trigger compaction repeatedly, spread across
-    every tier, with survivors interleaved — order must still match."""
-    def program_ops():
-        ops = []
-        for i in range(300):
-            delay = (i * 37_003) % 25_000_000_000  # all tiers
-            ops.append(("sched", delay, ()))
-        for i in range(0, 280):
-            if i % 4:  # cancel three quarters of them
-                ops.append(("cancel", i))
-        return [(ops, None)]
-
-    program = program_ops()
-    assert execute(Simulator(), program) == execute(HeapScheduler(), program)
+    """Enough tombstones to trigger compaction repeatedly, spread from
+    microseconds to tens of seconds out, with survivors interleaved —
+    order must still match."""
+    ops = [("sched", (i * 37_003) % 25_000_000_000, ()) for i in range(300)]
+    ops += [("cancel", i) for i in range(280) if i % 4]  # three quarters
+    program = [(ops, None)]
+    assert execute(Simulator(), program) == \
+        execute(SortedListScheduler(), program)
 
 
-def test_same_instant_fifo_across_tiers():
+def test_same_instant_fifo_across_seconds():
     """Ties on `time` resolve by insertion sequence even when the tied
-    events were first routed to different tiers (L1 / overflow) and
-    migrated inward later."""
-    horizon = Simulator.L1_HORIZON_NS
-    program = [(
-        [("sched_at", horizon + 5, ()),      # overflow tier
-         ("sched", 100, ()),                 # near future
-         ("sched_at", horizon + 5, ()),      # overflow again, later seq
-         ("sched_at", horizon - 10, ())],    # L1 tier
-        None,
-    )]
-    assert execute(Simulator(), program) == execute(HeapScheduler(), program)
+    events were inserted seconds of virtual time apart, with other work
+    (and a compaction) in between."""
+    sim = Simulator()
+    order = []
+    target = 10_000_000_000
+    sim.schedule_at(target, order.append, "first")
+
+    def later(tag):
+        sim.schedule_at(target, order.append, tag)
+
+    sim.schedule(3_000_000_000, later, "second, 3 s on")
+    sim.schedule(7_000_000_000, later, "third, 7 s on")
+    sim.schedule_at(target, order.append, "inserted at t=0, after first")
+    churn = [sim.schedule(5_000_000_000 + i, lambda: None)
+             for i in range(200)]
+    sim.schedule(4_000_000_000, lambda: [h.cancel() for h in churn])
+    sim.post(target, order.append, "posted last at t=0")
+    sim.run()
+    assert order == ["first", "inserted at t=0, after first",
+                     "posted last at t=0", "second, 3 s on",
+                     "third, 7 s on"]
+
+
+def test_arm_cancel_churn_keeps_the_queue_bounded():
+    """A restarted timer (cancel + schedule, the eager ``Timer``) must not
+    grow the queue: tombstones never exceed the live entries by more than
+    the no-compaction floor."""
+    sim = Simulator()
+    background = [sim.schedule(10_000_000 + i, lambda: None)
+                  for i in range(100)]
+    handle = sim.schedule(1_000_000, lambda: None)
+    worst = 0
+    for i in range(50_000):
+        handle.cancel()
+        handle = sim.schedule(1_000_000 + i % 977, lambda: None)
+        worst = max(worst, sim.queue_size - 2 * sim.pending_events)
+    assert worst <= Simulator.COMPACT_MIN_QUEUE
+    assert sim.pending_events == len(background) + 1
+
+
+def test_compaction_from_inside_a_callback_keeps_the_queue_intact():
+    """``run`` holds the queue while a callback cancels enough handles to
+    compact it: everything still queued must fire, once, in order."""
+    sim = Simulator()
+    fired = []
+    doomed = [sim.schedule(2_000 + i, fired.append, ("doomed", i))
+              for i in range(300)]
+    for i in range(100):
+        sim.schedule(1_000 + 30 * i, fired.append, ("kept", i))
+        sim.post(1_000 + 30 * i, fired.append, ("posted", i))
+    sizes = []
+
+    def cancel_most():
+        sizes.append(sim.queue_size)
+        for handle in doomed[:280]:
+            handle.cancel()
+        sizes.append(sim.queue_size)
+        sim.schedule(0, fired.append, "scheduled after compaction")
+
+    sim.schedule(1_500, cancel_most)
+    sim.run()
+    before, after = sizes
+    assert after < before - 200, "the cancels were meant to compact"
+    expected = sorted(
+        [(1_000 + 30 * i, 2 * i, ("kept", i)) for i in range(100)]
+        + [(1_000 + 30 * i, 2 * i + 1, ("posted", i)) for i in range(100)]
+        + [(2_000 + i, -1, ("doomed", i)) for i in range(280, 300)]
+        + [(1_500, 1_000, "scheduled after compaction")])
+    assert fired == [tag for _time, _seq, tag in expected]
+    assert sim.queue_size == sim.pending_events == 0

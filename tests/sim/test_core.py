@@ -248,3 +248,54 @@ def test_small_queues_are_not_compacted():
         h.cancel()
     assert sim.queue_size == 10
     assert sim.pending_events == 0
+
+
+def test_max_events_zero_runs_nothing():
+    # The limit used to be tested only after a callback had run, so a
+    # budget of zero executed one event.
+    sim = Simulator()
+    fired = []
+    sim.schedule(5, fired.append, 1)
+    assert sim.run(max_events=0) == 0
+    assert fired == []
+    assert sim.now == 0
+    assert sim.pending_events == 1
+
+
+def test_negative_max_events_rejected():
+    sim = Simulator()
+    sim.schedule(5, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.run(max_events=-1)
+    assert sim.pending_events == 1
+
+
+def test_float_until_rejected():
+    # run(until=15.0) used to leave sim.now a float; every later delay
+    # added to it was a float too, which a heap would carry silently.
+    sim = Simulator()
+    sim.schedule(10, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.run(until=15.0)
+    with pytest.raises(SimulationError):
+        sim.run_for(15.0)
+    assert sim.now == 0 and isinstance(sim.now, int)
+    assert sim.pending_events == 1
+    sim.run(until=15)                    # a refused run leaves it usable
+    assert sim.now == 15
+
+
+def test_post_fires_in_order_with_scheduled_events():
+    sim = Simulator()
+    order = []
+    sim.schedule(10, order.append, "scheduled-first")
+    sim.post(10, order.append, "posted")
+    sim.schedule(10, order.append, "scheduled-last")
+    sim.post(5, order.append, "early")
+    assert sim.pending_events == sim.queue_size == 4
+    sim.run()
+    assert order == ["early", "scheduled-first", "posted", "scheduled-last"]
+    with pytest.raises(SimulationError):
+        sim.post(-1, order.append, "past")
+    with pytest.raises(SimulationError):
+        sim.post(1.5, order.append, "float")
