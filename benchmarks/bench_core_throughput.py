@@ -20,6 +20,13 @@ Usage::
 ``benchmarks/results/BENCH_core_throughput_quick.json`` and exits
 non-zero if the run crashes or any connection loses its stream — the CI
 smoke leg.
+
+Every measured point also carries ``peak_rss_mb``: the ``ru_maxrss`` of
+one more run of the same workload in a fresh child process with nothing
+attached (``--rss-ceiling MB`` gates on it).  It cannot be read in the
+measuring process, where it is the high-water mark of everything that
+process ever held — the timed repeats' dead testbeds and, after the churn
+probe, ``tracemalloc``'s own tables.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ import datetime
 import json
 import os
 import pathlib
+import resource
+import subprocess
 import sys
 import time
 
@@ -107,7 +116,8 @@ def run_workload(params: dict, seed: int = 3) -> dict:
 
 
 def measure(params: dict, repeats: int = 2) -> dict:
-    """Best-of-N timing (the kernel is deterministic; wall clock is not)."""
+    """Best-of-N timing (the kernel is deterministic; wall clock is not),
+    plus the peak resident size of one run in a process of its own."""
     from repro.sim import gcctl
 
     runs = []
@@ -117,7 +127,20 @@ def measure(params: dict, repeats: int = 2) -> dict:
         # (gc_freeze); thaw between repeats so dead testbeds are
         # reclaimed instead of accumulating for the process lifetime.
         gcctl.thaw_baseline()
-    return min(runs, key=lambda r: r["wall_s"])
+    best = min(runs, key=lambda r: r["wall_s"])
+    child = subprocess.run(
+        [sys.executable, __file__, "--rss-child", json.dumps(params)],
+        check=True, stdout=subprocess.PIPE, text=True)
+    best["peak_rss_mb"] = float(child.stdout.split()[-1])
+    return best
+
+
+def rss_child(params: dict) -> int:
+    """The fresh process ``measure`` starts: one run, then its own peak
+    resident size in MB (Linux reports kilobytes) on standard output."""
+    run_workload(params)
+    print(round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1))
+    return 0
 
 
 def run_churn_probe(params: dict, seed: int = 3) -> dict:
@@ -130,12 +153,11 @@ def run_churn_probe(params: dict, seed: int = 3) -> dict:
     amortizes the one-time testbed build to a small constant, and any
     per-event retention regression (a holder that stops releasing, a
     path that stops recycling) shows up as a step.  Peak memory is
-    reported both as tracemalloc's traced high-water mark and the
-    process ``ru_maxrss``.  GC counter deltas and the pool depths ride
-    along for the CI artifact.
+    tracemalloc's traced high-water mark (the resident size is
+    ``measure``'s ``peak_rss_mb``, from an untraced process).  GC counter
+    deltas and the pool depths ride along for the CI artifact.
     """
     import gc
-    import resource
     import tracemalloc
 
     from repro.net import pool
@@ -169,7 +191,6 @@ def run_churn_probe(params: dict, seed: int = 3) -> dict:
         "net_blocks": blocks_after - blocks_before,
         "traced_peak_kb": traced_peak // 1024,
         "traced_current_kb": traced_current // 1024,
-        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "gc_collections": [a - b for a, b in
                            zip(gc_after["collections"],
                                gc_before["collections"])],
@@ -217,8 +238,15 @@ def main(argv=None) -> int:
                         help="exit non-zero if net allocated blocks per "
                              "event exceeds this ceiling (the allocation "
                              "regression gate; implies the churn probe)")
+    parser.add_argument("--rss-ceiling", type=float, metavar="MB",
+                        help="exit non-zero if a point's peak_rss_mb (one "
+                             "run in a fresh process) exceeds this ceiling "
+                             "(the footprint regression gate)")
+    parser.add_argument("--rss-child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
+    if args.rss_child:
+        return rss_child(json.loads(args.rss_child))
     if args.scaling:
         return run_scaling(args)
 
@@ -254,13 +282,17 @@ def main(argv=None) -> int:
             print("FAIL: not every connection kept its stream intact",
                   file=sys.stderr)
             return 1
-        return (check_floor(record, args.floor)
-                or check_churn(record, args.churn_ceiling))
+        return check_gates(record, args)
 
     if args.record:
         append_trajectory(args.record, params, record)
+    return check_gates(record, args)
+
+
+def check_gates(record: dict, args) -> int:
     return (check_floor(record, args.floor)
-            or check_churn(record, args.churn_ceiling))
+            or check_churn(record, args.churn_ceiling)
+            or check_rss(record, args.rss_ceiling))
 
 
 def check_floor(record: dict, floor: "int | None") -> int:
@@ -280,6 +312,15 @@ def check_churn(record: dict, ceiling: "float | None") -> int:
     if per_event > ceiling:
         print(f"FAIL: {per_event} net allocated blocks per event exceeds "
               f"the churn ceiling of {ceiling}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def check_rss(record: dict, ceiling: "float | None") -> int:
+    """The footprint regression gate: peak resident MB under ``ceiling``."""
+    if ceiling is not None and record["peak_rss_mb"] > ceiling:
+        print(f"FAIL: peak RSS of {record['peak_rss_mb']} MB exceeds the "
+              f"ceiling of {ceiling} MB", file=sys.stderr)
         return 1
     return 0
 
@@ -304,14 +345,15 @@ def run_scaling(args) -> int:
     for params in SCALING:
         record = measure(params, repeats=args.repeats)
         print(json.dumps({"workload": params, "result": record}, indent=2))
-        failed = failed or not record["all_intact"]
+        if not record["all_intact"] or check_rss(record, args.rss_ceiling):
+            failed = True
         if args.record:
             suffix = "bcast" if not params["egress_filtering"] else "fleet"
             append_trajectory(
                 f"{args.record}@{params['num_clients']}c-{suffix}",
                 params, record)
     if failed:
-        print("FAIL: not every connection kept its stream intact",
+        print("FAIL: a point lost a stream or exceeded --rss-ceiling",
               file=sys.stderr)
         return 1
     return 0

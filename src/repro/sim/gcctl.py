@@ -1,9 +1,12 @@
 """Interpreter-GC orchestration for the event loop.
 
-With the wire-path recycle pools in place (:mod:`repro.net.pool`) almost
-all per-event garbage dies by refcount alone; what remains interesting
-for CPython's *cyclic* collector is the testbed object graph itself —
-hosts, NICs, cables, connections — which stays alive for the whole run.
+The wire path's per-event garbage — frames, packets, segments, event
+tuples — holds no reference cycles and dies by refcount alone, with the
+recycle pools of :mod:`repro.net.pool` or without them (collector counts
+are identical either way: docs/performance.md, "Ablation ledger: the
+recycle pools"); what remains interesting for CPython's *cyclic*
+collector is the testbed object graph itself — hosts, NICs, cables,
+connections — which stays alive for the whole run.
 Letting the generational collector fire on its own allocation thresholds
 therefore buys nothing and costs unpredictable pauses in the middle of
 the hot loop, each one scanning the very graph that never dies.

@@ -7,15 +7,17 @@ ints, so they never wrap; the connection layer translates to and from
 because ST-TCP forces identical ISNs — which is what makes the heartbeat's
 progress counters (`LastByteReceived` etc.) directly comparable.
 
-Storage is a fixed ring (``bytearray(capacity)`` indexed by
-``offset % capacity``) rather than a growing/shrinking bytearray:
-acknowledging or releasing a prefix is O(1) pointer arithmetic instead of
-an O(n) ``del data[:freed]`` memmove, and :meth:`SendBuffer.get_range`
-can hand out a zero-copy :class:`memoryview` for the common
-non-wrapping case.  Views stay internal to the TCP layer — the connection
-materializes real ``bytes`` exactly once, when a payload crosses the NIC
-boundary — because ring positions below the acked/released base are
-recycled and a view held across that point would alias new data.
+Storage is a ring (a ``bytearray`` indexed by ``offset % len(ring)``)
+rather than a growing/shrinking bytearray: acknowledging or releasing a
+prefix is O(1) pointer arithmetic instead of an O(n)
+``del data[:freed]`` memmove, and :meth:`SendBuffer.get_range` can hand
+out a zero-copy :class:`memoryview` for the common non-wrapping case.
+A ring starts small and grows with what its connection carries, up to
+``capacity`` (:func:`_grown`).  Views stay internal to the TCP layer —
+the connection materializes real ``bytes`` exactly once, when a payload
+crosses the NIC boundary — because ring positions below the
+acked/released base are recycled and a view held across that point would
+alias new data.
 """
 
 from __future__ import annotations
@@ -24,19 +26,33 @@ from typing import Optional, Union
 
 __all__ = ["SendBuffer", "ReceiveBuffer", "RetainBuffer"]
 
-# Rings start at this backing size and double on demand up to capacity.
-# ST-TCP sizes some buffers in megabytes as *headroom* (retain allowance,
-# backup-lag slack) that is rarely occupied — eagerly zero-filling full
-# capacity for every connection would cost hundreds of megabytes.
-_INITIAL_RING_BYTES = 65536
+# A ring starts at this backing size, so a connection costs what it
+# carries: a default TcpConfig advertises 64 KiB each way (and ST-TCP adds
+# a retain ring and a replica of everything), but a connection that moves
+# a few hundred bytes keeps 4 KB rings for life.
+_INITIAL_RING_BYTES = 4096
+
+# Below this size a write that would wrap doubles the ring instead (see
+# _grown), so a stream owns a ring of this size after its first ~60 KB
+# and wraps as rarely as a ring allocated at full size would — a 4 KB
+# ring left alone wraps on a third of MSS-sized writes when the reader
+# keeps up, and every wrap is a split copy.
+_STEADY_RING_BYTES = 65536
 
 
-def _regrow(old: bytearray, new_size: int, start: int, end: int) -> bytearray:
-    """Copy the live span ``[start, end)`` (stream offsets) from ``old``
-    into a fresh ring of ``new_size``, preserving ``offset % size``
-    addressing.  Growth is geometric, so the copy amortizes to O(1) per
-    byte ever stored."""
+def _grown(old: bytearray, capacity: int, span: int,
+           start: int, end: int) -> bytearray:
+    """The rings' one growth policy: a fresh ring of at least twice
+    ``old``'s size, doubled until ``span`` fits, never past ``capacity``,
+    holding the live bytes ``[start, end)`` (stream offsets) at their
+    ``offset % size`` positions.  Growth is geometric, so the copy
+    amortizes to O(1) per byte ever stored."""
     old_size = len(old)
+    new_size = 2 * old_size
+    while new_size < span:
+        new_size *= 2
+    if new_size > capacity:
+        new_size = capacity
     new = bytearray(new_size)
     off = start
     while off < end:
@@ -55,10 +71,10 @@ class SendBuffer:
     connection acknowledges prefixes away as the peer acks.
 
     Ring invariant: live bytes span ``[_base, _written)`` with
-    ``_written - _base <= capacity``, stored at ``offset % capacity``.
-    Positions below ``_base`` are dead and reused by ``write`` — safe
-    because a cumulative ack covers every byte below it, so no
-    retransmission ever needs them again.
+    ``_written - _base <= _alloc <= capacity``, stored at
+    ``offset % _alloc``.  Positions below ``_base`` are dead and reused
+    by ``write`` — safe because a cumulative ack covers every byte below
+    it, so no retransmission ever needs them again.
     """
 
     __slots__ = ("capacity", "_buf", "_alloc", "_base", "_written")
@@ -102,18 +118,19 @@ class SendBuffer:
             return 0
         span = self._written + accepted - self._base
         if span > self._alloc:
-            alloc = self._alloc
-            while alloc < span:
-                alloc *= 2
-            if alloc > self.capacity:
-                alloc = self.capacity
-            self._buf = _regrow(self._buf, alloc, self._base, self._written)
-            self._alloc = alloc
+            self._buf = _grown(self._buf, self.capacity, span,
+                               self._base, self._written)
+            self._alloc = len(self._buf)
         cap = self._alloc
         start = self._written % cap
         end = start + accepted
         if end <= cap:
             self._buf[start:end] = data[:accepted]
+        elif cap < _STEADY_RING_BYTES and cap < self.capacity:
+            self._buf = _grown(self._buf, self.capacity, 0,
+                               self._base, self._written)
+            self._alloc = len(self._buf)
+            return self.write(data)
         else:
             head = cap - start
             self._buf[start:] = data[:head]
@@ -131,6 +148,13 @@ class SendBuffer:
         freed = offset - self._base
         self._base = offset
         return freed
+
+    def discard(self) -> None:
+        """Hand the ring's storage back (the connection is CLOSED).  The
+        offsets stay readable — the heartbeat's progress fields — while a
+        later ``write`` or ``get_range`` finds no ring and raises
+        ``TypeError`` instead of reading freed storage."""
+        self._buf = None
 
     def get_range(self, offset: int, length: int) -> Union[bytes, memoryview]:
         """``length`` bytes starting at stream ``offset`` (clamped to
@@ -281,19 +305,19 @@ class ReceiveBuffer:
     def _write_ring(self, offset: int, data: bytes) -> None:
         span = offset + len(data) - self._read
         if span > self._alloc:
-            alloc = self._alloc
-            while alloc < span:
-                alloc *= 2
-            if alloc > self.capacity:
-                alloc = self.capacity
-            self._buf = _regrow(self._buf, alloc, self._read,
-                                self.highest_received)
-            self._alloc = alloc
+            self._buf = _grown(self._buf, self.capacity, span,
+                               self._read, self.highest_received)
+            self._alloc = len(self._buf)
         cap = self._alloc
         start = offset % cap
         end = start + len(data)
         if end <= cap:
             self._buf[start:end] = data
+        elif cap < _STEADY_RING_BYTES and cap < self.capacity:
+            self._buf = _grown(self._buf, self.capacity, 0,
+                               self._read, self.highest_received)
+            self._alloc = len(self._buf)
+            self._write_ring(offset, data)
         else:
             head = cap - start
             self._buf[start:] = data[:head]
@@ -486,18 +510,18 @@ class RetainBuffer:
                 return
         span = end + len(data) - self._base
         if span > self._alloc:
-            alloc = self._alloc
-            while alloc < span:
-                alloc *= 2
-            if alloc > self.capacity:
-                alloc = self.capacity
-            self._buf = _regrow(self._buf, alloc, self._base, end)
-            self._alloc = alloc
+            self._buf = _grown(self._buf, self.capacity, span,
+                               self._base, end)
+            self._alloc = len(self._buf)
         cap = self._alloc
         start = end % cap
         stop = start + len(data)
         if stop <= cap:
             self._buf[start:stop] = data
+        elif cap < _STEADY_RING_BYTES and cap < self.capacity:
+            self._buf = _grown(self._buf, self.capacity, 0, self._base, end)
+            self._alloc = len(self._buf)
+            return self.append(offset, data)
         else:
             head = cap - start
             self._buf[start:] = data[:head]

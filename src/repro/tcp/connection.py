@@ -1030,6 +1030,7 @@ class TcpConnection:
             timer.stop()
         if already_closed:
             return
+        self.send_buffer.discard()  # recv_buffer stays: the app may drain it
         self._trace("closed", reason=reason)
         if reset:
             self.on_reset(reason)
