@@ -18,10 +18,18 @@ queue*: N concurrent flows each perform M timed hops, implemented
 
 Run ``python benchmarks/bench_event_vs_process.py`` — it prints both
 events/sec figures and the ratio quoted in docs/performance.md.
+
+``--periodic`` times the other thing the queue is used for instead: 128
+``PeriodicTimer``s ticking every 2 ms behind an ``App.every``-style
+guard, the idle client ticks that are two thirds of ``kv_128c``'s
+events.  It prints µs per tick beside the bare-queue µs per event, so
+the cost of the timer layer over the queue is one subtraction.  Run it
+after any change to ``sim/core.py`` or ``sim/timers.py``.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
 import sys
@@ -31,10 +39,15 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.sim.core import Simulator  # noqa: E402
+from repro.sim.timers import PeriodicTimer  # noqa: E402
 
 FLOWS = 2_000
 HOPS = 200
 DELAY_NS = 50_000
+
+TIMERS = 128
+PERIOD_NS = 2_000_000
+TICKS = 2_000
 
 
 def run_callbacks() -> int:
@@ -86,6 +99,35 @@ def run_processes() -> int:
     return sim.events_processed
 
 
+def run_periodic() -> int:
+    """TIMERS guarded periodic timers, TICKS ticks each, phases staggered
+    like clients that connected at different instants."""
+    sim = Simulator()
+
+    class IdleClient:
+        """A ``KvClient`` that has sent its last command: the tick passes
+        the application guard, finds nothing to send and returns."""
+        alive = True
+        pending = 0
+
+        def send_next(self) -> None:
+            if self.pending:
+                raise AssertionError("an idle client has nothing to send")
+
+        def guarded(self) -> None:
+            if self.alive:
+                self.send_next()
+
+    timers = [PeriodicTimer(sim, IdleClient().guarded, PERIOD_NS)
+              for _ in range(TIMERS)]
+    for i, timer in enumerate(timers):
+        sim.post(i * 7_919, timer.start)
+    sim.run(until=PERIOD_NS * TICKS)
+    ticks = sim.events_processed - TIMERS
+    assert ticks >= TIMERS * (TICKS - 1)
+    return ticks
+
+
 def measure(fn, repeats: int = 3) -> dict:
     best = None
     for _ in range(repeats):
@@ -99,7 +141,23 @@ def measure(fn, repeats: int = 3) -> dict:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--periodic", action="store_true",
+                        help="time guarded PeriodicTimer ticks against "
+                             "the bare queue instead")
+    args = parser.parse_args()
     callbacks = measure(run_callbacks)
+    if args.periodic:
+        periodic = measure(run_periodic, repeats=5)
+        print(json.dumps({
+            "timers": TIMERS, "period_ms": PERIOD_NS / 1e6,
+            "ticks": periodic["events"],
+            "bare_queue_us_per_event":
+                round(1e6 * callbacks["wall_s"] / callbacks["events"], 3),
+            "periodic_us_per_tick":
+                round(1e6 * periodic["wall_s"] / periodic["events"], 3),
+        }, indent=2))
+        return 0
     processes = measure(run_processes)
     ratio = callbacks["events_per_sec"] / processes["events_per_sec"]
     print(json.dumps({

@@ -73,7 +73,8 @@ class EventHandle:
     Handles are returned by :meth:`Simulator.schedule` /
     :meth:`Simulator.schedule_at`.  Calling :meth:`cancel` guarantees the
     callback will not run; cancelling an already-fired or already-cancelled
-    handle is a harmless no-op.
+    handle is a harmless no-op.  A fired handle can be queued again with
+    :meth:`Simulator.rearm`, which makes it pending once more.
     """
 
     __slots__ = ("time", "callback", "args", "_cancelled", "_fired", "label",
@@ -105,7 +106,8 @@ class EventHandle:
 
     @property
     def fired(self) -> bool:
-        """True once the callback has executed."""
+        """True once the callback has executed (and until a
+        :meth:`Simulator.rearm` queues the handle again)."""
         return self._fired
 
     @property
@@ -146,7 +148,7 @@ class Simulator:
     """
 
     __slots__ = ("_now", "_seq", "_running", "_events_processed",
-                 "_cancelled_in_queue", "_heap", "_tick_end")
+                 "_cancelled_in_queue", "_heap")
 
     #: Queues smaller than this are never compacted — rebuilding a tiny
     #: queue costs more than carrying its tombstones to the pop.
@@ -161,9 +163,6 @@ class Simulator:
         # fire-and-forget posts.  Cancelled entries stay as tombstones.
         self._heap: list[tuple] = []
         self._cancelled_in_queue = 0
-        # Callbacks to run once all events of the current instant have
-        # executed, before the clock advances (see at_tick_end).
-        self._tick_end: list = []
 
     # ------------------------------------------------------------------ time
 
@@ -244,6 +243,27 @@ class Simulator:
         heappush(self._heap, (time, seq, handle, callback, args))
         return handle
 
+    def rearm(self, handle: EventHandle, delay: int) -> None:
+        """Re-queue ``handle``, which has just fired, ``delay`` ns from now.
+
+        The re-arm of a self-repeating timer: same callback, same args,
+        same handle object, so a tick allocates one heap entry and nothing
+        else.  Ordering and validation are those of :meth:`schedule` (the
+        entry takes the next ``seq`` now, so call it *before* any user
+        callback that may schedule); afterwards the handle is pending
+        again and ``cancel()`` works on it.  A handle that is still
+        pending or was cancelled is refused — its old entry may still be
+        queued.
+        """
+        if type(delay) is not int or delay < 0:
+            _check_delay(delay)
+        if not handle._fired:
+            raise SimulationError(f"can only rearm a fired handle: {handle!r}")
+        handle.time = time = self._now + delay
+        handle._fired = False
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (time, seq, handle, handle.callback, handle.args))
+
     def call_soon(self, callback: Callable[..., Any], *args: Any,
                   label: str = "") -> EventHandle:
         """Schedule ``callback`` at the current instant (after pending events)."""
@@ -269,29 +289,6 @@ class Simulator:
         callable, unlike a lambda over :attr:`now` — world snapshots
         serialize component clocks as ``sim.clock`` references)."""
         return self._now
-
-    def at_tick_end(self, callback: Callable[[], Any]) -> None:
-        """Run ``callback`` once after every event already queued for the
-        current instant has executed, before the clock advances.
-
-        This is the batching hook: a layer that wants to coalesce all
-        same-instant work for one object (e.g. every TCP segment arriving
-        at a connection within one tick) registers a flush here instead of
-        processing per event.  Callbacks run in registration order, may
-        schedule new events (including zero-delay events at the current
-        instant, which execute before the clock moves), and may register
-        further tick-end callbacks (which run in the same instant as
-        well).  Unlike :meth:`schedule`, registration is a list append —
-        no handle, no ordering entry — so it is cheap enough for per-
-        segment hot paths.
-        """
-        self._tick_end.append(callback)
-
-    def _run_tick_end(self) -> None:
-        callbacks = self._tick_end
-        self._tick_end = []
-        for callback in callbacks:
-            callback()
 
     # --------------------------------------------------------------- running
 
@@ -323,20 +320,8 @@ class Simulator:
         try:
             while executed < limit:
                 if not heap:
-                    if self._tick_end:
-                        # Queue drained: the current instant is complete,
-                        # but a tick-end callback may still schedule.
-                        self._run_tick_end()
-                        continue
                     break
                 time, _, handle, callback, args = heap[0]
-                if self._tick_end and time > self._now:
-                    # The instant at self._now is complete: flush the
-                    # tick-end batch before the clock advances.  Flushed
-                    # callbacks may schedule at the current instant, so
-                    # look at the head again rather than falling through.
-                    self._run_tick_end()
-                    continue
                 if time > stop:
                     break
                 heappop(heap)

@@ -74,9 +74,10 @@ class DeadlineTimer:
     sentinel event re-arms itself forward when it fires before the
     deadline (the Linux kernel's "deferrable timer" trick).  :meth:`stop`
     simply clears the deadline; a stale sentinel fires once as a no-op
-    instead of leaving a tombstone in the queue.  (That reason was
-    measured against the timer wheel; against the heap it is the next
-    entry to re-measure in docs/scheduler.md's ablation ledger.)
+    instead of leaving a tombstone in the queue.  Measured against the
+    heap with the RTO as a plain :class:`Timer`: about 3% of ``wall_s``
+    on ``kv_128c`` and ``bulk_1c`` (docs/performance.md, ablation ledger
+    row five).
 
     The callback still runs at exactly the deadline instant, so virtual-
     time behaviour matches :class:`Timer`; only the (time, seq) tiebreak
@@ -131,16 +132,15 @@ class DeadlineTimer:
         self._deadline = None
 
     def _fire(self) -> None:
-        self._handle = None
         deadline = self._deadline
         if deadline is None:
+            self._handle = None
             return
         now = self._sim._now
         if now < deadline:
-            self._handle = self._sim.schedule(deadline - now, self._fire,
-                                              label=self._label)
+            self._sim.rearm(self._handle, deadline - now)
             return
-        self._deadline = None
+        self._handle = self._deadline = None
         self._callback()
 
 
@@ -208,6 +208,5 @@ class PeriodicTimer:
                                               label=self._label)
 
     def _tick(self) -> None:
-        self._handle = self._sim.schedule(self._period, self._tick,
-                                          label=self._label)
+        self._sim.rearm(self._handle, self._period)
         self._callback()

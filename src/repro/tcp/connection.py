@@ -39,8 +39,7 @@ from repro.tcp.buffers import ReceiveBuffer, SendBuffer
 from repro.tcp.congestion import (CC_ALGORITHMS, DEFAULT_CC,
                                   make_congestion_control)
 from repro.tcp.rtt import RttEstimator
-from repro.tcp.segment import (TcpFlags, TcpSegment, acquire_segment,
-                               release_segment)
+from repro.tcp.segment import TcpFlags, TcpSegment, acquire_segment
 from repro.tcp.seq import SEQ_MASK, SEQ_MOD, seq_add, seq_sub
 
 SEQ_HALF = 1 << 31
@@ -153,14 +152,6 @@ class TcpConnection:
         self.on_closed: Callable[[], None] = lambda: None
         self.on_reset: Callable[[str], None] = lambda reason: None
         self.on_writable: Callable[[], None] = lambda: None
-
-        # --- per-tick segment batching (fed by TcpStack._on_packet) ---
-        # Segments that arrived at the current instant and wait for the
-        # tick-end flush; see segment_batch_arrived.
-        self._rx_pending: list[TcpSegment] = []
-        self._in_batch = False
-        self._batch_ack_pending = False
-        self._batch_writable = False
 
         # --- ST-TCP hooks ---
         self.inorder_tap: Optional[Callable[[int, bytes], None]] = None
@@ -380,63 +371,6 @@ class TcpConnection:
             self._note_peer_fin(segment)
         self._maybe_consume_peer_fin()
 
-    def _flush_rx_batch(self) -> None:
-        """Tick-end flush of the segments queued by the stack's demux.
-
-        The singleton case (every current workload: cable serialization
-        spreads same-connection arrivals across distinct nanoseconds) is
-        a straight ``segment_arrived`` call, so batching costs nothing
-        when there is nothing to batch.
-        """
-        pending = self._rx_pending
-        if len(pending) == 1:
-            segment = pending[0]
-            pending.clear()
-            self.segment_arrived(segment)
-            # Drop the demux queue's claim: the wire's claim cascaded away
-            # when the frame recycled, so this is usually the final release.
-            release_segment(segment)
-        elif pending:
-            batch = pending[:]
-            pending.clear()
-            self.segment_batch_arrived(batch)
-            for segment in batch:
-                release_segment(segment)
-
-    def segment_batch_arrived(self, batch: "list[TcpSegment]") -> None:
-        """Process every same-instant segment for this connection in one
-        coalesced pass.
-
-        Cumulative protocol state (acks, cwnd, loss signals, reassembly)
-        still advances segment by segment — loss detection must see each
-        duplicate ack — but the output and application side runs once per
-        batch instead of once per segment: one pure-ack emission covering
-        everything received, one send-window pump (:meth:`_try_send`),
-        one ``on_writable`` and one ``on_data_available`` callback, one
-        observability flush.  For the single-segment case this is exactly
-        :meth:`segment_arrived`.
-        """
-        if len(batch) == 1:
-            self.segment_arrived(batch[0])
-            return
-        self._in_batch = True
-        self._batch_ack_pending = False
-        self._batch_writable = False
-        try:
-            for segment in batch:
-                self.segment_arrived(segment)
-        finally:
-            self._in_batch = False
-        if self._batch_writable:
-            self._batch_writable = False
-            self.on_writable()
-        if self._batch_ack_pending:
-            self._batch_ack_pending = False
-            self._send_pure_ack()
-        self._try_send()
-        if self.recv_buffer.readable:
-            self.on_data_available()
-
     # -------------------------------------------------------- handshake paths
 
     def _handle_listen(self, segment: TcpSegment) -> None:
@@ -545,10 +479,7 @@ class TcpConnection:
                 self._trace("partial-ack-retransmit", at=self.snd_una_off)
                 self._retransmit_head()
                 self._restart_rtx()
-            if self._in_batch:
-                self._batch_writable = True
-            else:
-                self.on_writable()
+            self.on_writable()
         else:
             prev_window = self.peer_window
             self.peer_window = segment.window
@@ -642,7 +573,7 @@ class TcpConnection:
             self._send_pure_ack()
         else:
             self._ack_received_data()
-        if self.recv_buffer.readable and not self._in_batch:
+        if self.recv_buffer.readable:
             self.on_data_available()
 
     def _ack_received_data(self) -> None:
@@ -799,11 +730,6 @@ class TcpConnection:
         self._rtx_timer.start(self.rtt.rto_ns)
 
     def _send_pure_ack(self) -> None:
-        if self._in_batch:
-            # Batched pass: emit one coalesced ack at the end of the batch
-            # instead of one per segment.
-            self._batch_ack_pending = True
-            return
         if not self.state.is_synchronized or self.irs is None:
             return
         delack = self._delack_timer
@@ -817,8 +743,6 @@ class TcpConnection:
 
     def _try_send(self) -> None:
         """Transmit as much queued data as the windows permit, plus FIN."""
-        if self._in_batch:
-            return  # deferred to the single pump at the end of the batch
         if not self.state.is_synchronized or self.irs is None:
             return
         # Receiver-side fast exit: most calls on an ack-only flow have no

@@ -21,10 +21,9 @@ from repro.errors import PortInUseError, TcpError
 from repro.net.addresses import IPAddress
 from repro.net.ip import IpStack
 from repro.net.packet import IPPacket, IPProtocol
-from repro.net.pool import retain
 from repro.sim.world import World
 from repro.tcp.connection import TcpConfig, TcpConnection
-from repro.tcp.segment import TcpFlags, TcpSegment, release_segment
+from repro.tcp.segment import TcpFlags, TcpSegment
 from repro.tcp.seq import seq_add
 from repro.tcp.sockets import Listener, Socket
 
@@ -159,12 +158,6 @@ class TcpStack:
             for timer in (conn._rtx_timer, conn._persist_timer,
                           conn._delack_timer, conn._timewait_timer):
                 timer.stop()
-            # Segments queued this instant but not yet flushed die with
-            # the host: a frozen stack processes nothing.  Drop the demux
-            # queue's claims so pooled segments recycle instead of leaking.
-            for segment in conn._rx_pending:
-                release_segment(segment)
-            conn._rx_pending.clear()
 
     # --------------------------------------------------------------- wiring
 
@@ -232,18 +225,9 @@ class TcpStack:
             (packet.dst._value, segment.dst_port,
              packet.src._value, segment.src_port))
         if conn is not None:
-            # Per-connection per-tick batching: queue the segment and
-            # flush once every event of this instant has run, so all
-            # same-instant segments for one connection are processed in a
-            # single coalesced pass (TcpConnection.segment_batch_arrived).
-            pending = conn._rx_pending
-            # The demux queue keeps the segment past this delivery event:
-            # take a claim on pooled segments, dropped by the tick-end
-            # flush after processing.
-            retain(segment)
-            pending.append(segment)
-            if len(pending) == 1:
-                self._world.sim.at_tick_end(conn._flush_rx_batch)
+            # The wire's claim on the delivering frame holds the segment
+            # for the whole of this call.
+            conn.segment_arrived(segment)
             return
         listener = self.find_listener(packet.dst, segment.dst_port)
         if listener is not None and segment.syn and not segment.ack_flag:

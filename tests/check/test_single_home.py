@@ -21,11 +21,17 @@ PACKAGE = REPO / "src" / "repro"
 #: name -> (pattern, the only modules that may match it)
 PROTOCOLS = {
     "scheduler queue internals": (
-        re.compile(r"\b(?:_heap|_tick_end|_cancelled_in_queue)\b"
+        re.compile(r"\b(?:_heap|_cancelled_in_queue)\b"
                    r"|\bheap(?:push|pop|ify)\b"
                    # _seq also names ICMP and heartbeat fields, so only
                    # the simulator's is matched.
                    r"|\bsim\._seq\b"),
+        {"sim/core.py"}),
+    # A fired handle goes back into the queue through Simulator.rearm,
+    # which gives it its seq; a timer that rewrote these fields itself
+    # would queue nothing.
+    "event handle re-arming": (
+        re.compile(r"\bhandle\w*\.(?:time|_fired)\s*=(?!=)"),
         {"sim/core.py"}),
     "pool claim counts": (
         re.compile(r"\b_claims\b"),
@@ -67,8 +73,21 @@ def test_each_protocol_is_named_only_by_its_owner():
         f"{set(PROTOCOLS) - seen_at_home} — pattern or layout changed?")
     assert not strays, (
         f"private state named outside its owning module (call the owner's "
-        f"function instead: sim.post / sim.at_tick_end / pool.retain / "
+        f"function instead: sim.post / sim.rearm / pool.retain / "
         f"release_* / demote_* / acquire_*): {strays}")
+
+
+def test_the_tick_end_phase_and_the_receive_batch_stay_deleted():
+    """``Simulator.run`` is pop-and-call: there is no second phase per
+    instant for a layer to defer work into, and the one layer that did —
+    the per-connection receive batch, which coalesced duplicate acks —
+    processes each segment as it arrives (tests/tcp/test_same_instant.py).
+    """
+    gone = re.compile(r"\b(?:at_tick_end|_run_tick_end|_tick_end|_rx_pending"
+                      r"|_in_batch|_flush_rx_batch|segment_batch_arrived)\b")
+    strays = [f"{_where(module, text, m)} ({m.group(0)})"
+              for module, text in _sources() for m in gone.finditer(text)]
+    assert not strays, f"deleted mechanism named under src/: {strays}"
 
 
 def test_no_literal_stands_in_for_another_modules_constant():

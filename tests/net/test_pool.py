@@ -126,7 +126,7 @@ def test_release_cascades_frame_to_packet_to_segment():
 
 def test_extra_claim_blocks_the_cascade():
     """A holder who retained the packet keeps it (and its segment) alive
-    through the frame's final release — the demux-queue pattern."""
+    through the frame's final release."""
     frame, packet, segment = make_chain()
     pool.retain(packet)
     pool.release_frame(frame)
@@ -141,7 +141,7 @@ def test_extra_claim_blocks_the_cascade():
 
 def test_segment_retain_survives_packet_recycle():
     frame, packet, segment = make_chain()
-    pool.retain(segment)                  # e.g. the demux queue
+    pool.retain(segment)                  # e.g. the backup's tap buffer
     pool.release_frame(frame)
     assert segment._claims == 1
     assert segment.payload == b"data"
@@ -223,12 +223,15 @@ def test_pools_are_sound_after_a_real_failover_run():
     object pooled once (a duplicate identity is the signature of an
     over-release).  The depths are pinned because they are a function of
     the claim accounting alone: a retain or release that moves shows up
-    here before it shows up as corruption."""
+    here before it shows up as corruption.  (The frame pool is as deep
+    as the segment pool because the delivering frame is still claimed by
+    the wire while its segment is processed, so the reply cannot reuse
+    it and takes a fresh one.)"""
     result = run_workload_failover(
         WorkloadSpec(connections=8, bytes_per_conn=40_000),
         fault_at_s=0.15, num_clients=8, options=RunOptions(seed=3))
     assert result.all_intact and len(result.records) == 8
-    assert pool.stats() == {"frame_pool": 21, "packet_pool": 21,
+    assert pool.stats() == {"frame_pool": 22, "packet_pool": 22,
                             "segment_pool": 22}
     for free_list, scrubbed in ((pool.FRAME_POOL, None),
                                 (pool.PACKET_POOL, None),

@@ -1,24 +1,26 @@
 """The event queue is observationally identical to a sorted list.
 
 The kernel's contract (docs/scheduler.md): events fire in global
-``(time, insertion-sequence)`` order, tick-end callbacks run after the
-last event of their instant and before the clock moves, a cancelled
-event never fires, and none of it depends on where the heap happens to
-hold an entry or on when tombstones are compacted away.  We check it the
-direct way: run arbitrary programs of schedule / schedule_at / post /
-cancel / at_tick_end / run(until) operations — including scheduling,
-posting, cancelling and registering tick-end work from inside callbacks,
-and bursts large enough that a cancel made mid-``run`` crosses the
-compaction threshold — through the real :class:`Simulator` and through a
-naive model that keeps one sorted list, and require identical fire logs,
-clocks, live counts and next-event times.
+``(time, insertion-sequence)`` order, a cancelled event never fires, a
+fired handle can be re-armed and is then an ordinary pending event, and
+none of it depends on where the heap happens to hold an entry or on when
+tombstones are compacted away.  We check it the direct way: run
+arbitrary programs of schedule / schedule_at / post / cancel / rearm /
+run(until) operations — including scheduling, posting, cancelling and
+re-arming from inside callbacks, and bursts large enough that a cancel
+made mid-``run`` crosses the compaction threshold — through the real
+:class:`Simulator` and through a naive model that keeps one sorted list,
+and require identical fire logs, clocks, live counts and next-event
+times.
 """
 
 import itertools
 from bisect import insort
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import SimulationError
 from repro.sim.core import Simulator
 
 
@@ -27,9 +29,11 @@ class RefHandle:
         self.callback = callback
         self.args = args
         self.cancelled = False
+        self.fired = False
 
     def cancel(self):
-        self.cancelled = True
+        if not self.fired:
+            self.cancelled = True
 
 
 class SortedListScheduler:
@@ -40,7 +44,6 @@ class SortedListScheduler:
         self.now = 0
         self._seq = 0
         self._queue = []
-        self._tick_end = []
 
     def schedule(self, delay, callback, *args):
         return self.schedule_at(self.now + delay, callback, *args)
@@ -54,8 +57,11 @@ class SortedListScheduler:
     def post(self, delay, callback, *args):
         self.schedule(delay, callback, *args)
 
-    def at_tick_end(self, callback):
-        self._tick_end.append(callback)
+    def rearm(self, handle, delay):
+        assert handle.fired and delay >= 0, "the programs only re-arm legally"
+        handle.fired = False
+        self._seq += 1
+        insort(self._queue, (self.now + delay, self._seq, handle))
 
     def _live(self):
         self._queue = [e for e in self._queue if not e[2].cancelled]
@@ -72,15 +78,11 @@ class SortedListScheduler:
     def run(self, until=None):
         while True:
             queue = self._live()
-            if self._tick_end and (not queue or queue[0][0] > self.now):
-                batch, self._tick_end = self._tick_end, []
-                for callback in batch:
-                    callback()
-                continue
             if not queue or (until is not None and queue[0][0] > until):
                 break
             time, _seq, handle = queue.pop(0)
             self.now = time
+            handle.fired = True
             handle.callback(*handle.args)
         if until is not None and self.now < until:
             self.now = until
@@ -104,15 +106,21 @@ CANCEL_OPS = st.one_of(
 CHILD_OP = st.one_of(
     st.tuples(st.just("sched"), DELAYS, st.just(())),
     st.tuples(st.just("post"), DELAYS, st.just(())),
-    st.tuples(st.just("tick_end"), st.just(())),
     CANCEL_OPS,
 )
 CHILDREN = st.lists(CHILD_OP, max_size=3).map(tuple)
+# A callback that re-arms its own handle once per listed delay (zero
+# delays included: the re-armed entry ties with its siblings), before or
+# after it runs its children, so the entry's seq lands on both sides of
+# theirs.
+REARM_DELAYS = st.lists(st.one_of(st.just(0), DELAYS), min_size=1,
+                        max_size=4).map(tuple)
 OP = st.one_of(
     st.tuples(st.just("sched"), DELAYS, CHILDREN),
     st.tuples(st.just("sched_at"), DELAYS, CHILDREN),
     st.tuples(st.just("post"), DELAYS, CHILDREN),
-    st.tuples(st.just("tick_end"), CHILDREN),
+    st.tuples(st.just("rearm"), DELAYS, REARM_DELAYS, st.booleans(),
+              CHILDREN),
     # A fleet's worth of armed timers: the queue grows past
     # COMPACT_MIN_QUEUE, so the cancels above can trigger a compaction.
     st.tuples(st.just("burst"), st.integers(0, 160), DELAYS),
@@ -136,6 +144,16 @@ def execute(scheduler, program):
         for child in children:
             do_op(child)
 
+    def fire_rearming(op_id, cell, delays, rearm_first, children):
+        log.append((now(), op_id))
+        left = cell[1] = cell[1] - 1
+        if left >= 0 and rearm_first:
+            scheduler.rearm(cell[0], delays[left])
+        for child in children:
+            do_op(child)
+        if left >= 0 and not rearm_first:
+            scheduler.rearm(cell[0], delays[left])
+
     def now():
         return scheduler.now
 
@@ -150,9 +168,11 @@ def execute(scheduler, program):
                                       next(ids), spec[2]))
         elif kind == "post":
             scheduler.post(spec[1], fire, next(ids), spec[2])
-        elif kind == "tick_end":
-            op_id = next(ids)
-            scheduler.at_tick_end(lambda: fire(op_id, spec[1]))
+        elif kind == "rearm":
+            cell = [None, len(spec[2])]
+            cell[0] = scheduler.schedule(spec[1], fire_rearming, next(ids),
+                                         cell, *spec[2:])
+            handles.append(cell[0])
         elif kind == "burst":
             for i in range(spec[1]):
                 handles.append(scheduler.schedule(
@@ -270,3 +290,99 @@ def test_compaction_from_inside_a_callback_keeps_the_queue_intact():
         + [(1_500, 1_000, "scheduled after compaction")])
     assert fired == [tag for _time, _seq, tag in expected]
     assert sim.queue_size == sim.pending_events == 0
+
+
+def test_rearm_takes_its_place_in_same_instant_fifo():
+    """A zero-delay re-arm fires after what was inserted before it and
+    before what is inserted after it, like any other insert."""
+    sim = Simulator()
+    order = []
+    cell = []
+
+    def hop():
+        order.append("hop")
+        if order.count("hop") == 1:
+            sim.post(0, order.append, "posted before the re-arm")
+            sim.rearm(cell[0], 0)
+            sim.post(0, order.append, "posted after the re-arm")
+
+    cell.append(sim.schedule(5, hop))
+    sim.schedule(5, order.append, "scheduled earlier for the same instant")
+    sim.run()
+    assert order == ["hop", "scheduled earlier for the same instant",
+                     "posted before the re-arm", "hop",
+                     "posted after the re-arm"]
+    assert sim.now == 5 and cell[0].fired and cell[0].time == 5
+
+
+def test_a_rearmed_handle_is_pending_and_another_callback_can_cancel_it():
+    sim = Simulator()
+    ticks = []
+    cell = []
+
+    def tick():
+        ticks.append(sim.now)
+        sim.rearm(cell[0], 10)
+
+    cell.append(sim.schedule(10, tick))
+    sim.run(until=35)
+    handle = cell[0]
+    assert ticks == [10, 20, 30]
+    assert handle.pending and handle.time == 40 and sim.pending_events == 1
+    sim.schedule(2, handle.cancel)
+    sim.run(until=100)
+    assert ticks == [10, 20, 30] and handle.cancelled
+    assert sim.pending_events == sim.queue_size == 0
+
+
+def test_rearm_across_a_mid_run_compaction():
+    """The re-armed entry is queued while another callback cancels enough
+    handles to rebuild the heap, and re-arms again afterwards: it survives
+    the filter, keeps its place and every later tick is on time."""
+    sim = Simulator()
+    ticks = []
+    cell = []
+
+    def tick():
+        ticks.append(sim.now)
+        if len(ticks) < 6:
+            sim.rearm(cell[0], 1_000)
+
+    cell.append(sim.schedule(1_000, tick))
+    doomed = [sim.schedule(10_000 + i, ticks.append, "doomed")
+              for i in range(300)]
+    sizes = []
+
+    def cancel_all():
+        sizes.append(sim.queue_size)
+        for handle in doomed:
+            handle.cancel()
+        sizes.append(sim.queue_size)
+
+    sim.schedule(2_500, cancel_all)
+    sim.run()
+    assert sizes[1] < sizes[0] - 200, "the cancels were meant to compact"
+    assert ticks == [1_000, 2_000, 3_000, 4_000, 5_000, 6_000]
+    assert sim.queue_size == sim.pending_events == 0
+
+
+def test_rearm_refuses_a_handle_that_may_still_be_queued():
+    sim = Simulator()
+    pending = sim.schedule(10, lambda: None)
+    with pytest.raises(SimulationError, match="fired"):
+        sim.rearm(pending, 5)
+    cancelled = sim.schedule(10, lambda: None)
+    cancelled.cancel()
+    with pytest.raises(SimulationError, match="fired"):
+        sim.rearm(cancelled, 5)
+    sim.run()
+    assert pending.fired
+    with pytest.raises(SimulationError, match="past"):
+        sim.rearm(pending, -1)
+    with pytest.raises(SimulationError, match="int"):
+        sim.rearm(pending, 1.5)
+    assert pending.fired and sim.queue_size == 0, "a refusal queues nothing"
+    sim.rearm(pending, 0)
+    with pytest.raises(SimulationError, match="fired"):
+        sim.rearm(pending, 0)  # pending again
+    assert sim.run() == 1
