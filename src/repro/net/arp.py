@@ -51,10 +51,13 @@ class ArpTable:
     """
 
     def __init__(self, world: World, nic: "Nic", my_ips: Callable[[], list[IPAddress]],
-                 name: str = "arp"):
+                 on_learn: Callable[[], None], name: str = "arp"):
         self._world = world
         self._nic = nic
         self._my_ips = my_ips
+        # Called when a dynamic entry appears or changes: what this table
+        # resolves differently now is its own host's business only.
+        self._on_learn = on_learn
         self.name = name
         self._static: dict[IPAddress, MacAddress] = {}
         self._cache: dict[IPAddress, MacAddress] = {}
@@ -120,10 +123,9 @@ class ArpTable:
                 and msg.sender_ip.value != 0):
             if self._cache.get(msg.sender_ip) != msg.sender_mac:
                 self._cache[msg.sender_ip] = msg.sender_mac
-                # Resolution changed: invalidate cached send plans.
-                self._world.route_epoch += 1
+                self._on_learn()
             self._flush_pending(msg.sender_ip, msg.sender_mac)
-        if msg.op == ARP_REQUEST and msg.target_ip in set(self._my_ips()):
+        if msg.op == ARP_REQUEST and msg.target_ip in self._my_ips():
             reply = ArpMessage(ARP_REPLY, self._nic.mac, msg.target_ip,
                                msg.sender_mac, msg.sender_ip)
             self.replies_sent += 1

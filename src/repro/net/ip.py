@@ -30,7 +30,7 @@ class Interface:
                  "addr_values", "arp", "__weakref__")
 
     def __init__(self, world: World, nic: Nic, network: IPAddress,
-                 prefix_len: int):
+                 prefix_len: int, on_arp_learn: Callable[[], None]):
         self._world = world
         self.nic = nic
         self.network = network
@@ -41,7 +41,7 @@ class Interface:
         self.addr_values: set[int] = set()
         # A bound method, not a lambda: ArpTable holds this accessor for
         # the interface's lifetime, and world snapshots must pickle it.
-        self.arp = ArpTable(world, nic, self._address_list,
+        self.arp = ArpTable(world, nic, self._address_list, on_arp_learn,
                             name=f"{nic.name}.arp")
 
     def _address_list(self) -> list[IPAddress]:
@@ -98,10 +98,12 @@ class IpStack:
         self._protocols: dict[str, Callable[[IPPacket], None]] = {}
         # Send-plan cache: (dst_value, src_value|None) -> either the
         # local-delivery marker or (nic, resolved next-hop MAC, src ip).
-        # Keyed off World.route_epoch, which every routing-relevant mutation
-        # bumps: interface address changes, default-gateway changes, NIC
-        # fail/repair, and ARP table learns.  Saves the owns()/_route()/
-        # ARP walk on every packet of an established flow.
+        # Keyed off World.route_epoch, which every routing-relevant
+        # configuration change bumps: interface addresses, the default
+        # gateway, NIC fail/repair, static ARP entries.  A dynamic ARP
+        # learn changes only the learning host's resolution, so it clears
+        # only that host's plans (see add_interface).  Saves the owns()/
+        # _route()/ARP walk on every packet of an established flow.
         self._send_cache: dict = {}
         self._cache_route_epoch = -1
         self._loopback_label = f"{name}.loopback"
@@ -121,7 +123,8 @@ class IpStack:
     def add_interface(self, nic: Nic, addresses: list[IPAddress],
                       network: IPAddress, prefix_len: int = 24) -> Interface:
         """Register a NIC with its address list (first = machine address)."""
-        iface = Interface(self._world, nic, network, prefix_len)
+        iface = Interface(self._world, nic, network, prefix_len,
+                          on_arp_learn=self._send_cache.clear)
         for ip in addresses:
             iface.add_address(ip)
         self.interfaces.append(iface)

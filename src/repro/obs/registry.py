@@ -102,7 +102,7 @@ _ALL_PROBES = [
     # ---------------------------------------------------------------- tcp
     _spec("tcp.segment_tx", "a connection emitted a segment "
           "(fields: off/ack/flags/len/cwnd/flight)",
-          "repro.tcp.connection.TcpConnection._emit", traced=False),
+          "repro.tcp.connection.TcpConnection._fire_segment_tx", traced=False),
     _spec("tcp.segment_rx", "a connection received a segment",
           "repro.tcp.connection.TcpConnection.segment_arrived", traced=False),
     _spec("tcp.retransmit", "a segment was retransmitted "
@@ -125,8 +125,9 @@ _ALL_PROBES = [
           "repro.sttcp.heartbeat.HeartbeatService._tick", traced=False),
     _spec("hb.miss", "a heartbeat link went stale (freshness transition)",
           "repro.sttcp.engine.SttcpEngine.check_links", traced=False),
-    _spec("sttcp.suppress", "the backup generated-and-dropped one segment",
-          "repro.sttcp.backup.BackupEngine._suppressor", traced=False),
+    _spec("sttcp.suppress", "the backup held one replica segment behind "
+          "its output gate",
+          "repro.sttcp.backup.ManagedBackupConn.hold", traced=False),
     _spec("sttcp.retain", "the primary copied in-order client bytes into "
           "its retain buffer",
           "repro.sttcp.primary.PrimaryEngine._on_accepted", traced=False),

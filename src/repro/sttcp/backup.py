@@ -7,16 +7,17 @@ runs a full replica of each service connection:
 * client segments destined to a not-yet-replicated flow are buffered until
   the primary's ConnInit names the ISN; the replica connection is then
   created with that ISN and the buffered segments are replayed;
-* every segment the replica's TCP generates is *suppressed* — generated,
-  counted, dropped — so congestion/retransmission state stays warm while
-  nothing reaches the wire (paper Sec. 2);
+* every segment the replica's TCP would send is *suppressed* — the engine
+  holds the connection's output gate shut, so each one is counted and
+  advances congestion/retransmission state while nothing reaches the wire
+  (paper Sec. 2);
 * client ACKs genuinely arrive (multicast) and drive the replica's send
   side; acks for bytes the slightly-lagging replica application has not
   produced yet are tolerated and applied on write;
 * missed client bytes are fetched from the primary's extra receive buffer
   (Table 1 row 5);
 * failures of the primary — machine crash, application lag, NIC failure —
-  trigger takeover: power the primary down, stop suppressing, and let the
+  trigger takeover: power the primary down, open the gates, and let the
   already-running TCP machinery resume the stream with the same IP, port
   and sequence numbers (paper Secs. 2, 4).
 """
@@ -29,7 +30,7 @@ from repro.net.addresses import IPAddress
 from repro.net.pool import retain
 from repro.sim.timers import Timer
 from repro.tcp.connection import TcpConnection
-from repro.tcp.segment import TcpSegment, release_segment
+from repro.tcp.segment import TcpFlags, TcpSegment, release_segment
 from repro.tcp.sockets import Socket
 from repro.sttcp.control import (AppFailureNotice, ConnClosed, ConnInit,
                                  FetchReply, FetchRequest)
@@ -58,7 +59,6 @@ class ManagedBackupConn:
         self.primary_progress: Optional[ConnProgress] = None
         self.suppressed_segments = 0
         self.suppressed_fin = False
-        self.original_transmit = conn.transmit
         # Primary application-failure trackers (Sec. 4.2.1, backup side).
         self.read_tracker = LagTracker(world, config.app_max_lag_bytes,
                                        config.app_max_lag_time_ns,
@@ -117,6 +117,18 @@ class ManagedBackupConn:
         return (self.read_tracker.verdict(evidence_time)
                 or self.write_tracker.verdict(evidence_time))
 
+    def hold(self, length: int, flags: int) -> None:
+        """The replica's shut output gate: count one segment that did not
+        leave (see :attr:`TcpConnection.output_gate`)."""
+        self.suppressed_segments += 1
+        engine = self.engine
+        probes = engine.world.probes
+        if probes.wants_map["sttcp.suppress"]:
+            probes.fire("sttcp.suppress", engine.name, len=length)
+        if flags & TcpFlags.FIN and not self.suppressed_fin:
+            self.suppressed_fin = True
+            engine.emit(EventKind.FIN_SUPPRESSED, key=self.key)
+
     def _fetch_retry(self) -> None:
         self.fetch_outstanding = False
         self.engine.check_fetch(self)
@@ -166,10 +178,11 @@ class BackupEngine(SttcpEngine):
             return False
         if dst_ip != self.service_ip:
             return False
-        key: ConnKey = (src_ip.value, segment.src_port)
-        if self.host.tcp.has_connection(dst_ip, segment.dst_port,
-                                        src_ip, segment.src_port):
+        if self.host.tcp.connection_by_value(
+                dst_ip._value, segment.dst_port,
+                src_ip._value, segment.src_port) is not None:
             return False
+        key: ConnKey = (src_ip._value, segment.src_port)
         queue = self._pending_segments.setdefault(key, [])
         if len(queue) < _MAX_BUFFERED_SEGMENTS:
             # The tap buffer keeps the segment until the replica exists
@@ -239,7 +252,7 @@ class BackupEngine(SttcpEngine):
             isn=init.isn, config=tap_config)
         mc = ManagedBackupConn(self, conn, socket, init.key)
         self.conns[init.key] = mc
-        conn.transmit = self._suppressor(mc)
+        conn.output_gate = mc.hold
         conn.stt_tolerate_future_acks = True
         self.emit(EventKind.CONN_REPLICATED, key=init.key, isn=init.isn)
         # Hand the socket to the replica application, then replay whatever
@@ -249,21 +262,6 @@ class BackupEngine(SttcpEngine):
         for segment in self._pending_segments.pop(init.key, []):
             conn.segment_arrived(segment)
             release_segment(segment)  # the tap buffer's claim
-
-    def _suppressor(self, mc: ManagedBackupConn):
-        def suppress(segment: TcpSegment) -> None:
-            """Count and drop one replica-generated segment."""
-            mc.suppressed_segments += 1
-            self.world.probes.fire("sttcp.suppress", self.name,
-                                   len=len(segment.payload))
-            if segment.fin and not mc.suppressed_fin:
-                mc.suppressed_fin = True
-                self.emit(EventKind.FIN_SUPPRESSED, key=mc.key)
-            # The suppressor stands in for the wire: drop the creator
-            # claim the transmit path would otherwise consume, so the
-            # replica's pooled segments recycle instead of piling up.
-            release_segment(segment)
-        return suppress
 
     # ----------------------------------------------------------- heartbeat
 
@@ -439,9 +437,9 @@ class BackupEngine(SttcpEngine):
         if mc is not None:
             mc.fetch_retry_timer.stop()
             if mc.conn.state.value != "CLOSED":
-                # Drop the replica quietly: suppressed, so nothing reaches
-                # the client.
-                mc.conn.transmit = lambda seg: None
+                # Drop the replica quietly: its RST stays behind the gate,
+                # and is not counted as output suppressed for a live peer.
+                mc.conn.output_gate = lambda length, flags: None
                 mc.conn.abort()
         for segment in self._pending_segments.pop(key, ()):
             release_segment(segment)  # the tap buffer's claim
@@ -479,7 +477,7 @@ class BackupEngine(SttcpEngine):
                 # bytes it had acked — unrecoverable for this connection.
                 unrecoverable.append(mc)
                 continue
-            mc.conn.transmit = mc.original_transmit
+            mc.conn.output_gate = None
             if self.config.kick_on_takeover:
                 mc.conn.kick_output()
         self.emit(EventKind.TAKEOVER, reason=reason,
@@ -488,7 +486,7 @@ class BackupEngine(SttcpEngine):
         for mc in unrecoverable:
             self.emit(EventKind.UNRECOVERABLE, key=mc.key,
                       reason="missed bytes unavailable after primary crash")
-            mc.conn.transmit = mc.original_transmit
+            mc.conn.output_gate = None
             mc.conn.abort()
         self.hb.stop()
         self._stop_probing()
@@ -555,7 +553,7 @@ class BackupEngine(SttcpEngine):
                       reason="logger cannot re-supply missed bytes")
             if getattr(mc, "recovering_via_logger", False):
                 mc.recovering_via_logger = False
-                mc.conn.transmit = mc.original_transmit
+                mc.conn.output_gate = None
                 mc.conn.abort()
             return
         before = mc.conn.recv_buffer.rcv_next
@@ -581,7 +579,7 @@ class BackupEngine(SttcpEngine):
         if rcv.has_gap or rcv.rcv_next < target:
             return  # more replies still in flight
         mc.recovering_via_logger = False
-        mc.conn.transmit = mc.original_transmit
+        mc.conn.output_gate = None
         mc.conn.kick_output()
         self.emit(EventKind.TAKEOVER, key=mc.key,
                   reason="logger recovery complete", connections=1,

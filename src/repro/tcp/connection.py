@@ -7,9 +7,10 @@ TIME_WAIT.  It is the substrate every ST-TCP mechanism acts on.
 
 ST-TCP integration points (used by :mod:`repro.sttcp`):
 
-* :attr:`TcpConnection.transmit` is a replaceable output hook — the backup
-  engine swaps in a suppressor so the replica's segments are generated,
-  counted, and *dropped* (paper Sec. 2).
+* :attr:`TcpConnection.output_gate` is the declared output hook: while
+  the backup engine holds it shut, the replica's segments are counted and
+  advance every piece of sender state, but never leave — and on the two
+  hot paths (data, pure ack) are never even built (paper Sec. 2).
 * :meth:`open_passive` accepts an ISN override so the backup's replica
   connection uses the primary's ISN (paper Sec. 2).
 * Progress counters :attr:`last_byte_received`, :attr:`last_ack_received`,
@@ -39,7 +40,8 @@ from repro.tcp.buffers import ReceiveBuffer, SendBuffer
 from repro.tcp.congestion import (CC_ALGORITHMS, DEFAULT_CC,
                                   make_congestion_control)
 from repro.tcp.rtt import RttEstimator
-from repro.tcp.segment import TcpFlags, TcpSegment, acquire_segment
+from repro.tcp.segment import (TcpFlags, TcpSegment, acquire_segment,
+                               release_segment)
 from repro.tcp.seq import SEQ_MASK, SEQ_MOD, seq_add, seq_sub
 
 SEQ_HALF = 1 << 31
@@ -82,6 +84,21 @@ class TcpConfig:
 class TcpConnection:
     """One end of a TCP connection."""
 
+    __slots__ = (
+        "world", "name", "local_ip", "local_port", "remote_ip", "remote_port",
+        "config", "transmit", "output_gate", "state", "iss", "irs",
+        "send_buffer", "recv_buffer", "snd_una_off", "snd_nxt_off",
+        "peer_window", "fin_queued", "fin_off", "fin_sent", "fin_acked",
+        "peer_fin_off", "peer_fin_consumed", "rst_sent", "cc", "_cc_extra",
+        "rtt", "_rtx_timer", "_persist_timer", "_delack_timer",
+        "_timewait_timer", "_persist_interval", "_last_sent_window",
+        "_rtx_count", "_syn_rtx_count", "_timed_end", "_timed_at",
+        "_syn_sent_at", "on_established", "on_data_available", "on_peer_fin",
+        "on_closed", "on_reset", "on_writable", "inorder_tap",
+        "stt_tolerate_future_acks", "_future_ack_off", "peer_data_high",
+        "segments_sent", "segments_received", "bytes_sent", "retransmissions",
+        "dupacks_received", "acks_sent", "established_at", "closed_at")
+
     def __init__(self, world: World, name: str,
                  local_ip, local_port: int, remote_ip, remote_port: int,
                  config: Optional[TcpConfig] = None,
@@ -94,8 +111,12 @@ class TcpConnection:
         self.remote_port = remote_port
         self.config = config or TcpConfig()
         self.config.validate()
-        # Output hook; the ST-TCP backup replaces this with a suppressor.
         self.transmit: Callable[[TcpSegment], None] = transmit or (lambda seg: None)
+        # Output gate.  None: segments go to ``transmit``.  Otherwise the
+        # holder (the ST-TCP backup, for a replica) is called with
+        # (payload length, flags) for every segment that would have left;
+        # sender state advances as if it had, and nothing reaches the wire.
+        self.output_gate: Optional[Callable[[int, int], None]] = None
 
         self.state = TcpState.CLOSED
         self.iss: Optional[int] = None
@@ -678,7 +699,7 @@ class TcpConnection:
         self._last_sent_window = window
         # Every data segment and pure ack is built here, so it comes from
         # the recycle pool with one creator claim, released when its wire
-        # wrappers die (or by the backup's suppressor); see repro.net.pool.
+        # wrappers die (or by a shut output gate); see repro.net.pool.
         return acquire_segment(
             self.local_port, self.remote_port, seq,
             ack if (flags & TcpFlags.ACK or ack_bit) else 0,
@@ -693,28 +714,44 @@ class TcpConnection:
             # and a lagging ST-TCP backup tap would read corrupt data.
             segment.payload = bytes(payload)
         self.segments_sent += 1
-        self.bytes_sent += len(segment.payload)
+        self.bytes_sent += len(payload)
+        if self.world.probes.wants_map["tcp.segment_tx"]:
+            self._fire_segment_tx(segment.seq, segment.ack, segment.flags,
+                                  len(payload), segment.window)
+        gate = self.output_gate
+        if gate is None:
+            self.transmit(segment)
+        else:
+            gate(len(payload), segment.flags)
+            release_segment(segment)  # the claim the wire would have consumed
+
+    def _hold(self, flags: int, off: int, length: int) -> None:
+        """One data segment or pure ack behind a shut output gate: advance
+        what :meth:`_make_segment` and :meth:`_emit` advance, build nothing."""
+        window = self.recv_buffer.advertise_window()
+        self._last_sent_window = window
+        self.segments_sent += 1
+        self.bytes_sent += length
+        if self.world.probes.wants_map["tcp.segment_tx"]:
+            self._fire_segment_tx(self._seq_of(off), self._current_ack()[1],
+                                  flags, length, window)
+        self.output_gate(length, flags)
+
+    def _fire_segment_tx(self, seq: int, ack: int, flags: int, length: int,
+                         window: int) -> None:
         # The extra sender-state fields (off/una/nxt/rcv_nxt/mss/ssthresh)
         # feed the repro.check invariant oracle; see docs/invariants.md.
         # Building them (flag rendering included) costs more than the
-        # fire itself, so skip the whole block when nobody listens.
-        probes = self.world.probes
-        if probes.wants_map["tcp.segment_tx"]:
-            probes.fire("tcp.segment_tx", self.name,
-                        seq=segment.seq, ack=segment.ack,
-                        flags=TcpFlags.describe(segment.flags),
-                        len=len(segment.payload),
-                        win=segment.window, cwnd=self.cc.cwnd,
-                        flight=self.flight_size,
-                        off=(seq_sub(segment.seq,
-                                     seq_add(self.iss, 1))
-                             if self.iss is not None else None),
-                        una=self.snd_una_off, nxt=self.snd_nxt_off,
-                        rcv_nxt=self.recv_buffer.rcv_next,
-                        mss=self.config.mss,
-                        ssthresh=self.cc.ssthresh,
-                        **self._cc_extra)
-        self.transmit(segment)
+        # fire itself, so callers skip this when nobody listens.
+        self.world.probes.fire(
+            "tcp.segment_tx", self.name, seq=seq, ack=ack,
+            flags=TcpFlags.describe(flags), len=length, win=window,
+            cwnd=self.cc.cwnd, flight=self.flight_size,
+            off=(seq_sub(seq, seq_add(self.iss, 1))
+                 if self.iss is not None else None),
+            una=self.snd_una_off, nxt=self.snd_nxt_off,
+            rcv_nxt=self.recv_buffer.rcv_next, mss=self.config.mss,
+            ssthresh=self.cc.ssthresh, **self._cc_extra)
 
     def _send_syn(self) -> None:
         self._emit(TcpSegment(self.local_port, self.remote_port, seq=self.iss,
@@ -736,6 +773,9 @@ class TcpConnection:
         if delack._handle is not None:  # armed-check inlined; see stop()
             delack.stop()
         self.acks_sent += 1
+        if self.output_gate is not None:
+            self._hold(TcpFlags.ACK, self.snd_nxt_off, 0)
+            return
         # _seq_of inlined (keep in sync): one pure ack per received data
         # segment makes the helper call measurable.
         self._emit(self._make_segment(
@@ -779,8 +819,8 @@ class TcpConnection:
             if chunk > room:
                 chunk = room
             if chunk > 0:
-                payload = send_buffer.get_range(snd_nxt, chunk)
-                sent_end = snd_nxt + len(payload)
+                # chunk <= limit - snd_nxt, so the ring holds all of it.
+                sent_end = snd_nxt + chunk
                 flags = TcpFlags.ACK
                 if sent_end == stream_end:
                     flags |= TcpFlags.PSH
@@ -788,12 +828,15 @@ class TcpConnection:
                            and sent_end == self.fin_off)
                 if fin_now:
                     flags |= TcpFlags.FIN
-                seg = self._make_segment(
-                    flags, (self.iss + 1 + snd_nxt) & SEQ_MASK, payload)
                 if self._timed_end is None:
                     self._timed_end = sent_end
                     self._timed_at = self.world.sim.now
-                self._emit(seg)
+                if self.output_gate is not None:
+                    self._hold(flags, snd_nxt, chunk)
+                else:
+                    self._emit(self._make_segment(
+                        flags, (self.iss + 1 + snd_nxt) & SEQ_MASK,
+                        send_buffer.get_range(snd_nxt, chunk)))
                 self.snd_nxt_off = sent_end
                 if fin_now:
                     self.fin_sent = True

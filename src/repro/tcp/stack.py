@@ -82,11 +82,13 @@ class TcpStack:
         return self._connections.get(
             (local_ip, local_port, remote_ip, remote_port))
 
-    def has_connection(self, local_ip: IPAddress, local_port: int,
-                       remote_ip: IPAddress, remote_port: int) -> bool:
-        """True if the 4-tuple maps to a live connection."""
-        return self.get_connection(local_ip, local_port,
-                                   remote_ip, remote_port) is not None
+    def connection_by_value(self, local_value: int, local_port: int,
+                            remote_value: int, remote_port: int
+                            ) -> Optional[TcpConnection]:
+        """:meth:`get_connection` by the demux key — raw int addresses, so
+        a per-segment caller hashes four ints and no ``IPAddress``."""
+        return self._conn_by_value.get(
+            (local_value, local_port, remote_value, remote_port))
 
     @property
     def connections(self) -> list[TcpConnection]:

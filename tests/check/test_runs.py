@@ -53,13 +53,18 @@ def test_clean_failover_is_violation_free():
 
 @pytest.mark.no_invariant_check
 def test_suppression_breach_trips_oracle():
-    """Disable the backup's output suppression: its replica now answers
-    the client in parallel with the primary.  The wire-layer oracle must
-    catch the breach."""
+    """Open every replica's output gate the moment it is created: the
+    replica now answers the client in parallel with the primary.  The
+    wire-layer oracle must catch the breach."""
     fx = SttcpFixture()
     oracle = InvariantOracle(fx.tb.world,
                              CheckTopology.from_testbed(fx.tb)).attach()
-    fx.backup_engine._suppressor = lambda mc: mc.original_transmit
+
+    def open_gates(_event):
+        for mc in fx.backup_engine.conns.values():
+            mc.conn.output_gate = None
+
+    fx.tb.world.probes.subscribe("sttcp.conn-replicated", open_gates)
     fx.start_client(total_bytes=500_000)
     fx.run(5)
     assert oracle.violation_count > 0

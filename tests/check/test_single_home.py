@@ -90,6 +90,24 @@ def test_the_tick_end_phase_and_the_receive_batch_stay_deleted():
     assert not strays, f"deleted mechanism named under src/: {strays}"
 
 
+def test_sttcp_holds_the_output_gate_and_never_swaps_transmit():
+    """The backup keeps a replica quiet through the one declared hook,
+    ``TcpConnection.output_gate`` — not by overwriting ``conn.transmit``
+    on a live connection, which is how a pooled RST once lost its claim —
+    and the closure and saved attribute of the swap stay deleted."""
+    swap = re.compile(r"\.transmit\s*=(?!=)")
+    gone = re.compile(r"\b(?:_suppressor|original_transmit)\b")
+    assert swap.search("conn.transmit = quiet")
+    strays = [f"{_where(module, text, m)} ({m.group(0)})"
+              for module, text in _sources()
+              for m in (*gone.finditer(text),
+                        *(swap.finditer(text)
+                          if module.startswith("sttcp/") else ()))]
+    assert not strays, f"output is held by output_gate, not by: {strays}"
+    backup = (PACKAGE / "sttcp" / "backup.py").read_text(encoding="utf-8")
+    assert "output_gate" in backup
+
+
 def test_no_literal_stands_in_for_another_modules_constant():
     """A ``# == NAME`` comment marks a literal kept equal to a constant by
     hand.  The last ones (the wheel geometry inside ``sim/core.py``) went

@@ -105,3 +105,57 @@ def test_packet_ttl_and_size():
                       IPProtocol.TCP, b"x" * 10)
     assert packet.size_bytes == 30
     assert packet.decremented().ttl == 63
+
+
+# ---- send plans vs ARP learning (an ARP learn is the learner's business) ----
+
+def _count_slow_sends(host):
+    walks = []
+    slow = host.ip._send_slow
+    host.ip._send_slow = lambda *a: (walks.append(a[0]), slow(*a))
+    return walks
+
+
+def test_a_third_hosts_arp_learn_leaves_an_established_flows_plan(lan3):
+    """h0 → h1 is an established flow.  h2 forgetting and re-learning h1's
+    MAC teaches h0 nothing — every host already knows h2, so its request
+    changes no table but its own — and must not send h0's next packet back
+    through the route + ARP walk."""
+    h0, h1, h2 = lan3.hosts
+    h1.ip.register_protocol("test", lambda packet: None)
+    h0.ip.send(lan3.ip(1), "test", b"warm")
+    h2.ip.send(lan3.ip(1), "test", b"warm")
+    h2.ip.send(lan3.ip(0), "test", b"warm")
+    lan3.world.run()
+    h0.ip.send(lan3.ip(1), "test", b"plan cached")
+    walks = _count_slow_sends(h0)
+    h2.interfaces[0].arp._cache.clear()
+    h2.ip._send_cache.clear()
+    lan3.world.run(until=2_000_000_000)   # past the once-a-second re-ARP limit
+    h2.ip.send(lan3.ip(1), "test", b"h2 must ARP again")
+    lan3.world.run()
+    assert h2.interfaces[0].arp.lookup(lan3.ip(1)) == h1.nics[0].mac
+    h0.ip.send(lan3.ip(1), "test", b"still planned")
+    assert walks == []
+
+
+def test_a_changed_arp_entry_redirects_the_hosts_next_packet(lan):
+    """The learner's own plans must go: h1's address moves to a new MAC
+    (a gratuitous ARP), and h0's next packet is framed for the new one."""
+    from repro.net.addresses import BROADCAST_MAC, MacAddress
+    from repro.net.arp import ARP_REQUEST, ArpMessage
+    from repro.net.frame import EtherType, EthernetFrame
+
+    h0, h1 = lan.hosts
+    h0.ip.send(lan.ip(1), "test", b"warm")
+    lan.world.run()
+    h0.ip.send(lan.ip(1), "test", b"plan cached")
+    framed_for = []
+    lan.cables[0].transmit = lambda nic, frame: framed_for.append(frame.dst)
+    h0.ip.send(lan.ip(1), "test", b"old")
+    moved = MacAddress("02:00:00:00:00:99")
+    h0.interfaces[0].arp.handle_frame(EthernetFrame(
+        BROADCAST_MAC, moved, EtherType.ARP,
+        ArpMessage(ARP_REQUEST, moved, lan.ip(1), MacAddress(0), lan.ip(1))))
+    h0.ip.send(lan.ip(1), "test", b"new")
+    assert framed_for == [h1.nics[0].mac, moved]

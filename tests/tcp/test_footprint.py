@@ -59,6 +59,41 @@ def test_idle_connection_footprint(lan):
         f"{per_endpoint / KIB:.1f} KiB per established endpoint")
 
 
+# A connection minus its two 4 KB rings: the object, its timers, buffers'
+# bookkeeping, congestion and RTT state.  Measured 4.4 KiB (4,490 B) while
+# the 55 attributes lived in a per-instance dict (past CPython's 30-key
+# inline-values limit, so each instance carried its own hash table) and
+# 3.3 KiB (3,329 B) with ``__slots__``.
+RINGLESS_CEILING_BYTES = 3.6 * KIB
+
+
+def test_ringless_connection_footprint(world):
+    from repro.tcp.connection import TcpConnection
+
+    here, there = IPAddress("10.0.0.1"), IPAddress("10.0.0.2")
+
+    def connection(i):
+        return TcpConnection(world, f"c{i}", here, 80, there, 1024 + i)
+
+    warm = [connection(i) for i in range(8)]
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        conns = [connection(100 + i) for i in range(256)]
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not hasattr(conns[0], "__dict__") and warm
+    rings = sum(len(c.send_buffer._buf) + len(c.recv_buffer._buf)
+                for c in conns)
+    assert rings == len(conns) * 8 * KIB
+    per_conn = (after - before - rings) / len(conns)
+    assert per_conn <= RINGLESS_CEILING_BYTES, (
+        f"{per_conn / KIB:.2f} KiB per connection without its rings")
+    with pytest.raises(AttributeError):
+        conns[0].transmitt = None       # a typo is an error, not an attribute
+
+
 def test_bulk_stream_owns_full_rings_and_no_more(tcp_pair):
     """1 MB one way: the carrying rings are exactly today's 64 KiB (no
     growth past it), the idle opposite rings still at 4 KB."""

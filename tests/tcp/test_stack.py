@@ -92,8 +92,11 @@ def test_create_tap_connection_uses_given_isn(lan):
         IPAddress("10.0.0.1"), 80, IPAddress("10.0.0.2"), 50000, isn=777)
     assert conn.iss == 777
     assert conn.state is TcpState.LISTEN
-    assert host.tcp.has_connection(IPAddress("10.0.0.1"), 80,
-                                   IPAddress("10.0.0.2"), 50000)
+    assert host.tcp.get_connection(IPAddress("10.0.0.1"), 80,
+                                   IPAddress("10.0.0.2"), 50000) is conn
+    assert host.tcp.connection_by_value(
+        IPAddress("10.0.0.1").value, 80,
+        IPAddress("10.0.0.2").value, 50000) is conn
 
 
 def test_tap_connection_accepts_syn_with_matching_isn(lan):
