@@ -9,15 +9,20 @@ models, per direction:
 * propagation delay;
 * independent random loss (for the transient-network-failure scenarios of
   Table 1, row 5);
-* a *cut* state (cable failure, Table 1 row 4).
+* a *cut* state (cable failure, Table 1 row 4);
+* an *impairment* hook for everything finer: drop, duplicate or hold back
+  individual frames (:attr:`Cable.impair`).
+
+Loss, cut and impairment are set through hooks that bump
+``World.net_epoch``.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from typing import Callable, Iterable, Optional, Protocol, runtime_checkable
 
 from repro.net.frame import EthernetFrame
-from repro.net.pool import release_frame
+from repro.net.pool import release_frame, retain
 from repro.sim.world import World
 
 __all__ = ["Cable", "CableEndpoint"]
@@ -36,17 +41,13 @@ class CableEndpoint(Protocol):
 class Cable:
     """A full-duplex link with bandwidth, latency, loss and cut semantics."""
 
-    # Slots for every regular attribute (the flood sink loop touches
-    # several per cable per frame, and slot loads skip the dict probe),
-    # plus ``__dict__`` so tests can still stub ``transmit`` on individual
-    # cable instances to model targeted frame drops.  A pristine cable's
-    # instance dict stays empty — the switch uses that as a cheap
-    # "nothing stubbed here" test (see ``Switch._forward``).
+    # The flood sink loop touches several attributes per cable per frame,
+    # and slot loads skip the dict probe.
     __slots__ = ("_world", "_sim", "_ends", "bandwidth_bps",
                  "propagation_delay_ns", "_loss_rate", "name", "_rng",
-                 "_cut", "_tx_free_at", "frames_delivered", "frames_lost",
-                 "bytes_delivered", "_deliver_label",
-                 "__dict__", "__weakref__")
+                 "_cut", "_impair", "_tx_free_at", "frames_delivered",
+                 "frames_lost", "bytes_delivered", "_deliver_label",
+                 "__weakref__")
 
     def __init__(self, world: World, a: CableEndpoint, b: CableEndpoint,
                  bandwidth_bps: int = 100_000_000,
@@ -69,6 +70,7 @@ class Cable:
         self.name = name or f"cable:{a.name}<->{b.name}"
         self._rng = world.rng.stream(f"cable.{self.name}")
         self._cut = False
+        self._impair = None
         # Per-direction time at which the transmitter becomes free again.
         self._tx_free_at = [0, 0]
         self.frames_delivered = 0
@@ -103,7 +105,7 @@ class Cable:
         The setter bumps ``World.net_epoch``: the switch's flood planner
         pre-classifies clean cables at cache-build time (see
         ``Switch._build_flood_targets``), so every wire-state mutation —
-        loss, cut, power gates — must invalidate those caches.  Hot paths
+        loss, cut, impairment — must invalidate those caches.  Hot paths
         read the ``_loss_rate`` slot directly.
         """
         return self._loss_rate
@@ -132,6 +134,26 @@ class Cable:
         self._world.net_epoch += 1
         self._world.trace.record("fault", self.name, "cable repaired")
 
+    @property
+    def impair(self) -> Optional[Callable[..., Iterable[int]]]:
+        """Per-frame impairment (assignable): ``None``, or ``fn(sender,
+        frame)`` returning the delays in ns after which a copy of the
+        frame enters the wire.
+
+        ``()`` drops the frame, ``(0,)`` passes it, ``(0, 0)`` duplicates
+        it, ``(2_000_000,)`` holds it back 2 ms.  Each copy then queues,
+        draws for loss and meets a cut like any offered frame; a dropped
+        frame costs no wire time and no RNG draw.  The frame is valid only
+        during the call (the ``eth.frame`` probe's rule).  The setter bumps
+        ``World.net_epoch``, like :attr:`loss_rate`.
+        """
+        return self._impair
+
+    @impair.setter
+    def impair(self, fn: Optional[Callable[..., Iterable[int]]]) -> None:
+        self._impair = fn
+        self._world.net_epoch += 1
+
     # ------------------------------------------------------------- transmit
 
     def transmit(self, sender: CableEndpoint, frame: EthernetFrame) -> None:
@@ -144,45 +166,42 @@ class Cable:
         cable — it is released when the frame is dropped (cut, loss, cut
         while in flight) or after the final delivery to the far end.
         """
-        if self._cut:
-            self.frames_lost += 1
+        if self._impair is not None:
+            # One claim per copy; the caller's goes last, so the frame
+            # outlives every delayed copy and recycles after the last.
+            for delay in self._impair(sender, frame):
+                retain(frame)
+                if delay:
+                    self._sim.post(delay, self._offer, sender, frame,
+                                   label=self._deliver_label)
+                else:
+                    self._offer(sender, frame)
             release_frame(frame)
             return
-        ends = self._ends
-        direction = 0 if sender is ends[0] else 1
-        if direction and sender is not ends[1]:
-            raise ValueError(f"{sender!r} is not attached to {self.name}")
-        sim = self._sim
-        now = sim._now
-        free_at = self._tx_free_at[direction]
-        start = now if now >= free_at else free_at
-        tx_time = (frame.size_bytes * 8 * 1_000_000_000) // self.bandwidth_bps
-        self._tx_free_at[direction] = start + tx_time
-        arrival_delay = (start - now) + tx_time + self.propagation_delay_ns
-        if self._loss_rate > 0.0 and self._rng.random() < self._loss_rate:
-            self.frames_lost += 1
-            self._world.probes.fire("eth.frame_lost", self.name, "frame lost",
-                                    size=frame.size_bytes)
+        self._offer(sender, frame)
+
+    def _offer(self, sender: CableEndpoint, frame: EthernetFrame) -> None:
+        """Put one copy on the wire, past the impairment hook; consumes
+        one claim."""
+        plan = self.plan_transmit(sender, frame)
+        if plan is None:
             release_frame(frame)
-            return
-        # Deliveries are never cancelled: a kernel-owned event record.
-        sim.post(arrival_delay, self._deliver, ends[1 - direction], frame,
-                 label=self._deliver_label)
+        else:
+            self._sim.post(plan[0], self._deliver, plan[1], frame,
+                           label=self._deliver_label)
 
     def plan_transmit(self, sender: CableEndpoint,
                       frame: EthernetFrame) -> "tuple[int, CableEndpoint] | None":
-        """Like :meth:`transmit`, but return the delivery plan instead of
-        scheduling it.
+        """What :meth:`transmit` does to the wire, without the scheduling.
 
         Returns ``(arrival_delay_ns, receiver)`` when the frame will arrive,
-        or ``None`` when it is dropped (cut or random loss).  All side
-        effects of :meth:`transmit` except the scheduling happen here —
-        FIFO serialization state, loss counters, the per-cable RNG draw —
-        in exactly the same order, so a caller that batches several planned
-        deliveries into one event (see ``Switch._forward``) produces the
-        same wire-level behaviour as per-frame ``transmit`` calls.  The
-        caller must invoke :meth:`deliver_planned` at ``now +
-        arrival_delay_ns``.
+        or ``None`` when it is dropped (cut or random loss).  Every side
+        effect of a transmission happens here — FIFO serialization state,
+        loss counters, the per-cable RNG draw — so a caller that batches
+        several planned deliveries into one event (see
+        ``Switch._forward``) produces the same wire-level behaviour as
+        per-frame ``transmit`` calls.  The caller must invoke
+        :meth:`deliver_planned` at ``now + arrival_delay_ns``.
         """
         if self._cut:
             self.frames_lost += 1

@@ -16,8 +16,7 @@ from repro.net.arp import ArpTable
 from repro.net.frame import EtherType, EthernetFrame
 from repro.net.nic import Nic
 from repro.net.packet import IPPacket
-from repro.net.pool import (acquire_frame, acquire_packet, demote_frame,
-                            demote_packet)
+from repro.net.pool import acquire_frame, acquire_packet, demote_packet
 from repro.sim.world import World
 
 __all__ = ["Interface", "IpStack"]
@@ -82,13 +81,11 @@ class IpStack:
     are dropped (counted in :attr:`packets_not_for_us`).
     """
 
-    # Slots for the attributes the per-packet send/receive path reads,
-    # plus ``__dict__`` so tests can still attach instrumentation.
     __slots__ = ("_world", "name", "interfaces", "_default_gateway",
                  "_protocols", "_send_cache", "_cache_route_epoch",
                  "_loopback_label", "_packet_taps", "_promiscuous_taps",
                  "packets_sent", "packets_received", "packets_not_for_us",
-                 "packets_unroutable", "__dict__", "__weakref__")
+                 "packets_unroutable", "__weakref__")
 
     def __init__(self, world: World, name: str):
         self._world = world
@@ -201,17 +198,8 @@ class IpStack:
             # repro.net.pool).
             packet = acquire_packet(src if src is not None else src_ip,
                                     dst, protocol, payload)
-            # Nic.send inlined (keep in sync): unusual NICs (injected
-            # power gate) take the full method.
+            # Nic.send inlined (keep in sync).
             frame = acquire_frame(mac, nic.mac, EtherType.IPV4, packet)
-            if "transmit" in nic._cable.__dict__:
-                # Per-instance stubbed transmit (tests drop/duplicate/
-                # reorder frames at will): claim accounting cannot follow
-                # the stub, so the chain leaves the managed regime.
-                demote_frame(frame)
-            if nic._power_gate is not None:
-                nic.send(frame)
-                return
             nic.frames_sent += 1
             nic.bytes_sent += frame.size_bytes
             probes = self._world.probes

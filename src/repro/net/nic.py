@@ -26,7 +26,7 @@ class Nic:
     """A single Ethernet interface attached to a host."""
 
     __slots__ = ("_world", "name", "mac", "multicast_groups", "_promiscuous",
-                 "_cable", "_failed", "host_up", "_power_gate", "_upper",
+                 "_cable", "_failed", "host_up", "_upper",
                  "frames_sent", "frames_received", "bytes_sent",
                  "bytes_received", "frames_filtered", "_accept_values")
 
@@ -50,8 +50,6 @@ class Nic:
         # function on every frame (this check runs once per flooded frame
         # per NIC — the hottest branch at fleet scale).
         self.host_up = True
-        # Optional per-frame gate override (tests inject custom gates).
-        self._power_gate: Optional[Callable[[], bool]] = None
         # Installed by the host's IP layer.
         self._upper: Optional[Callable[[EthernetFrame], None]] = None
         self.frames_sent = 0
@@ -84,20 +82,6 @@ class Nic:
         """Unsubscribe from a multicast group."""
         self.multicast_groups.discard(group)
         self._accept_values.discard(group.value)
-        self._world.net_epoch += 1
-
-    @property
-    def power_gate(self) -> "Optional[Callable[[], bool]]":
-        """Per-frame delivery gate override (assignable; tests inject
-        custom gates).  The setter bumps ``World.net_epoch`` because the
-        switch's flood planner pre-classifies ungated NICs at cache-build
-        time (see ``Switch._build_flood_targets``); hot paths read the
-        ``_power_gate`` slot directly."""
-        return self._power_gate
-
-    @power_gate.setter
-    def power_gate(self, gate: "Optional[Callable[[], bool]]") -> None:
-        self._power_gate = gate
         self._world.net_epoch += 1
 
     @property
@@ -141,8 +125,6 @@ class Nic:
         or the host is powered off."""
         if self._failed or self._cable is None or not self.host_up:
             return
-        if self._power_gate is not None and not self._power_gate():
-            return
         self.frames_sent += 1
         self.bytes_sent += frame.size_bytes
         probes = self._world.probes
@@ -153,8 +135,6 @@ class Nic:
     def receive_frame(self, frame: EthernetFrame) -> None:
         """Cable-side entry point (CableEndpoint protocol)."""
         if self._failed or not self.host_up:
-            return
-        if self._power_gate is not None and not self._power_gate():
             return
         if (frame.dst._value not in self._accept_values
                 and not self._promiscuous):

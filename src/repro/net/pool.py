@@ -35,12 +35,12 @@ The invariants (also asserted by ``tests/net/test_pool.py``):
 
 * **Under-release is benign.**  A managed object whose holder forgets to
   release simply dies to the normal GC — the pool just misses a reuse.
-  Paths that may strand frames (power gates, stubbed ``transmit``)
-  therefore need no special casing.
 * **Over-release is corruption** and must never happen: a second
   release of the same claim would recycle an object another holder
   still reads.  Claim transfers (``Cable.transmit`` consumes the
-  caller's claim; ``Switch._ingress`` retains one for the fabric that
+  caller's claim — an impaired cable takes one per copy it puts on the
+  wire, so drops, duplicates and delays stay managed;
+  ``Switch._ingress`` retains one for the fabric that
   ``Switch._forward`` settles) are documented at each site.
 * **Payload bytes are never mutated.**  Recycling re-*assigns* fields;
   holders of ``segment.payload`` bytes (the stream logger, receive
@@ -67,7 +67,7 @@ from repro.net.packet import IP_HEADER_BYTES, IPPacket
 __all__ = ["FRAME_POOL", "PACKET_POOL",
            "FRAME_POOL_MAX", "PACKET_POOL_MAX",
            "acquire_frame", "acquire_packet",
-           "retain", "demote_frame", "demote_packet",
+           "retain", "demote_packet",
            "release_frame", "release_packet",
            "clear", "stats"]
 
@@ -149,24 +149,13 @@ def retain(obj) -> None:
         obj._claims = claims + 1
 
 
-def demote_frame(frame) -> None:
-    """Hand a managed frame (and its packet/segment) over to the GC.
-
-    Every later retain/release on the chain becomes a no-op.  This is the
-    escape hatch at boundaries the pool cannot reason about — a stubbed
-    per-instance ``transmit`` (tests re-send or swallow frames at will),
-    a tap observer that may keep the packet.  Under-release is benign, so
-    opting the object out of recycling is always sound; the cost is one
-    missed reuse.
-    """
-    frame._claims = 0
-    packet = frame.payload
-    if getattr(packet, "_claims", 0):
-        demote_packet(packet)
-
-
 def demote_packet(packet) -> None:
-    """Hand a packet (and its segment) over to the GC: the tap boundary."""
+    """Hand a packet (and its segment) over to the GC: the tap boundary.
+
+    Every later retain/release on the two becomes a no-op.  Under-release
+    is benign, so opting an object out of recycling is always sound; the
+    cost is one missed reuse.
+    """
     packet._claims = 0
     inner = packet.payload
     if getattr(inner, "_claims", 0):

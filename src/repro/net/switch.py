@@ -19,7 +19,7 @@ from repro.net.addresses import MacAddress
 from repro.net.cable import Cable
 from repro.net.frame import EthernetFrame
 from repro.net.nic import Nic
-from repro.net.pool import demote_frame, release_frame, retain
+from repro.net.pool import release_frame, retain
 from repro.sim.world import World
 
 __all__ = ["Switch", "SwitchPort"]
@@ -77,14 +77,11 @@ class Switch:
     not a transparent optimisation; see docs/scheduler.md.
     """
 
-    # Slots for the attributes the per-frame fabric path reads (plus
-    # ``__dict__`` so tests can still attach whatever they like).
     __slots__ = ("_world", "name", "forwarding_delay_ns", "egress_filtering",
                  "ports", "_mac_table", "_mac_by_value", "_mirror_port",
                  "frames_forwarded", "frames_flooded", "frames_mirrored",
                  "frames_egress_filtered", "_fwd_label", "_flood_label",
-                 "_flood_cache", "_cache_net_epoch",
-                 "__dict__", "__weakref__")
+                 "_flood_cache", "_cache_net_epoch", "__weakref__")
 
     def __init__(self, world: World, name: str = "switch",
                  forwarding_delay_ns: int = 2_000,
@@ -173,27 +170,17 @@ class Switch:
                 # per forwarded unicast frame.  Claims: the fabric's claim
                 # transfers into cable.transmit; a SPAN copy needs its own
                 # (taken *before* the main transmit, which may drop and
-                # recycle the frame).  A stubbed per-instance transmit may
-                # re-send or swallow the frame any number of times, so a
-                # managed frame headed into one is demoted to GC-owned.
+                # recycle the frame).
                 cable = learned._cable
                 mirror = self._mirror_port
                 if (mirror is not None and mirror is not learned
                         and mirror is not ingress):
-                    mcable = mirror._cable
-                    if ((cable is not None
-                         and "transmit" in cable.__dict__)
-                            or (mcable is not None
-                                and "transmit" in mcable.__dict__)):
-                        demote_frame(frame)
                     if cable is not None:
                         retain(frame)
                         cable.transmit(learned, frame)
                     self.frames_mirrored += 1
                     mirror.transmit(frame)
                 elif cable is not None:
-                    if "transmit" in cable.__dict__:
-                        demote_frame(frame)
                     cable.transmit(learned, frame)
                 else:
                     release_frame(frame)
@@ -237,19 +224,7 @@ class Switch:
         last_delay = -1
         group: list = []
         groups: dict[int, list] = {}
-        for port, cable, cdict, direction, receiver, free_at, prop, \
-                bandwidth, pair in targets:
-            if cdict and "transmit" in cdict:
-                # Tests stub transmit on individual cable instances to
-                # model targeted drops, duplicates or reorders; honour the
-                # stub per-frame (``cdict`` is the cable's instance dict,
-                # prefetched at cache-build time — empty on a pristine
-                # cable, see Cable.__slots__).  The stub may forward the
-                # frame zero or several times, so claim accounting cannot
-                # follow it: demote the whole chain to GC-owned first.
-                demote_frame(frame)
-                cable.transmit(port, frame)
-                continue
+        for cable, direction, free_at, prop, bandwidth, pair in targets:
             if cable._cut:
                 cable.frames_lost += 1
                 continue
@@ -279,23 +254,19 @@ class Switch:
         # eagerly here and the deliver-then-discard event is skipped
         # entirely.  Per-cable RNG consumption is unchanged (each cable
         # appears in exactly one of the two lists).  Anything unusual —
-        # a stubbed transmit, a cut or lossy cable, an injected power
-        # gate — falls back to a real scheduled delivery group.
+        # a cut, lossy or impaired cable — falls back to a real scheduled
+        # delivery.
         delivered_sinks = 0
-        for cdict, cable, free_at, direction, receiver, bandwidth, odd \
-                in sinks:
+        for cable, free_at, direction, receiver, bandwidth, odd in sinks:
             # One credited sink delivery per iteration: this loop is the
             # hottest code at fleet scale (a multicast heartbeat floods to
             # every client port, all of them sinks), so the per-frame
-            # validation is two truthiness tests.  ``odd`` was resolved at
-            # cache-build time (cut / lossy / power-gated); every mutation
-            # of that state bumps ``World.net_epoch`` and rebuilds this
-            # list.  ``cdict`` — the cable's prefetched instance dict,
-            # empty on a pristine cable — covers stubbed ``transmit``,
-            # which tests may install at any moment without a hook.  Both
-            # route through the full-semantics slow path, which re-checks
-            # everything properly.
-            if odd or cdict:
+            # validation is one truthiness test.  ``odd`` was resolved at
+            # cache-build time (cut / lossy / impaired); every mutation of
+            # that state bumps ``World.net_epoch`` and rebuilds this list.
+            # It routes through the full-semantics slow path, which
+            # re-checks everything properly.
+            if odd:
                 self._plan_slow_target(cable, direction, frame, groups)
                 continue
             if bandwidth != last_bw:
@@ -323,15 +294,14 @@ class Switch:
         release_frame(frame)
 
     def _plan_slow_target(self, cable, direction, frame, groups) -> None:
-        """Full wire semantics for a sink that turned unusual after the
-        flood cache was built (stub, cut, loss, power gate): plan the
-        delivery with :meth:`Cable.plan_transmit` and append it to the
-        arrival-time groups."""
+        """Full wire semantics for an ``odd`` flood target (cut, lossy,
+        impaired): plan the delivery with :meth:`Cable.plan_transmit` and
+        append it to the arrival-time groups.  An impaired cable decides
+        per frame how many copies leave and when, so it gets the frame
+        through :meth:`Cable.transmit`, with a claim of its own."""
         sender = cable._ends[direction]   # the switch-port end
-        if "transmit" in cable.__dict__:
-            # Honour per-instance stubs.  The stub may forward zero or
-            # several times: demote first.
-            demote_frame(frame)
+        if cable._impair is not None:
+            retain(frame)
             cable.transmit(sender, frame)
             return
         plan = cable.plan_transmit(sender, frame)
@@ -345,16 +315,16 @@ class Switch:
         ``(targets, sinks, filtered)``.
 
         ``targets`` holds every other cabled port whose far end might act
-        on the frame: (port, cable, the cable's instance dict — empty
-        unless a test stubbed something — direction, far endpoint, plus
-        the cable's construction-time constants — its ``_tx_free_at``
-        list, propagation delay and bandwidth — plus a prebuilt (cable,
+        on the frame: (cable, direction, plus the cable's
+        construction-time constants — its ``_tx_free_at`` list,
+        propagation delay and bandwidth — plus a prebuilt (cable,
         receiver) delivery pair, pre-fetched so the per-frame loop skips
         the attribute lookups and tuple allocation).  ``sinks`` holds the
         ports whose far end is a plain NIC whose address filter rejects
         ``dst``: their delivery is pure accounting, handled eagerly by
         ``_forward`` without a scheduled event (filter changes bump
-        ``World.net_epoch``, which invalidates this cache).  When
+        ``World.net_epoch``, which invalidates this cache) — and, flagged
+        ``odd``, every impaired cable, whatever its far end.  When
         :attr:`egress_filtering` is on, would-be-filtered ports are
         dropped entirely instead; the filtered count rides along so the
         counter stays per-frame."""
@@ -374,23 +344,22 @@ class Switch:
                 if accepts is not None and not accepts(dst):
                     filtered += 1
                     continue
-            if (type(receiver) is Nic and not receiver._promiscuous
-                    and dst._value not in receiver._accept_values):
-                # ``odd`` pre-resolves the cut/lossy/power-gated test: all
+            impaired = cable._impair is not None
+            if impaired or (type(receiver) is Nic
+                            and not receiver._promiscuous
+                            and dst._value not in receiver._accept_values):
+                # ``odd`` pre-resolves the cut/lossy/impaired test: all
                 # three mutate only through hooks that bump World.net_epoch
-                # (Cable.cut/repair, the loss_rate and power_gate property
-                # setters), which rebuilds this cache, so the per-frame
-                # sink loop needs no attribute checks.  Stubbed transmit
-                # has no hook; the loop tests the prefetched instance dict.
-                odd = (cable._cut or cable._loss_rate > 0.0
-                       or receiver._power_gate is not None)
-                sinks.append((cable.__dict__, cable, cable._tx_free_at,
-                              direction, receiver, cable.bandwidth_bps,
-                              odd))
+                # (Cable.cut/repair, the loss_rate and impair setters),
+                # which rebuilds this cache, so the per-frame sink loop
+                # needs no attribute checks.
+                odd = impaired or cable._cut or cable._loss_rate > 0.0
+                sinks.append((cable, cable._tx_free_at, direction, receiver,
+                              cable.bandwidth_bps, odd))
                 continue
-            targets.append((port, cable, cable.__dict__, direction, receiver,
-                            cable._tx_free_at, cable.propagation_delay_ns,
-                            cable.bandwidth_bps, (cable, receiver)))
+            targets.append((cable, direction, cable._tx_free_at,
+                            cable.propagation_delay_ns, cable.bandwidth_bps,
+                            (cable, receiver)))
         return targets, sinks, filtered
 
     def _deliver_flood(self, group: list, frame: EthernetFrame) -> None:
@@ -412,11 +381,10 @@ class Switch:
             # Inline Nic.receive_frame's reject paths (keep in sync): with
             # egress filtering off, most flood deliveries end right here at
             # the far-end NIC's address filter, and skipping the call per
-            # port is worth the duplication.  Anything unusual — custom
-            # power gate, promiscuous mode, non-NIC endpoint, or an
-            # accepted frame — takes the full method.
-            if type(receiver) is Nic and receiver._power_gate is None \
-                    and not receiver._promiscuous:
+            # port is worth the duplication.  Anything unusual —
+            # promiscuous mode, non-NIC endpoint, or an accepted frame —
+            # takes the full method.
+            if type(receiver) is Nic and not receiver._promiscuous:
                 if receiver._failed or not receiver.host_up:
                     continue
                 if dst_value not in receiver._accept_values:

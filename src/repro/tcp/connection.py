@@ -763,7 +763,7 @@ class TcpConnection:
         ack = seq_add(self.irs, 1)
         self._emit(TcpSegment(self.local_port, self.remote_port, seq=self.iss,
                               ack=ack, flags=TcpFlags.SYN | TcpFlags.ACK,
-                              window=self.recv_buffer.window))
+                              window=self.recv_buffer.advertise_window()))
         self._rtx_timer.start(self.rtt.rto_ns)
 
     def _send_pure_ack(self) -> None:

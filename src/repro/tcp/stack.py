@@ -35,13 +35,11 @@ ConnKey = tuple  # (local_ip, local_port, remote_ip, remote_port)
 class TcpStack:
     """All TCP endpoints of one host."""
 
-    # Slots for the attributes the per-segment demux path reads, plus
-    # ``__dict__`` so tests can still attach instrumentation.
     __slots__ = ("_world", "_ip", "name", "config", "_connections",
                  "_conn_by_value", "_listeners", "_next_ephemeral",
                  "_isn_rng", "_frozen", "segment_filter",
                  "on_connection_accepted", "segments_demuxed", "rsts_sent",
-                 "__dict__", "__weakref__")
+                 "__weakref__")
 
     EPHEMERAL_BASE = 49152
 

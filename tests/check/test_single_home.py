@@ -108,6 +108,29 @@ def test_sttcp_holds_the_output_gate_and_never_swaps_transmit():
     assert "output_gate" in backup
 
 
+def test_the_wire_is_impaired_through_its_hook_and_never_stubbed():
+    """Per-frame drops, duplicates and delays go through the one declared
+    hook, ``Cable.impair`` — not by assigning ``transmit`` on a live
+    cable, which production code then had to detect (``"transmit" in
+    cable.__dict__``), carry an instance dict for, and demote pooled
+    frames around.  The fabric classes are slots-only, and the NIC gate
+    nothing ever set stays deleted."""
+    gone = re.compile(r'__dict__|"transmit" in|power_gate|demote_frame')
+    strays = [f"{_where(module, text, m)} ({m.group(0)})"
+              for module, text in _sources() for m in gone.finditer(text)]
+    assert not strays, f"stub accommodation named under src/: {strays}"
+    stub = re.compile(r"cable\w*\.transmit\s*=(?!=)")
+    assert stub.search("b_cable" + ".transmit = drop_everything")
+    stubs = []
+    for path in sorted((REPO / "tests").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        stubs += [_where(path.relative_to(REPO).as_posix(), text, m)
+                  for m in stub.finditer(text)]
+    assert not stubs, f"set cable.impair instead of stubbing transmit: {stubs}"
+    cable = (PACKAGE / "net" / "cable.py").read_text(encoding="utf-8")
+    assert "def impair" in cable
+
+
 def test_no_literal_stands_in_for_another_modules_constant():
     """A ``# == NAME`` comment marks a literal kept equal to a constant by
     hand.  The last ones (the wheel geometry inside ``sim/core.py``) went

@@ -1,11 +1,15 @@
-"""Unit tests for the cable model: delay, serialization, loss, cuts."""
+"""Unit tests for the cable model: delay, serialization, loss, cuts,
+and the per-frame impairment hook."""
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.net import pool
 from repro.net.addresses import MacAddress
 from repro.net.cable import Cable
 from repro.net.frame import EthernetFrame, EtherType
+from repro.net.nic import Nic
+from repro.net.switch import Switch
 from repro.sim.world import World
 
 
@@ -218,3 +222,237 @@ def test_negative_propagation_delay_cannot_run_the_clock_backwards():
         world.run()
     assert b.received == []
     assert world.sim.now == 100_000_000
+
+
+# ------------------------------------------------------------ impairment
+
+TX = frame().size_bytes * 8 * 1_000_000_000 // 100_000_000
+PROP = 1_000
+
+
+def managed_frame():
+    return pool.acquire_frame(MacAddress(2), MacAddress(1), EtherType.IPV4,
+                              b"x" * 100)
+
+
+@pytest.mark.parametrize("delays, arrivals", [
+    ((), []),                                    # drop
+    ((0,), [TX + PROP]),                         # pass
+    ((0, 0), [TX + PROP, 2 * TX + PROP]),        # duplicate: FIFO behind itself
+    ((2_000_000,), [2_000_000 + TX + PROP]),     # held back 2 ms
+])
+def test_impair_decides_how_many_copies_enter_the_wire_and_when(delays,
+                                                                arrivals):
+    world = World()
+    a, b, cable = make(world)
+    epoch = world.net_epoch
+    cable.impair = lambda sender, f: delays
+    assert world.net_epoch == epoch + 1      # the shared wire-hook rule
+    cable.transmit(a, frame())
+    world.run()
+    assert [t for t, _ in b.received] == arrivals
+    assert cable.frames_delivered == len(arrivals)
+    assert cable.frames_lost == 0
+
+
+def test_impair_sees_the_sender_and_only_its_own_cable_direction():
+    world = World()
+    a, b, cable = make(world)
+    seen = []
+    cable.impair = lambda sender, f: seen.append(sender.name) or (0,)
+    cable.transmit(a, frame())
+    cable.transmit(b, frame())
+    world.run()
+    assert seen == ["a", "b"]
+    assert len(a.received) == len(b.received) == 1
+    cable.impair = None
+    cable.transmit(a, frame())
+    world.run()
+    assert seen == ["a", "b"] and len(b.received) == 2
+
+
+def test_impair_keeps_pool_claims_balanced(clean_pools):
+    """One claim per copy, the caller's released last: a dropped frame is
+    back at once, a duplicated one after its second delivery, and a
+    delayed one is not recycled while its copy waits."""
+    world = World()
+    a, b, cable = make(world)
+    script = iter([(), (0, 0), (1_000_000,)])
+    cable.impair = lambda sender, f: next(script)
+    dropped, doubled, held = managed_frame(), managed_frame(), managed_frame()
+    cable.transmit(a, dropped)
+    assert pool.FRAME_POOL == [dropped]
+    cable.transmit(a, doubled)
+    assert doubled._claims == 2
+    cable.transmit(a, held)
+    assert held._claims == 1
+    world.run(until=500_000)
+    assert len(b.received) == 2                  # both copies of `doubled`
+    assert held._claims == 1 and held.payload is not None
+    assert held not in pool.FRAME_POOL
+    world.run()
+    assert len(b.received) == 3
+    assert len(pool.FRAME_POOL) == 3
+    assert dropped._claims == doubled._claims == held._claims == 0
+
+
+def test_impaired_drop_costs_no_wire_time_and_no_loss_draw():
+    world = World(seed=7)
+    a, b, cable = make(world, loss_rate=0.5)
+    rng_before = cable._rng.getstate()
+    cable.impair = lambda sender, f: ()
+    for _ in range(20):
+        cable.transmit(a, frame())
+    world.run()
+    assert b.received == []
+    assert cable._tx_free_at == [0, 0]
+    assert cable._rng.getstate() == rng_before
+    assert cable.frames_lost == 0
+
+
+def test_impair_composes_with_loss_rate():
+    """Every copy that enters the wire draws for loss like an offered
+    frame: a pass-through hook changes nothing, a duplicating one draws
+    twice per frame."""
+    def run(impair, frames):
+        world = World(seed=7)
+        a, b, cable = make(world, loss_rate=0.4)
+        cable.impair = impair
+        for _ in range(frames):
+            cable.transmit(a, frame(10))
+        world.run()
+        return len(b.received), cable.frames_lost
+
+    plain = run(None, 50)
+    assert 0 < plain[1] < 50
+    assert run(lambda sender, f: (0,), 50) == plain
+    assert run(lambda sender, f: (0, 0), 25) == plain
+
+
+def test_cut_while_a_delayed_copy_waits_loses_it(clean_pools):
+    world = World()
+    a, b, cable = make(world)
+    cable.impair = lambda sender, f: (1_000_000,)
+    held = managed_frame()
+    cable.transmit(a, held)
+    world.sim.schedule(500_000, cable.cut)
+    world.run()
+    assert b.received == []
+    assert cable.frames_lost == 1
+    assert cable._tx_free_at == [0, 0]
+    assert pool.FRAME_POOL == [held]
+
+
+MULTI = MacAddress("03:00:5e:00:00:64")
+
+
+def plug(world, switch, end):
+    """Cable ``end`` to a fresh port of ``switch``."""
+    port = switch.new_port()
+    port.cable = Cable(world, end, port)
+    return port.cable
+
+
+def fabric(world, nics=2):
+    """A switch with one recording endpoint and ``nics`` real NICs that
+    have not joined ``MULTI`` — flood sinks."""
+    switch = Switch(world)
+    src = Endpoint("src", world)
+    src_cable = plug(world, switch, src)
+    cards = []
+    for i in range(nics):
+        nic = Nic(world, f"nic{i}", MacAddress(0x10 + i))
+        nic.attach_cable(plug(world, switch, nic))
+        cards.append(nic)
+
+    def flood():
+        before = world.sim.events_processed
+        src_cable.transmit(src, EthernetFrame(MULTI, MacAddress(1),
+                                              EtherType.IPV4, b"x" * 50))
+        world.run()
+        return world.sim.events_processed - before
+
+    return switch, cards, flood
+
+
+def test_impair_installed_on_a_warm_flood_cache_and_cleared_again():
+    world = World()
+    switch, (n0, n1), flood = fabric(world)
+    # ingress delivery + forward + two credited sink deliveries
+    assert flood() == 4
+    assert (n0.frames_filtered, n1.frames_filtered) == (1, 1)
+    n0._cable.impair = lambda sender, f: ()
+    assert flood() == 3                      # nothing reaches n0's wire
+    assert (n0.frames_filtered, n1.frames_filtered) == (1, 2)
+    assert n0._cable.frames_delivered == 1
+    n0._cable.impair = lambda sender, f: (0, 0)
+    assert flood() == 5                      # two real deliveries to n0
+    assert (n0.frames_filtered, n1.frames_filtered) == (3, 3)
+    n0._cable.impair = None
+    assert flood() == 4                      # the credited fast lane again
+    assert (n0.frames_filtered, n1.frames_filtered) == (4, 4)
+    assert n0._cable.frames_delivered == 4
+    assert switch.frames_flooded == 4
+
+
+def test_impaired_cable_behind_a_span_mirror_port(clean_pools):
+    world = World()
+    switch = Switch(world)
+    ends = a, b, mirror = [Endpoint(f"s{i}", world) for i in range(3)]
+    cables = [plug(world, switch, end) for end in ends]
+    switch.set_mirror_port(switch.ports[2])
+    cables[1].transmit(b, EthernetFrame(MacAddress(9), MacAddress(2),
+                                        EtherType.IPV4, b"learn b"))
+    world.run()
+    for end in ends:
+        end.received.clear()
+
+    def send_to_b():
+        sent = pool.acquire_frame(MacAddress(2), MacAddress(1),
+                                  EtherType.IPV4, b"x" * 50)
+        cables[0].transmit(a, sent)
+        world.run()
+        return sent
+
+    cables[2].impair = lambda sender, f: (0, 0)   # the mirror doubles
+    first = send_to_b()
+    assert len(b.received) == 1 and len(mirror.received) == 2
+    assert pool.FRAME_POOL == [first]             # all three claims settled
+    cables[2].impair = None
+    cables[1].impair = lambda sender, f: ()       # the destination drops
+    second = send_to_b()
+    assert len(b.received) == 1 and len(mirror.received) == 3
+    assert switch.frames_mirrored == 2
+    assert second is first                        # recycled, and back again
+    assert pool.FRAME_POOL == [second]
+
+
+def test_impaired_switch_to_switch_link():
+    """A far end that is no NIC: the flood's impaired target still goes
+    through the hook, whatever the frame would have met there."""
+    world = World()
+    left, right = Switch(world, "left"), Switch(world, "right")
+    a, b = Endpoint("a", world), Endpoint("b", world)
+    a_cable = plug(world, left, a)
+    plug(world, right, b)
+    up, down = left.new_port(), right.new_port()
+    trunk = Cable(world, up, down)
+    up.cable = down.cable = trunk
+
+    def flood():
+        b.received.clear()
+        start = world.now
+        a_cable.transmit(a, EthernetFrame(
+            MULTI, MacAddress(1), EtherType.IPV4, b"x" * 50))
+        world.run()
+        return [t - start for t, _ in b.received]
+
+    (plain,) = flood()
+    trunk.impair = lambda sender, f: (1_000_000,)
+    assert flood() == [plain + 1_000_000]
+    trunk.impair = lambda sender, f: (0, 0)
+    assert len(flood()) == 2
+    trunk.impair = lambda sender, f: ()
+    assert flood() == []
+    trunk.impair = None
+    assert flood() == [plain]

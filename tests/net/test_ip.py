@@ -1,6 +1,7 @@
 """Unit tests for the IP stack: aliasing, routing, demux, local delivery."""
 
 from repro.net.addresses import IPAddress
+from repro.net.ip import IpStack
 from repro.net.packet import IPPacket, IPProtocol
 
 
@@ -109,14 +110,21 @@ def test_packet_ttl_and_size():
 
 # ---- send plans vs ARP learning (an ARP learn is the learner's business) ----
 
-def _count_slow_sends(host):
+def _count_slow_sends(host, monkeypatch):
     walks = []
-    slow = host.ip._send_slow
-    host.ip._send_slow = lambda *a: (walks.append(a[0]), slow(*a))
+    slow = IpStack._send_slow
+
+    def counting(stack, dst, *rest):
+        if stack is host.ip:
+            walks.append(dst)
+        slow(stack, dst, *rest)
+
+    monkeypatch.setattr(IpStack, "_send_slow", counting)
     return walks
 
 
-def test_a_third_hosts_arp_learn_leaves_an_established_flows_plan(lan3):
+def test_a_third_hosts_arp_learn_leaves_an_established_flows_plan(
+        lan3, monkeypatch):
     """h0 → h1 is an established flow.  h2 forgetting and re-learning h1's
     MAC teaches h0 nothing — every host already knows h2, so its request
     changes no table but its own — and must not send h0's next packet back
@@ -128,7 +136,7 @@ def test_a_third_hosts_arp_learn_leaves_an_established_flows_plan(lan3):
     h2.ip.send(lan3.ip(0), "test", b"warm")
     lan3.world.run()
     h0.ip.send(lan3.ip(1), "test", b"plan cached")
-    walks = _count_slow_sends(h0)
+    walks = _count_slow_sends(h0, monkeypatch)
     h2.interfaces[0].arp._cache.clear()
     h2.ip._send_cache.clear()
     lan3.world.run(until=2_000_000_000)   # past the once-a-second re-ARP limit
@@ -151,7 +159,8 @@ def test_a_changed_arp_entry_redirects_the_hosts_next_packet(lan):
     lan.world.run()
     h0.ip.send(lan.ip(1), "test", b"plan cached")
     framed_for = []
-    lan.cables[0].transmit = lambda nic, frame: framed_for.append(frame.dst)
+    lan.cables[0].impair = \
+        lambda nic, frame: framed_for.append(frame.dst) or ()
     h0.ip.send(lan.ip(1), "test", b"old")
     moved = MacAddress("02:00:00:00:00:99")
     h0.interfaces[0].arp.handle_frame(EthernetFrame(

@@ -98,11 +98,25 @@ def test_repair_restores():
     assert len(received) == 1
 
 
-def test_power_gate_blocks_both_directions():
-    _w, nic, received = make_nic()
-    nic.power_gate = lambda: False
-    nic.receive_frame(frame(OWN))
-    assert received == []
+def test_power_gate_blocks_both_directions(lan):
+    """The host pushes its power state down as ``host_up``: a powered-off
+    machine's NIC neither receives nor sends, though the card is healthy."""
+    nic = lan.hosts[0].nics[0]
+    received = []
+    nic.set_upper(received.append)
+    nic.host_up = False
+    nic.receive_frame(frame(nic.mac))
+    assert received == [] and nic.frames_received == 0
+    nic.send(frame(OTHER))
+    lan.world.run()
+    assert nic.frames_sent == 0
+    assert lan.cables[0].frames_delivered == 0
+    nic.host_up = True
+    nic.receive_frame(frame(nic.mac))
+    nic.send(frame(OTHER))
+    lan.world.run()
+    assert len(received) == 1 and nic.frames_sent == 1
+    assert lan.cables[0].frames_delivered == 1
 
 
 def test_counters_track_traffic():

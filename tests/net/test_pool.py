@@ -28,12 +28,7 @@ from repro.workloads.engine import WorkloadSpec
 from repro.workloads.runner import run_workload_failover
 
 
-@pytest.fixture(autouse=True)
-def clean_pools():
-    """Each test starts and ends with empty free lists."""
-    pool.clear()
-    yield
-    pool.clear()
+pytestmark = pytest.mark.usefixtures("clean_pools")
 
 
 def make_chain():
@@ -151,25 +146,6 @@ def test_segment_retain_survives_packet_recycle():
 
 
 # -------------------------------------------------------------- demotion
-
-def test_demote_frame_zeroes_the_whole_chain():
-    frame, packet, segment = make_chain()
-    pool.demote_frame(frame)
-    assert frame._claims == packet._claims == segment._claims == 0
-    # Every later release is now a no-op: the GC owns the chain.
-    pool.release_frame(frame)
-    release_segment(segment)
-    assert pool.stats() == {"frame_pool": 0, "packet_pool": 0,
-                            "segment_pool": 0}
-    assert frame.payload is packet        # nothing scrubbed
-
-
-def test_demote_frame_handles_bytes_payloads():
-    frame = pool.acquire_frame(MacAddress(1), MacAddress(2),
-                               EtherType.ARP, b"arp-request")
-    pool.demote_frame(frame)
-    assert frame._claims == 0
-
 
 def test_demote_packet_zeroes_packet_and_segment_only():
     """The tap boundary: the observed packet and its segment go to the GC;

@@ -182,13 +182,12 @@ def test_flood_cache_sees_newly_attached_station():
 
 
 def test_flood_honours_cable_stub_installed_after_cache_build():
-    """Tests stub transmit on cable instances mid-run to model targeted
-    drops; the flood path must consult the stub even with a warm cache."""
+    """Tests impair cables mid-run to model targeted drops; the flood
+    path must consult the hook even with a warm cache."""
     world, switch, (a, b, c), _ = build()
     a.send(BROADCAST_MAC)
     world.run()
-    b_cable = b._cable
-    b_cable.transmit = lambda sender, frame: None  # drop everything to b
+    b._cable.impair = lambda sender, frame: ()  # drop everything to b
     a.send(BROADCAST_MAC)
     world.run()
     assert len(b.received) == 1  # only the pre-stub flood

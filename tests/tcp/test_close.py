@@ -115,8 +115,6 @@ def test_fin_retransmitted_if_lost(world):
     lan = make_lan(world)
     pair = TcpPair(lan)
     pair.run(0.1)
-    cable = lan.cables[1]
-    original = cable.transmit
     state = {"dropped": False}
 
     def drop_first_fin(sender, frame):
@@ -124,10 +122,10 @@ def test_fin_retransmitted_if_lost(world):
         if (isinstance(segment, TcpSegment) and segment.fin
                 and not state["dropped"]):
             state["dropped"] = True
-            return
-        original(sender, frame)
+            return ()
+        return (0,)
 
-    cable.transmit = drop_first_fin
+    lan.cables[1].impair = drop_first_fin
     pair.client_sock.close()
     pair.run(10)
     assert state["dropped"]
@@ -144,8 +142,6 @@ def test_retransmitted_fin_reacked_after_consumption(world):
     pair = TcpPair(lan)
     pair.run(0.1)
     server_conn = pair.accepted[0].connection
-    cable = lan.cables[1]          # client -> switch
-    original = cable.transmit
     state = {"dropped": 0}
 
     def drop_fin_ack(sender, frame):
@@ -154,10 +150,10 @@ def test_retransmitted_fin_reacked_after_consumption(world):
                 and server_conn.fin_sent and segment.ack_flag
                 and not segment.payload and not segment.fin):
             state["dropped"] = 1
-            return
-        original(sender, frame)
+            return ()
+        return (0,)
 
-    cable.transmit = drop_fin_ack
+    lan.cables[1].impair = drop_fin_ack    # client -> switch
     pair.server_sock.close()       # server -> FIN_WAIT_1
     pair.run(10)
     assert state["dropped"] == 1

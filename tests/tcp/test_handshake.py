@@ -94,8 +94,6 @@ def test_lost_synack_recovers_via_syn_rcvd_retransmit(world):
     lan = make_lan(world)
     pair = TcpPair(lan)
     # Drop exactly the first server->client frame (the SYN-ACK).
-    cable = lan.cables[0]
-    original = cable.transmit
     dropped = {"done": False}
 
     def lossy_transmit(sender, frame):
@@ -104,10 +102,10 @@ def test_lost_synack_recovers_via_syn_rcvd_retransmit(world):
                 and getattr(payload, "syn", False)
                 and getattr(payload, "ack_flag", False)):
             dropped["done"] = True
-            return
-        original(sender, frame)
+            return ()
+        return (0,)
 
-    cable.transmit = lossy_transmit
+    lan.cables[0].impair = lossy_transmit
     pair.run(10)
     assert dropped["done"]
     assert pair.client_sock.state is TcpState.ESTABLISHED

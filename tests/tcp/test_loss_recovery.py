@@ -12,21 +12,20 @@ def patterned(n: int) -> bytes:
 
 
 class SelectiveDropper:
-    """Wraps a cable's transmit to drop chosen TCP payload segments."""
+    """Impairs a cable to drop chosen TCP payload segments."""
 
     def __init__(self, cable, should_drop):
         self.dropped = 0
         self._should_drop = should_drop
-        self._original = cable.transmit
-        cable.transmit = self._transmit
+        cable.impair = self._impair
 
-    def _transmit(self, sender, frame):
+    def _impair(self, sender, frame):
         segment = getattr(frame.payload, "payload", None)
         if isinstance(segment, TcpSegment) and self._should_drop(segment,
                                                                  self.dropped):
             self.dropped += 1
-            return
-        self._original(sender, frame)
+            return ()
+        return (0,)
 
 
 def test_transfer_completes_over_lossy_link(world):
@@ -62,6 +61,29 @@ def test_single_drop_triggers_fast_retransmit(world):
     assert dropper.dropped == 1
     assert bytes(pair.server.data) == data
     assert pair.client_sock.connection.cc.fast_retransmits >= 1
+
+
+def test_first_segment_of_a_fresh_connection_lost_draws_three_true_dupacks(
+        world):
+    """The SYN-ACK's window is a promise like any other (RFC 9293 forbids
+    shrinking it): the acks for the three segments behind a lost first
+    one carry the window the SYN-ACK carried, so the sender counts three
+    duplicates — not a window update and two — and fast-retransmits
+    instead of waiting for the RTO."""
+    lan = make_lan(world)
+    pair = TcpPair(lan)
+    pair.run(0.1)
+    dropper = SelectiveDropper(
+        lan.cables[1], lambda seg, dropped: dropped == 0 and seg.payload)
+    data = patterned(4 * 1460)
+    assert pair.client_sock.send(data) == len(data)
+    pair.run(0.15)      # well inside the 200 ms minimum RTO
+    conn = pair.client_sock.connection
+    assert dropper.dropped == 1
+    assert conn.dupacks_received == 3
+    assert conn.cc.fast_retransmits == 1
+    assert conn.cc.timeouts == 0
+    assert bytes(pair.server.data) == data
 
 
 def test_rto_fires_when_all_acks_lost(world):
@@ -152,16 +174,13 @@ def test_duplicate_segments_are_harmless(world):
     """A duplicating cable must not corrupt the stream (reassembly dedup)."""
     lan = make_lan(world)
     pair = TcpPair(lan)
-    cable = lan.cables[1]
-    original = cable.transmit
-
     def duplicating(sender, frame):
-        original(sender, frame)
         segment = getattr(frame.payload, "payload", None)
         if isinstance(segment, TcpSegment) and segment.payload:
-            original(sender, frame)   # exact duplicate
+            return (0, 0)   # exact duplicate
+        return (0,)
 
-    cable.transmit = duplicating
+    lan.cables[1].impair = duplicating
     data = patterned(100_000)
     pump_stream(pair.client_sock, data)
     pair.run(30)
@@ -172,8 +191,6 @@ def test_reordering_is_tolerated(world):
     """Delaying every 10th data segment forces out-of-order arrival."""
     lan = make_lan(world)
     pair = TcpPair(lan)
-    cable = lan.cables[1]
-    original = cable.transmit
     count = {"n": 0}
 
     def reordering(sender, frame):
@@ -181,12 +198,10 @@ def test_reordering_is_tolerated(world):
         if isinstance(segment, TcpSegment) and segment.payload:
             count["n"] += 1
             if count["n"] % 10 == 0:
-                world.sim.schedule(2_000_000,  # 2 ms late
-                                   lambda: original(sender, frame))
-                return
-        original(sender, frame)
+                return (2_000_000,)   # 2 ms late
+        return (0,)
 
-    cable.transmit = reordering
+    lan.cables[1].impair = reordering
     data = patterned(200_000)
     pump_stream(pair.client_sock, data)
     pair.run(60)
