@@ -3,7 +3,7 @@ deterministic discrete-event network simulator.
 
 The package layers exactly as the paper's system does:
 
-- :mod:`repro.sim` — deterministic event kernel (int-ns clock, trace, RNG);
+- :mod:`repro.sim` — deterministic event kernel (int-ns clock, world, RNG);
 - :mod:`repro.net` — Ethernet switch/NICs/cables, ARP (static + dynamic),
   IP with aliasing, ICMP, UDP, RS-232 serial link;
 - :mod:`repro.tcp` — a full TCP (handshake, Reno, RTO backoff, FIN/RST);

@@ -189,8 +189,8 @@ class StreamClient(Application):
         bad = verify_pattern(self.received, data)
         if bad >= 0 and self.corrupt_at is None:
             self.corrupt_at = self.received + bad
-            self.world.trace.record("app", self.name, "payload corruption",
-                                    at=self.corrupt_at)
+            self.world.probes.fire("app.corruption", self.name,
+                                   "payload corruption", at=self.corrupt_at)
         self.received += len(data)
         if self.monitor is not None:
             self.monitor.on_bytes(len(data))

@@ -236,9 +236,8 @@ def _run_failover(trial: TrialSpec) -> dict:
     _reject_unknown(params, "failover")
 
     tb = _warm_testbed(
-        ("failover", repr(config), opts.cc, opts.trace_categories), opts,
-        lambda: build_testbed(seed=opts.seed, config=config, cc=opts.cc,
-                              trace_categories=opts.trace_categories))
+        ("failover", repr(config), opts.cc), opts,
+        lambda: build_testbed(seed=opts.seed, config=config, cc=opts.cc))
     record = _base_record(trial)
     record["oracle"] = "clean" if opts.check else "off"
     try:
@@ -271,9 +270,8 @@ def _run_baseline(trial: TrialSpec) -> dict:
     _reject_unknown(params, "baseline")
 
     tb = _warm_testbed(
-        ("baseline", opts.cc, opts.trace_categories), opts,
-        lambda: build_testbed(seed=opts.seed, mode="baseline", cc=opts.cc,
-                              trace_categories=opts.trace_categories))
+        ("baseline", opts.cc), opts,
+        lambda: build_testbed(seed=opts.seed, mode="baseline", cc=opts.cc))
     record = _base_record(trial)
     record["oracle"] = "clean" if opts.check else "off"
     try:
@@ -316,11 +314,9 @@ def _run_workload(trial: TrialSpec) -> dict:
     _reject_unknown(params, "workload")
 
     tb = _warm_testbed(
-        ("workload", repr(config), num_clients, opts.cc,
-         opts.trace_categories), opts,
+        ("workload", repr(config), num_clients, opts.cc), opts,
         lambda: build_testbed(seed=opts.seed, config=config, cc=opts.cc,
-                              num_clients=num_clients,
-                              trace_categories=opts.trace_categories))
+                              num_clients=num_clients))
     record = _base_record(trial)
     record["oracle"] = "clean" if opts.check else "off"
     try:
@@ -359,8 +355,7 @@ def _run_cc_ident(trial: TrialSpec) -> dict:
     record["oracle"] = "off"
     result = run_cc_ident(cc, seed=opts.seed, total_bytes=total_bytes,
                           loss_rate=loss_rate,
-                          run_until_s=opts.run_until_s,
-                          trace_categories=opts.trace_categories)
+                          run_until_s=opts.run_until_s)
     record["cc"] = cc
     record["guess"] = result.guess
     record["correct"] = result.correct

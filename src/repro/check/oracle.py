@@ -154,22 +154,20 @@ class InvariantOracle:
         """Subscribe to the probes the catalogue needs (idempotent)."""
         if self._attached:
             return self
-        probes = self.world.probes
-        for name, handler in (("tcp.segment_tx", self._on_segment_tx),
-                              ("tcp.deliver", self._on_deliver),
-                              ("eth.frame", self._on_frame),
-                              ("hb.state", self._on_heartbeat),
-                              ("sttcp.takeover", self._on_takeover),
-                              ("sttcp.non-ft-mode", self._on_non_ft),
-                              ("sttcp.conn-replicated", self._on_replicated)):
-            self._subs.append(probes.subscribe(name, handler))
+        self._subs = self.world.probes.attach(
+            (("tcp.segment_tx", self._on_segment_tx),
+             ("tcp.deliver", self._on_deliver),
+             ("eth.frame", self._on_frame),
+             ("hb.state", self._on_heartbeat),
+             ("sttcp.takeover", self._on_takeover),
+             ("sttcp.non-ft-mode", self._on_non_ft),
+             ("sttcp.conn-replicated", self._on_replicated)))
         self._attached = True
         return self
 
     def detach(self) -> None:
         """Stop observing (collected violations stay queryable)."""
-        for sub in self._subs:
-            self.world.probes.unsubscribe(sub)
+        self.world.probes.unsubscribe(*self._subs)
         self._subs.clear()
         self._attached = False
 

@@ -73,8 +73,8 @@ class Application:
         self.crash_had_cleanup = cleanup
         self._stop_timers()
         self.on_crash()
-        self.world.trace.record("fault", self.name, "application crashed",
-                                cleanup=cleanup)
+        self.world.probes.fire("fault.app-crash", self.name,
+                               "application crashed", cleanup=cleanup)
         if cleanup:
             # OS-side cleanup: close every socket the process owned.  The
             # FIN this generates is exactly what ST-TCP must intercept.

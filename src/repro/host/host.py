@@ -138,8 +138,8 @@ class Host:
         # scenario ever re-powers a host, so a one-way push is sufficient.
         for nic in self.nics:
             nic.host_up = False
-        self.world.trace.record("fault", self.name, "host down",
-                                reason=reason)
+        self.world.probes.fire("fault.host-down", self.name, "host down",
+                               reason=reason)
         self.tcp.freeze()
         for port in self.serial_ports:
             port.set_enabled(False)

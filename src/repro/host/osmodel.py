@@ -32,7 +32,8 @@ class OperatingSystem:
         no FIN, no HB, silence on every interface.
         """
         self.crashed = True
-        self._host.world.trace.record("fault", self._host.name, "OS crashed")
+        self._host.world.probes.fire("fault.os-crash", self._host.name,
+                                     "OS crashed")
         self._host.power_off(reason="OS crash")
 
     def kill_app_with_cleanup(self, app: "Application") -> None:

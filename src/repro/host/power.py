@@ -40,8 +40,8 @@ class PowerStrip:
         """
         if target.name not in self._hosts:
             raise KeyError(f"host {target.name} not on this power strip")
-        self._world.trace.record("power", initiator, "power-down requested",
-                                 target=target.name)
+        self._world.probes.fire("power.down-requested", initiator,
+                                "power-down requested", target=target.name)
         self.power_downs.append((self._world.sim.now, target.name, initiator))
         self._world.sim.schedule(self.actuation_delay_ns,
                                  target.power_off,

@@ -74,8 +74,8 @@ class ArpTable:
         self._static[ip] = mac
         # Resolution changed: invalidate cached IP-layer send plans.
         self._world.route_epoch += 1
-        self._world.trace.record("arp", self.name, "static entry",
-                                 ip=str(ip), mac=str(mac))
+        self._world.probes.fire("arp.static", self.name, "static entry",
+                                ip=str(ip), mac=str(mac))
 
     def lookup(self, ip: IPAddress) -> MacAddress | None:
         """Non-blocking lookup: static first, then dynamic cache."""
@@ -105,7 +105,7 @@ class ArpTable:
         msg = ArpMessage(ARP_REQUEST, self._nic.mac, sender_ip,
                          MacAddress(0), ip)
         self.requests_sent += 1
-        self._world.trace.record("arp", self.name, "request", target=str(ip))
+        self._world.probes.fire("arp.request", self.name, target=str(ip))
         self._nic.send(EthernetFrame(BROADCAST_MAC, self._nic.mac,
                                      EtherType.ARP, msg))
 
@@ -129,8 +129,8 @@ class ArpTable:
             reply = ArpMessage(ARP_REPLY, self._nic.mac, msg.target_ip,
                                msg.sender_mac, msg.sender_ip)
             self.replies_sent += 1
-            self._world.trace.record("arp", self.name, "reply",
-                                     to=str(msg.sender_ip))
+            self._world.probes.fire("arp.reply", self.name,
+                                    to=str(msg.sender_ip))
             self._nic.send(EthernetFrame(msg.sender_mac, self._nic.mac,
                                          EtherType.ARP, reply))
 

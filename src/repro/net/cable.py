@@ -126,13 +126,15 @@ class Cable:
         # Wire-state change: invalidate cached flood plans (clean cables
         # are pre-classified at cache-build time).
         self._world.net_epoch += 1
-        self._world.trace.record("fault", self.name, "cable cut")
+        self._world.probes.fire("fault.link", self.name, "cable cut",
+                                state="cut")
 
     def repair(self) -> None:
         """Restore a cut cable."""
         self._cut = False
         self._world.net_epoch += 1
-        self._world.trace.record("fault", self.name, "cable repaired")
+        self._world.probes.fire("fault.link", self.name, "cable repaired",
+                                state="repaired")
 
     @property
     def impair(self) -> Optional[Callable[..., Iterable[int]]]:

@@ -79,8 +79,8 @@ class IcmpLayer:
             self.echo_requests_answered += 1
             reply = IcmpMessage(ICMP_ECHO_REPLY, msg.ident, msg.seq,
                                 msg.data_bytes)
-            self._world.trace.record("icmp", self.name, "echo reply",
-                                     to=str(packet.src))
+            self._world.probes.fire("icmp.echo-reply", self.name,
+                                    "echo reply", to=str(packet.src))
             self._ip.send(packet.src, IPProtocol.ICMP, reply, src=packet.dst)
         elif msg.kind == ICMP_ECHO_REPLY:
             handler = self._reply_handlers.get(msg.ident)

@@ -223,8 +223,8 @@ class IpStack:
         iface, next_hop = self._route(dst, src)
         if iface is None or next_hop is None:
             self.packets_unroutable += 1
-            self._world.trace.record("ip", self.name, "unroutable",
-                                     dst=str(dst))
+            self._world.probes.fire("ip.unroutable", self.name,
+                                    dst=str(dst))
             return
         src_ip = src if src is not None else iface.primary_address
         packet = IPPacket(src_ip, dst, protocol, payload)
@@ -299,8 +299,9 @@ class IpStack:
                 tap(packet)
         handler = self._protocols.get(packet.protocol)
         if handler is None:
-            self._world.trace.record("ip", self.name, "no protocol handler",
-                                     protocol=packet.protocol)
+            self._world.probes.fire("ip.no-handler", self.name,
+                                    "no protocol handler",
+                                    protocol=packet.protocol)
             return
         handler(packet)
 
@@ -312,8 +313,9 @@ class IpStack:
                 tap(packet)
         handler = self._protocols.get(packet.protocol)
         if handler is None:
-            self._world.trace.record("ip", self.name, "no protocol handler",
-                                     protocol=packet.protocol)
+            self._world.probes.fire("ip.no-handler", self.name,
+                                    "no protocol handler",
+                                    protocol=packet.protocol)
             return
         handler(packet)
 

@@ -85,11 +85,14 @@ class SerialLink:
     def cut(self) -> None:
         """Sever the cable (for double-failure experiments)."""
         self._cut = True
-        self._world.trace.record("fault", self.name, "serial link cut")
+        self._world.probes.fire("fault.link", self.name, "serial link cut",
+                                state="cut")
 
     def repair(self) -> None:
         """Restore a cut link."""
         self._cut = False
+        self._world.probes.fire("fault.link", self.name,
+                                "serial link repaired", state="repaired")
 
     def transfer_time_ns(self, size_bytes: int) -> int:
         """Serialization time for ``size_bytes`` at this baud rate (8N1)."""

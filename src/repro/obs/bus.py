@@ -1,21 +1,21 @@
 """The probe bus — components fire named probe points, observers attach.
 
-A fire of a ``traced`` probe also produces exactly the
-:class:`~repro.sim.trace.TraceLog` record the component used to emit
-directly (same category, source, message and fields), so trace-based
-tests see identical output.  Non-traced probes (the high-volume packet
-taps) reach only bus subscribers.
+The bus is the one emit path: every event a component reports is a fire
+of a probe registered in :mod:`repro.obs.registry`, and everything that
+watches — an :class:`~repro.obs.export.ObsSession`, the invariant oracle,
+the milestone list ``World.trace`` — is a subscriber.
 
-Dispatch is compiled, not looked up.  Every subscription or trace-filter
-change rebuilds one table, ``probe -> (category, default message, sinks)``,
-where ``sinks`` is an immutable tuple: the probe's own subscribers in
-subscription order, then the wildcards, then — for a traced probe whose
-category the trace log keeps — the log's mirror, last.  A fire indexes
-that table once, builds one :class:`ProbeEvent` and walks the tuple.
-Because the tuple a fire walks is never mutated, **a subscription change
-made from inside a callback takes effect from the next fire**: every
-sink attached when the fire began still sees the event, and none
-attached during it does.
+Dispatch is compiled, not looked up.  Every subscription change rebuilds
+one table, ``probe -> (category, default message, sinks)``, where
+``sinks`` is an immutable tuple: the probe's own subscribers in
+subscription order, then the wildcards.  A fire indexes that table once,
+builds one :class:`ProbeEvent` and walks the tuple.  Because the tuple a
+fire walks is never mutated, **a subscription change made from inside a
+callback takes effect from the next fire**: every sink attached when the
+fire began still sees the event, and none attached during it does.
+:meth:`ProbeBus.attach` takes any number of ``(probe, callback)`` pairs
+for one compile, so a session that binds a handler to every registered
+probe costs what one subscription costs.
 
 The design goal is zero overhead when nobody is listening.  Hot emitters
 ask :meth:`ProbeBus.wants` first — a single dict lookup, true exactly
@@ -25,7 +25,7 @@ values entirely when a fire would do no work.
 
 from __future__ import annotations
 
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from repro.obs.registry import PROBES, ProbeSpec, UnknownProbeError
 
@@ -43,7 +43,7 @@ class ProbeEvent(NamedTuple):
 
     time: int                    # virtual time, ns
     probe: str                   # registered probe name, e.g. "tcp.retransmit"
-    category: str                # the probe's trace category
+    category: str                # the probe's category
     source: str                  # component name, e.g. "primary.tcp"
     message: str                 # human-readable summary
     fields: dict[str, Any]       # what the emitter passed, by keyword
@@ -58,44 +58,50 @@ Subscriber = Callable[[ProbeEvent], None]
 
 _new_event = tuple.__new__
 
-# (category, default message, traced) per probe name, shared by every bus
-# instance — the registry is immutable, so this is computed once at import.
-_PROBE_INFO: dict[str, tuple[str, str, bool]] = {
-    name: (spec.category, name.split(".", 1)[1] if "." in name else name,
-           spec.traced)
+# The table of a bus nobody listens to: (category, default message, no
+# sinks) per probe name.  Every bus starts as a copy — the registry is
+# immutable, so this is computed once at import.
+_IDLE_TABLE: dict[str, tuple[str, str, tuple]] = {
+    name: (spec.category, name.split(".", 1)[1] if "." in name else name, ())
     for name, spec in PROBES.items()}
 
 
 class ProbeBus:
     """Named probe points with per-probe and wildcard subscribers."""
 
-    __slots__ = ("_clock", "_trace", "_subs", "_all", "_table", "wants_map",
-                 "fired")
+    __slots__ = ("_clock", "_subs", "_all", "_table", "wants_map", "fired")
 
-    def __init__(self, clock: Callable[[], int], trace=None):
+    def __init__(self, clock: Callable[[], int]):
         self._clock = clock
-        self._trace = trace
         self._subs: dict[str, list[Subscriber]] = {}
         self._all: list[Subscriber] = []
-        # probe -> (category, default message, sinks, reaches a subscriber),
-        # recompiled for every registered probe on any subscription or
-        # trace-filter change — those are rare, per-frame fires are not.
-        self._table: dict[str, tuple[str, str, tuple, bool]] = {}
+        # probe -> (category, default message, sinks), recompiled for
+        # every registered probe on any subscription change — those are
+        # rare, per-frame fires are not.
+        self._table = _IDLE_TABLE.copy()
         # probe -> "would a fire do any work" (a non-empty sink tuple).
         # Hot emitters index this dict directly (``probes.wants_map[...]``).
-        self.wants_map: dict[str, bool] = {}
-        self.fired = 0  # fires that reached a subscriber (mirror-only: no)
-        self._invalidate()
-        if trace is not None:
-            trace.on_filter_change(self._invalidate)
+        self.wants_map = dict.fromkeys(_IDLE_TABLE, False)
+        self.fired = 0  # fires that had a sink
 
     # ---------------------------------------------------------- subscribing
 
+    def attach(self, pairs: Iterable[tuple[str, Subscriber]]
+               ) -> list[Subscriber]:
+        """Attach every ``(probe, callback)`` pair with one table compile;
+        returns the callbacks.  Every name is validated before anything
+        changes, so a bad one leaves the bus as it was."""
+        pairs = list(pairs)
+        for probe, _callback in pairs:
+            self._spec(probe)
+        for probe, callback in pairs:
+            self._subs.setdefault(probe, []).append(callback)
+        self._invalidate()
+        return [callback for _probe, callback in pairs]
+
     def subscribe(self, probe: str, callback: Subscriber) -> Subscriber:
         """Attach ``callback`` to one probe point; returns the callback."""
-        self._spec(probe)  # validate the name early
-        self._subs.setdefault(probe, []).append(callback)
-        self._invalidate()
+        self.attach(((probe, callback),))
         return callback
 
     def subscribe_all(self, callback: Subscriber) -> Subscriber:
@@ -104,27 +110,18 @@ class ProbeBus:
         self._invalidate()
         return callback
 
-    def unsubscribe(self, callback: Subscriber) -> None:
-        """Detach a callback wherever it is attached (idempotent)."""
-        for subs in self._subs.values():
-            while callback in subs:
-                subs.remove(callback)
-        while callback in self._all:
-            self._all.remove(callback)
+    def unsubscribe(self, *callbacks: Subscriber) -> None:
+        """Detach each callback wherever it is attached (idempotent);
+        one table compile however many are given."""
+        for subs in (*self._subs.values(), self._all):
+            subs[:] = [sub for sub in subs if sub not in callbacks]
         self._invalidate()
-
-    def enabled(self, probe: str) -> bool:
-        """True when a fire of ``probe`` would reach at least one
-        subscriber.  Answers from the same compiled entry as
-        :meth:`wants`; the one difference is that the trace-log mirror
-        of a traced probe makes ``wants`` true but is not a subscriber."""
-        return self.wants(probe) and self._table[probe][3]
 
     def wants(self, probe: str) -> bool:
         """True when a fire of ``probe`` would do *any* work — reach a
-        subscriber, a wildcard, or (for traced probes) an enabled trace
-        category.  One dict lookup: hot emitters guard with this (or index
-        :attr:`wants_map` directly) and skip building field values."""
+        subscriber or a wildcard.  One dict lookup: hot emitters guard
+        with this (or index :attr:`wants_map` directly) and skip building
+        field values."""
         try:
             return self.wants_map[probe]
         except KeyError:
@@ -132,18 +129,14 @@ class ProbeBus:
             raise
 
     def _invalidate(self) -> None:
-        """Recompile every probe's entry (subscription/filter change)."""
+        """Recompile every probe's entry (subscription change)."""
         subs = self._subs
         wildcards = tuple(self._all)
-        trace = self._trace
         table = self._table
         wants_map = self.wants_map
-        for name, (category, default_message, traced) in _PROBE_INFO.items():
+        for name, idle in _IDLE_TABLE.items():
             sinks = tuple(subs.get(name, ())) + wildcards
-            subscribed = bool(sinks)
-            if traced and trace is not None and trace.wants(category):
-                sinks += (trace.mirror,)  # last: record order unchanged
-            table[name] = (category, default_message, sinks, subscribed)
+            table[name] = (idle[0], idle[1], sinks) if sinks else idle
             wants_map[name] = bool(sinks)
 
     # --------------------------------------------------------------- firing
@@ -160,11 +153,10 @@ class ProbeBus:
         entry = self._table.get(probe)
         if entry is None:
             self._spec(probe)  # raises UnknownProbeError with the hint
-        category, default_message, sinks, subscribed = entry
+        category, default_message, sinks = entry
         if not sinks:
             return
-        if subscribed:
-            self.fired += 1
+        self.fired += 1
         # tuple.__new__ directly: the generated ProbeEvent.__new__ is one
         # more Python frame per fire for the same tuple.
         event = _new_event(ProbeEvent, (

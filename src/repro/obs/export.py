@@ -51,8 +51,9 @@ OBS_LEVELS = ("counters", "timeline", "frames")
 
 #: Probes worth echoing into the scenario summary's event list.
 _SUMMARY_PROBES = frozenset(
-    ["fault.inject", "fault.nic", "detect.verdict", "detect.watchdog",
-     "hb.miss"]
+    ["fault.inject", "fault.nic", "fault.link", "fault.host-down",
+     "fault.os-crash", "fault.app-crash", "power.down-requested",
+     "app.corruption", "detect.verdict", "detect.watchdog", "hb.miss"]
     + [f"sttcp.{kind}" for kind in
        ("peer-crash-detected", "app-failure-detected",
         "nic-failure-detected", "takeover", "non-ft-mode", "stonith",
@@ -243,14 +244,12 @@ class ObsSession:
         self._frames: list = []     # captures, see "frame rows" above
         self._tcp_rows: list = []   # captures, see "timeline rows" above
         self._last_hb_rx: Optional[int] = None
-        subscribe = world.probes.subscribe
-        self._subs = [subscribe(probe, self._handler(probe))
-                      for probe in PROBES]
+        self._subs = world.probes.attach(
+            (probe, self._handler(probe)) for probe in PROBES)
 
     def detach(self) -> None:
         """Stop observing (the collected data stays queryable)."""
-        for sub in self._subs:
-            self.world.probes.unsubscribe(sub)
+        self.world.probes.unsubscribe(*self._subs)
         self._subs.clear()
 
     @property

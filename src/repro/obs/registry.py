@@ -5,13 +5,12 @@ This table is the single source of truth for instrumentation names:
 * **probe points** (``tcp.segment_tx``, ``hb.miss``, ``sttcp.takeover``...)
   are stable, documented identifiers that components fire on the
   :class:`~repro.obs.bus.ProbeBus`;
-* **trace categories** (``tcp``, ``hb``, ``sttcp``...) are the coarse
-  grouping the :class:`~repro.sim.trace.TraceLog` filters on — every
-  probe belongs to exactly one category, and every category any component
-  passes to ``TraceLog.record`` must be declared here.
+* **categories** (``tcp``, ``hb``, ``sttcp``...) are the coarse grouping
+  :attr:`World.trace <repro.sim.world.World.trace>` is selected by —
+  every probe belongs to exactly one category.
 
 ``tests/obs/test_registry_sync.py`` statically scans ``src/`` and fails if
-any emitted probe or category is missing from this module, and
+any fired probe is missing from this module, and
 ``docs/observability.md`` renders this table for humans; keep all three in
 sync (the test checks that too).
 
@@ -43,11 +42,11 @@ class UnknownProbeError(KeyError):
 class ProbeSpec:
     """One stable probe point.
 
-    ``traced=True`` means a fire is mirrored into the ``TraceLog`` (subject
-    to its category filter) — these are the pre-existing trace records.
-    ``traced=False`` marks pure instrumentation taps (high-volume packet /
-    counter probes) that only reach bus subscribers, so enabling full
-    tracing does not change trace output.
+    ``traced=True`` marks a milestone: a world that keeps the probe's
+    category appends every fire to ``World.trace``.  ``traced=False``
+    marks pure instrumentation taps (high-volume packet / counter probes)
+    that only reach explicit subscribers, so keeping a whole category
+    never costs one list entry per segment.
     """
 
     name: str
@@ -57,9 +56,7 @@ class ProbeSpec:
     traced: bool = True
 
 
-#: Trace-category registry (formerly the "informal registry" in the
-#: ``repro.sim.trace`` docstring).  Every category used anywhere in
-#: ``src/`` must appear here.
+#: Category registry: every probe's category must appear here.
 CATEGORIES: dict[str, str] = {
     "sim": "simulation kernel (run markers)",
     "eth": "switch / NIC / cable frame events",
@@ -99,14 +96,31 @@ _ALL_PROBES = [
           "repro.net.nic.Nic.send", traced=False, category="eth"),
     _spec("nic.rx", "a NIC accepted an inbound frame",
           "repro.net.nic.Nic.receive_frame", traced=False, category="eth"),
+    # ------------------------------------------------------ arp / ip / icmp
+    _spec("arp.static", "a permanent ARP entry was installed "
+          "(the serviceIP -> multiEA trick)",
+          "repro.net.arp.ArpTable.add_static"),
+    _spec("arp.request", "an ARP request was broadcast",
+          "repro.net.arp.ArpTable._send_request"),
+    _spec("arp.reply", "an ARP request for one of our addresses was answered",
+          "repro.net.arp.ArpTable.handle_frame"),
+    _spec("ip.unroutable", "a packet was dropped for want of a route",
+          "repro.net.ip.IpStack._send_slow"),
+    _spec("ip.no-handler", "an accepted packet named a protocol nobody "
+          "registered",
+          "repro.net.ip.IpStack._deliver_up"),
+    _spec("icmp.echo-reply", "an echo request was answered",
+          "repro.net.icmp.IcmpLayer.handle_packet"),
     # ---------------------------------------------------------------- tcp
     _spec("tcp.segment_tx", "a connection emitted a segment "
           "(fields: off/ack/flags/len/cwnd/flight)",
           "repro.tcp.connection.TcpConnection._fire_segment_tx", traced=False),
     _spec("tcp.segment_rx", "a connection received a segment",
           "repro.tcp.connection.TcpConnection.segment_arrived", traced=False),
-    _spec("tcp.retransmit", "a segment was retransmitted "
-          "(kind: rto/fast/head/fin)",
+    _spec("tcp.retransmit", "a retransmission was decided (kind: rto — "
+          "the timer fired, go-back-N follows; head — the earliest "
+          "unacknowledged segment or FIN is resent on a fast retransmit "
+          "or NewReno partial ack)",
           "repro.tcp.connection.TcpConnection", traced=False),
     _spec("tcp.deliver", "in-order bytes became readable "
           "(fields: off/len — the exactly-once delivery tap)",
@@ -115,6 +129,18 @@ _ALL_PROBES = [
           "repro.tcp.stack.TcpStack._accept", traced=False),
     _spec("tcp.rst", "an RST was emitted for a segment matching no endpoint",
           "repro.tcp.stack.TcpStack._send_rst_for"),
+    _spec("tcp.state", "a connection changed state (fields: state)",
+          "repro.tcp.connection.TcpConnection"),
+    _spec("tcp.peer-fin", "the peer's FIN was first seen (fields: off)",
+          "repro.tcp.connection.TcpConnection._note_peer_fin"),
+    _spec("tcp.rst-received", "an acceptable RST arrived",
+          "repro.tcp.connection.TcpConnection._handle_rst"),
+    _spec("tcp.window-probe", "one byte was sent into a zero window",
+          "repro.tcp.connection.TcpConnection._on_persist_timeout"),
+    _spec("tcp.give-up", "the retransmission limit was exceeded",
+          "repro.tcp.connection.TcpConnection._on_rtx_timeout"),
+    _spec("tcp.closed", "a connection reached CLOSED (fields: reason)",
+          "repro.tcp.connection.TcpConnection._enter_closed"),
     # ------------------------------------------------------------- ST-TCP
     _spec("hb.send", "a heartbeat was transmitted (UDP and/or serial)",
           "repro.sttcp.heartbeat.HeartbeatService._tick"),
@@ -140,12 +166,29 @@ _ALL_PROBES = [
           "repro.faults.injector.FaultInjector._fire"),
     _spec("fault.nic", "a NIC failure was injected or repaired",
           "repro.net.nic.Nic.fail/repair"),
+    _spec("fault.link", "a cable or the serial link was cut or repaired "
+          "(fields: state)",
+          "repro.net.cable.Cable / repro.net.serial_link.SerialLink"),
+    _spec("fault.host-down", "a host went silent: HW crash, OS crash or "
+          "STONITH (fields: reason)",
+          "repro.host.host.Host.power_off"),
+    _spec("fault.os-crash", "a host's operating system crashed",
+          "repro.host.osmodel.OperatingSystem.crash"),
+    _spec("fault.app-crash", "an application crashed or hung "
+          "(fields: cleanup)",
+          "repro.host.app.Application.crash"),
+    _spec("power.down-requested", "the power strip was told to cut a host "
+          "(fields: target)",
+          "repro.host.power.PowerStrip.power_down"),
+    _spec("app.corruption", "a stream client read a byte that breaks the "
+          "pattern (fields: at)",
+          "repro.apps.streaming.StreamClient._on_data"),
 ]
 
 # One probe per ST-TCP engine event kind (repro.sttcp.events.EventKind);
-# SttcpEngine.emit fires ``sttcp.<kind>`` and mirrors it into the trace,
-# so the engine event vocabulary and the probe registry cannot drift
-# (tests/obs/test_registry_sync.py asserts the mapping is exhaustive).
+# SttcpEngine.emit fires ``sttcp.<kind>``, so the engine event vocabulary
+# and the probe registry cannot drift (tests/obs/test_registry_sync.py
+# asserts the mapping is exhaustive).
 _ENGINE_EVENT_PROBES = {
     "hb-ip-link-down": "the IP heartbeat link was declared stale",
     "hb-serial-link-down": "the serial heartbeat link was declared stale",
@@ -185,5 +228,5 @@ for _probe_spec in PROBES.values():  # registry self-consistency
 
 
 def probes_in_category(category: str) -> list[ProbeSpec]:
-    """All registered probes of one trace category, in table order."""
+    """All registered probes of one category, in table order."""
     return [spec for spec in PROBES.values() if spec.category == category]

@@ -11,7 +11,6 @@ workloads live next door in :mod:`repro.workloads`.
 
 from repro.scenarios.baselines import ReconnectingStreamClient
 from repro.scenarios.builder import (
-    DEFAULT_TRACE_CATEGORIES,
     Addresses,
     LoggerAttachment,
     Testbed,
@@ -28,7 +27,6 @@ from repro.scenarios.runner import (
 __all__ = [
     "Addresses",
     "BaselineResult",
-    "DEFAULT_TRACE_CATEGORIES",
     "FailoverResult",
     "LoggerAttachment",
     "ReconnectingStreamClient",

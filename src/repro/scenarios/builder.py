@@ -32,12 +32,15 @@ from repro.tcp.connection import TcpConfig
 from repro.host.host import Host
 from repro.host.power import PowerStrip
 from repro.faults.injector import FaultInjector
-from repro.scenarios.options import DEFAULT_TRACE_CATEGORIES
 from repro.sttcp.config import SttcpConfig
 from repro.sttcp.manager import SttcpPair
 
-__all__ = ["Testbed", "Addresses", "LoggerAttachment", "build_testbed",
-           "DEFAULT_TRACE_CATEGORIES"]
+__all__ = ["Testbed", "Addresses", "LoggerAttachment", "build_testbed"]
+
+#: The categories a testbed's ``world.trace`` keeps: the milestones of a
+#: failover, a dozen entries per run — tight enough for long benchmarks,
+#: rich enough to debug failures.
+MILESTONE_CATEGORIES = frozenset({"fault", "power", "detect", "sttcp", "app"})
 
 #: The two testbed modes (``build_testbed(mode=...)``).
 MODES = ("sttcp", "baseline")
@@ -232,7 +235,6 @@ def build_testbed(seed: int = 0,
                   primary_frame_cost_ns: int = 0,
                   mirror_to_backup: bool = False,
                   egress_filtering: bool = False,
-                  trace_categories: Optional[frozenset] = DEFAULT_TRACE_CATEGORIES,
                   addresses: Optional[Addresses] = None) -> Testbed:
     """Build Figure 2.  Apps and faults are added by the caller.
 
@@ -273,7 +275,7 @@ def build_testbed(seed: int = 0,
         tcp_config = replace(tcp_config or TcpConfig(), cc=cc)
         tcp_config.validate()  # fail fast on an unknown algorithm
     addrs = addresses or Addresses()
-    world = World(seed=seed, trace_categories=trace_categories)
+    world = World(seed=seed, trace_categories=MILESTONE_CATEGORIES)
     switch = Switch(world, egress_filtering=egress_filtering)
     config = config or SttcpConfig()
     prefix_len = 24 if num_clients == 1 else 16

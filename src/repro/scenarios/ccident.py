@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 from repro.apps.streaming import StreamClient, StreamServer
 from repro.scenarios.builder import build_testbed
-from repro.scenarios.options import DEFAULT_TRACE_CATEGORIES
 
 __all__ = ["CcIdentResult", "run_cc_ident", "extract_features",
            "classify_features"]
@@ -140,8 +139,7 @@ def classify_features(features: dict) -> str:
 def run_cc_ident(cc: str, seed: int = 3,
                  total_bytes: int = 4_000_000,
                  loss_rate: float = 0.01,
-                 run_until_s: float = 60.0,
-                 trace_categories=DEFAULT_TRACE_CATEGORIES) -> CcIdentResult:
+                 run_until_s: float = 60.0) -> CcIdentResult:
     """Stream ``total_bytes`` under ``cc`` over a lossy link, then guess
     the algorithm back from the sender's timeline alone.
 
@@ -160,8 +158,7 @@ def run_cc_ident(cc: str, seed: int = 3,
     tcp_config = TcpConfig(send_buffer_bytes=262144,
                            recv_buffer_bytes=262144)
     tb = build_testbed(seed=seed, mode="baseline", cc=cc,
-                       tcp_config=tcp_config,
-                       trace_categories=trace_categories)
+                       tcp_config=tcp_config)
     tb.cables["primary"].loss_rate = loss_rate
 
     events: list = []

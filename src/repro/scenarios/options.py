@@ -15,19 +15,13 @@ removed after their deprecation release.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.obs.export import OBS_LEVELS
 from repro.tcp.congestion import CC_ALGORITHMS
 
-__all__ = ["RunOptions", "DEFAULT_TRACE_CATEGORIES"]
-
-# Tight enough for long benchmarks, rich enough to debug failures.  The
-# canonical definition lives here; ``repro.scenarios.builder`` re-exports
-# it for back compatibility.
-DEFAULT_TRACE_CATEGORIES = frozenset(
-    {"fault", "power", "detect", "sttcp", "app"})
+__all__ = ["RunOptions"]
 
 
 @dataclass(frozen=True)
@@ -50,9 +44,6 @@ class RunOptions:
         testbed: ``None`` (keep whatever the supplied ``TcpConfig`` says —
         the default config says ``"reno"``) or a registered name from
         :func:`repro.tcp.congestion.cc_names`.
-    ``trace_categories``
-        Trace-log category filter handed to the testbed builder
-        (``None`` records everything).
     ``gc_freeze``
         After the testbed is built (or supplied), collect once and
         ``gc.freeze()`` the surviving heap into the permanent generation
@@ -67,8 +58,6 @@ class RunOptions:
     obs_level: Optional[str] = None
     check: bool = False
     cc: Optional[str] = None
-    trace_categories: Optional[frozenset] = field(
-        default_factory=lambda: DEFAULT_TRACE_CATEGORIES)
     gc_freeze: bool = False
 
     def __post_init__(self) -> None:

@@ -97,7 +97,6 @@ def run_failover_experiment(
     if testbed is not None:
         tb = testbed
     else:
-        build_kwargs.setdefault("trace_categories", opts.trace_categories)
         tb = build_testbed(seed=opts.seed, config=config, cc=opts.cc,
                            **build_kwargs)
     obs = ObsSession(tb.world, level=opts.obs_level) if opts.obs_level else None
@@ -175,7 +174,6 @@ def run_baseline_failover(total_bytes: int = 50_000_000,
     if testbed is not None:
         tb = testbed
     else:
-        build_kwargs.setdefault("trace_categories", opts.trace_categories)
         tb = build_testbed(seed=opts.seed, mode="baseline", cc=opts.cc,
                            **build_kwargs)
     obs = ObsSession(tb.world, level=opts.obs_level) if opts.obs_level else None

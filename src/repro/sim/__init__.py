@@ -3,7 +3,7 @@
 Public surface::
 
     from repro.sim import (
-        Simulator, World, Timer, PeriodicTimer, TraceLog, RngRegistry,
+        Simulator, World, Timer, PeriodicTimer, RngRegistry,
         seconds, millis, micros, NS_PER_S, NS_PER_MS, NS_PER_US,
     )
 """
@@ -20,7 +20,6 @@ from repro.sim.core import (
 )
 from repro.sim.rng import RngRegistry
 from repro.sim.timers import PeriodicTimer, Timer
-from repro.sim.trace import TraceLog, TraceRecord
 from repro.sim.world import World
 
 __all__ = [
@@ -32,8 +31,6 @@ __all__ = [
     "RngRegistry",
     "Simulator",
     "Timer",
-    "TraceLog",
-    "TraceRecord",
     "World",
     "micros",
     "millis",

@@ -143,7 +143,7 @@ class Simulator:
         sim.run(until=seconds(5))
 
     The simulator is also the root object from which scenario builders hang
-    shared services (trace log, RNG registry); see :mod:`repro.sim.trace`
+    shared services (probe bus, RNG registry); see :mod:`repro.sim.world`
     and :mod:`repro.sim.rng`.
     """
 

@@ -3,8 +3,9 @@
 A ``World`` bundles the kernel services every component needs:
 
 * the :class:`~repro.sim.core.Simulator` event loop,
-* the :class:`~repro.sim.trace.TraceLog`,
 * the :class:`~repro.obs.bus.ProbeBus` (observability probe points),
+* ``trace``, the milestone list: a plain ``list`` of
+  :class:`~repro.obs.bus.ProbeEvent` the world subscribes to its own bus,
 * the :class:`~repro.sim.rng.RngRegistry`.
 
 Passing a single ``world`` around keeps constructor signatures short and
@@ -16,10 +17,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.obs.bus import ProbeBus
+from repro.obs.registry import PROBES
 from repro.sim import gcctl
 from repro.sim.core import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceLog
 
 __all__ = ["World"]
 
@@ -31,10 +32,16 @@ class World:
                  trace_categories: Optional[set[str]] = None):
         self.sim = Simulator()
         # sim.clock is a plain bound method: it pickles (world snapshots)
-        # and skips the extra lambda frame on every trace/probe timestamp.
-        self.trace = TraceLog(self.sim.clock,
-                              enabled_categories=trace_categories)
-        self.probes = ProbeBus(self.sim.clock, self.trace)
+        # and skips the extra lambda frame on every probe timestamp.
+        self.probes = ProbeBus(self.sim.clock)
+        # Every fire of a ``traced`` probe in a kept category, in fire
+        # order (``None`` keeps every category).  The bound ``append``
+        # pickles with the list, so a restored world appends to its own.
+        self.trace: list = []
+        self.probes.attach(
+            (name, self.trace.append) for name, spec in PROBES.items()
+            if spec.traced and (trace_categories is None
+                                or spec.category in trace_categories))
         self.rng = RngRegistry(seed)
         # Bumped whenever NIC address filters change (multicast join/leave,
         # promiscuous toggles); switches use it to invalidate cached flood

@@ -102,10 +102,9 @@ class SttcpEngine:
     # ------------------------------------------------------- event plumbing
 
     def emit(self, kind: str, **detail: Any):
-        """Record an engine event and fire its ``sttcp.<kind>`` probe (the
-        bus mirrors it into the trace, as before).  Every
-        :class:`~repro.sttcp.events.EventKind` has a registered probe, so
-        an unregistered kind fails loudly instead of drifting."""
+        """Record an engine event and fire its ``sttcp.<kind>`` probe.
+        Every :class:`~repro.sttcp.events.EventKind` has a registered
+        probe, so an unregistered kind fails loudly instead of drifting."""
         event = self.events.emit(self.world.sim.now, kind, **detail)
         self.world.probes.fire(f"sttcp.{kind}", self.name, kind, **detail)
         return event

@@ -204,7 +204,7 @@ class TcpConnection:
         self.iss = isn & 0xFFFFFFFF
         self.state = TcpState.SYN_SENT
         self._syn_sent_at = self.world.sim.now
-        self._trace("state", state="SYN_SENT")
+        self.world.probes.fire("tcp.state", self.name, state="SYN_SENT")
         self._send_syn()
 
     def open_passive(self, isn: int) -> None:
@@ -217,7 +217,7 @@ class TcpConnection:
             raise ConnectionClosedError(f"{self.name}: open on {self.state}")
         self.iss = isn & 0xFFFFFFFF
         self.state = TcpState.LISTEN
-        self._trace("state", state="LISTEN")
+        self.world.probes.fire("tcp.state", self.name, state="LISTEN")
 
     def close(self) -> None:
         """Graceful close: queue a FIN after all pending data."""
@@ -236,7 +236,8 @@ class TcpConnection:
             self.state = TcpState.FIN_WAIT_1
         elif self.state is TcpState.CLOSE_WAIT:
             self.state = TcpState.LAST_ACK
-        self._trace("state", state=self.state.value, fin_off=self.fin_off)
+        self.world.probes.fire("tcp.state", self.name,
+                               state=self.state.value, fin_off=self.fin_off)
         self._try_send()
 
     def abort(self) -> None:
@@ -401,7 +402,8 @@ class TcpConnection:
         self.peer_window = segment.window
         self.state = TcpState.SYN_RCVD
         self._syn_sent_at = self.world.sim.now
-        self._trace("state", state="SYN_RCVD", irs=self.irs)
+        self.world.probes.fire("tcp.state", self.name, state="SYN_RCVD",
+                               irs=self.irs)
         self._send_syn_ack()
 
     def _handle_syn_sent(self, segment: TcpSegment) -> None:
@@ -431,7 +433,7 @@ class TcpConnection:
         self._rtx_count = 0
         self._syn_rtx_count = 0
         self._rtx_timer.stop()
-        self._trace("state", state="ESTABLISHED")
+        self.world.probes.fire("tcp.state", self.name, state="ESTABLISHED")
         self.on_established()
         self._try_send()
 
@@ -497,7 +499,6 @@ class TcpConnection:
                 # NewReno partial ack: the hole just past snd_una is
                 # presumed lost; retransmit it without leaving recovery
                 # (RFC 6582 Sec. 3.2) and re-arm the RTO from it.
-                self._trace("partial-ack-retransmit", at=self.snd_una_off)
                 self._retransmit_head()
                 self._restart_rtx()
             self.on_writable()
@@ -513,7 +514,6 @@ class TcpConnection:
                     and self.flight_size > 0):
                 self.dupacks_received += 1
                 if self.cc.on_dupack(self.flight_size, self.snd_nxt_off):
-                    self._trace("fast-retransmit", at=self.snd_una_off)
                     self._retransmit_head()
                     # RFC 6298 (S5.3 discipline): the retransmission opens
                     # a new loss-recovery epoch, so the RTO clock measures
@@ -553,7 +553,8 @@ class TcpConnection:
     def _on_fin_acked(self) -> None:
         if self.state is TcpState.FIN_WAIT_1:
             self.state = TcpState.FIN_WAIT_2
-            self._trace("state", state="FIN_WAIT_2")
+            self.world.probes.fire("tcp.state", self.name,
+                                   state="FIN_WAIT_2")
         elif self.state is TcpState.CLOSING:
             self._enter_time_wait()
         elif self.state is TcpState.LAST_ACK:
@@ -614,7 +615,7 @@ class TcpConnection:
         off = seq_sub(segment.seq, seq_add(self.irs, 1)) + len(segment.payload)
         if self.peer_fin_off is None:
             self.peer_fin_off = off
-            self._trace("peer-fin", off=off)
+            self.world.probes.fire("tcp.peer-fin", self.name, off=off)
             if not segment.payload and self.recv_buffer.rcv_next < off:
                 # Bare FIN beyond missing data: ack what we have now so
                 # the peer can fast-retransmit the gap (a bare FIN takes
@@ -651,7 +652,7 @@ class TcpConnection:
             self._enter_time_wait()
             self.on_peer_fin()
             return
-        self._trace("state", state=self.state.value)
+        self.world.probes.fire("tcp.state", self.name, state=self.state.value)
         self.on_peer_fin()
 
     # -------------------------------------------------------------- RST paths
@@ -667,7 +668,7 @@ class TcpConnection:
             if not (self.recv_buffer.rcv_next - 1 <= off
                     < self.recv_buffer.rcv_next + window):
                 return  # outside window: blind-reset protection
-        self._trace("rst-received")
+        self.world.probes.fire("tcp.rst-received", self.name)
         reason = "connection reset by peer"
         self._enter_closed(reason, reset=True)
 
@@ -896,7 +897,8 @@ class TcpConnection:
             self._emit(self._make_segment(TcpFlags.ACK,
                                           self._seq_of(self.snd_nxt_off),
                                           payload))
-            self._trace("window-probe", off=self.snd_nxt_off)
+            self.world.probes.fire("tcp.window-probe", self.name,
+                                   off=self.snd_nxt_off)
         self._persist_interval = min(self._persist_interval * 2,
                                      self.config.persist_max_ns)
         self._persist_timer.start(self._persist_interval)
@@ -930,7 +932,8 @@ class TcpConnection:
             return
         self._rtx_count += 1
         if self._rtx_count > self.config.max_retransmits:
-            self._trace("give-up", retries=self._rtx_count)
+            self.world.probes.fire("tcp.give-up", self.name,
+                                   retries=self._rtx_count)
             self._enter_closed("retransmission limit exceeded", reset=True)
             return
         self.cc.on_timeout(max(self.flight_size, self.config.mss))
@@ -967,11 +970,9 @@ class TcpConnection:
                 flags |= TcpFlags.FIN
             self._emit(self._make_segment(flags, self._seq_of(self.snd_una_off),
                                           payload))
-            self._trace("retransmit", off=self.snd_una_off, len=len(payload))
         elif self.fin_sent and not self.fin_acked:
             self._emit(self._make_segment(TcpFlags.FIN | TcpFlags.ACK,
                                           self._seq_of(self.fin_off)))
-            self._trace("retransmit-fin", off=self.fin_off)
 
     def _restart_rtx(self) -> None:
         self._rtx_timer.start(self.rtt.rto_ns)
@@ -980,7 +981,7 @@ class TcpConnection:
 
     def _enter_time_wait(self) -> None:
         self.state = TcpState.TIME_WAIT
-        self._trace("state", state="TIME_WAIT")
+        self.world.probes.fire("tcp.state", self.name, state="TIME_WAIT")
         self._rtx_timer.stop()
         self._persist_timer.stop()
         self._timewait_timer.start(2 * self.config.msl_ns)
@@ -998,15 +999,12 @@ class TcpConnection:
         if already_closed:
             return
         self.send_buffer.discard()  # recv_buffer stays: the app may drain it
-        self._trace("closed", reason=reason)
+        self.world.probes.fire("tcp.closed", self.name, reason=reason)
         if reset:
             self.on_reset(reason)
         self.on_closed()
 
     # ----------------------------------------------------------------- misc
-
-    def _trace(self, message: str, **fields) -> None:
-        self.world.trace.record("tcp", self.name, message, **fields)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<TcpConnection {self.name} {self.state.value} "

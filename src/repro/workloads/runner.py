@@ -87,7 +87,6 @@ def run_workload_failover(
         # repro.campaign.warm); the caller owns the seed/config/cc match.
         tb = testbed
     else:
-        build_kwargs.setdefault("trace_categories", opts.trace_categories)
         tb = build_testbed(seed=opts.seed, config=config, cc=opts.cc,
                            num_clients=num_clients, **build_kwargs)
     if opts.gc_freeze:

@@ -12,6 +12,7 @@ allow-list: a cross-module copy needs a measured reason in
 docs/performance.md's inlining ledger and a change to this file.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -129,6 +130,44 @@ def test_the_wire_is_impaired_through_its_hook_and_never_stubbed():
     assert not stubs, f"set cable.impair instead of stubbing transmit: {stubs}"
     cable = (PACKAGE / "net" / "cable.py").read_text(encoding="utf-8")
     assert "def impair" in cable
+
+
+def test_components_report_through_the_bus_and_the_log_stays_deleted():
+    """One emit path: a component fires a registered probe, and the
+    milestone list ``World.trace`` is a subscriber like any other.  The
+    second path — ``TraceLog.record`` from 33 call sites, the bus's
+    mirror sink and filter listener, ``ProbeBus.enabled`` — stays
+    deleted, and so does the option that was threaded through seven
+    modules to carry one value: only ``World`` takes ``trace_categories``
+    (the frozen benchmark drivers pass it), from one call in the builder.
+    """
+    # ``trace.record(``, not any ``.record(``: the stream logger's
+    # LoggedConnection.record(segment) is not a log.
+    gone = re.compile(r"\btrace\.record\(|\bTrace(?:Log|Record)\b|\b_trace\("
+                      r"|\bon_filter_change\b|\.enabled\(")
+    for sample in ("self.world.trace" + ".record(", "self._trace" + '("x")',
+                   "Trace" + "Log", "bus.enabled" + '("hb.send")'):
+        assert gone.search(sample), sample
+    strays = [f"{_where(module, text, m)} ({m.group(0)})"
+              for module, text in _sources() for m in gone.finditer(text)]
+    assert not strays, f"second emit path named under src/: {strays}"
+    assert not (PACKAGE / "sim" / "trace.py").exists()
+
+    option = {module: text.count("trace_categories")
+              for module, text in _sources() if "trace_categories" in text}
+    assert set(option) == {"sim/world.py", "scenarios/builder.py"}, option
+    assert option["scenarios/builder.py"] == 1, "one call, no parameter"
+
+    two_args = []
+    for path in sorted((*PACKAGE.rglob("*.py"),
+                        *(REPO / "tests").rglob("*.py"))):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id",
+                                getattr(node.func, "attr", "")) == "ProbeBus"
+                    and len(node.args) + len(node.keywords) != 1):
+                two_args.append(f"{path.relative_to(REPO)}:{node.lineno}")
+    assert not two_args, f"ProbeBus takes the clock only: {two_args}"
 
 
 def test_no_literal_stands_in_for_another_modules_constant():

@@ -1,18 +1,23 @@
-"""Unit tests for the probe bus (subscribe/unsubscribe, zero-cost idle,
-delivery order, trace mirroring)."""
+"""Unit tests for the probe bus (subscribe/attach/unsubscribe, zero-cost
+idle, delivery order) and for the one subscriber every world brings: its
+milestone list, ``World.trace``."""
 
 import pytest
 
 from repro.obs.bus import ProbeBus
 from repro.obs.registry import PROBES, UnknownProbeError
-from repro.sim.core import Simulator
-from repro.sim.trace import TraceLog
+from repro.sim.world import World
+
+# Synthetic fires on a bus whose sinks these tests count: the REPRO_CHECK=1
+# oracle would be one more subscriber, fed events no component emitted.
+pytestmark = pytest.mark.no_invariant_check
 
 
 def make_bus(with_trace=True):
-    sim = Simulator()
-    trace = TraceLog(lambda: sim.now) if with_trace else None
-    return sim, trace, ProbeBus(lambda: sim.now, trace)
+    """``(sim, trace, bus)``: a world's bus with its milestone list
+    attached, or a bare bus nothing listens to."""
+    world = World(trace_categories=None if with_trace else frozenset())
+    return world.sim, world.trace, world.probes
 
 
 def test_fire_unregistered_probe_raises():
@@ -28,26 +33,31 @@ def test_subscribe_unregistered_probe_raises():
 
 
 def test_idle_fire_builds_no_event():
-    """Zero overhead when unsubscribed: no event object is constructed."""
+    """Zero overhead when unsubscribed: no event object is constructed.
+    ``fired`` counts exactly the fires that had a sink — the milestone
+    list is one."""
     _sim, trace, bus = make_bus()
-    bus.fire("tcp.segment_tx", "conn", len=100)   # untraced probe
-    bus.fire("hb.send", "hb", "sent", seq=1)      # traced probe
+    bus.fire("tcp.segment_tx", "conn", len=100)   # untraced probe: no sink
     assert bus.fired == 0
-    # The traced probe still produced exactly its legacy trace record.
-    assert len(trace) == 1
-    assert trace.records[0].category == "hb"
+    bus.fire("hb.send", "hb", "sent", seq=1)      # traced probe: the list
+    assert bus.fired == 1
+    assert [event.category for event in trace] == ["hb"]
+    _sim, trace, bare = make_bus(with_trace=False)
+    bare.fire("hb.send", "hb", "sent", seq=1)
+    assert bare.fired == 0 and trace == []
 
 
 def test_enabled_reflects_subscriptions():
+    """A probe is enabled — ``wants`` it — exactly while it has a sink."""
     _sim, _trace, bus = make_bus()
-    assert not bus.enabled("tcp.segment_tx")
+    assert not bus.wants("tcp.segment_tx")
     cb = bus.subscribe("tcp.segment_tx", lambda ev: None)
-    assert bus.enabled("tcp.segment_tx")
-    assert not bus.enabled("tcp.segment_rx")
+    assert bus.wants("tcp.segment_tx")
+    assert not bus.wants("tcp.segment_rx")
     bus.unsubscribe(cb)
-    assert not bus.enabled("tcp.segment_tx")
+    assert not bus.wants("tcp.segment_tx")
     bus.subscribe_all(lambda ev: None)
-    assert bus.enabled("tcp.segment_rx")  # wildcard enables everything
+    assert bus.wants("tcp.segment_rx")  # wildcard enables everything
 
 
 def test_subscriber_receives_event_fields():
@@ -91,10 +101,11 @@ def test_unsubscribe_is_idempotent():
 
 
 def test_traced_probe_mirrors_exact_trace_record():
-    """A traced fire must equal the TraceLog.record call it replaced."""
+    """A traced fire lands in the milestone list with the category,
+    source, message and fields its emitter passed."""
     _sim, trace, bus = make_bus()
     bus.fire("hb.recv", "p.hb", "received", link="ip", seq=3)
-    rec = trace.records[0]
+    rec = trace[0]
     assert (rec.category, rec.source, rec.message) == \
         ("hb", "p.hb", "received")
     assert rec.fields == {"link": "ip", "seq": 3}
@@ -109,8 +120,9 @@ def test_untraced_probe_never_reaches_trace():
 
 
 def test_fire_without_trace_backend():
-    _sim, _trace, bus = make_bus(with_trace=False)
-    bus.fire("hb.send", "hb")  # must not blow up with trace=None
+    """A bus is complete on its own: no world, no list."""
+    bus = ProbeBus(lambda: 0)
+    bus.fire("hb.send", "hb")  # nobody listens: must not blow up
     got = []
     bus.subscribe("hb.send", got.append)
     bus.fire("hb.send", "hb")
@@ -173,29 +185,51 @@ def test_subscribing_during_a_fire_takes_effect_from_the_next_fire():
     assert seen[1:] == [("first", 2), ("late", 2), ("late", 2)]
 
 
-def test_trace_filter_change_during_a_fire_takes_effect_from_the_next_fire():
-    _sim, trace, bus = make_bus()
-    trace.set_enabled_categories(set())
-    enable = bus.subscribe(
-        "hb.send", lambda ev: trace.set_enabled_categories({"hb"}))
-    bus.fire("hb.send", "hb", seq=1)    # mirror was not attached yet
-    assert len(trace) == 0
-    bus.unsubscribe(enable)
-    bus.subscribe("hb.send", lambda ev: trace.set_enabled_categories(set()))
-    bus.fire("hb.send", "hb", seq=2)    # mirror was attached: still kept
-    assert [r.fields for r in trace] == [{"seq": 2}]
-    bus.fire("hb.send", "hb", seq=3)
-    assert len(trace) == 1
+# ------------------------------------------------------------ batch attach
+
+def test_attach_validates_every_name_before_changing_anything():
+    _sim, _trace, bus = make_bus(with_trace=False)
+    got = []
+    with pytest.raises(UnknownProbeError):
+        bus.attach([("hb.send", got.append), ("nope.nope", got.append)])
+    assert not bus.wants("hb.send")
+    bus.fire("hb.send", "hb")
+    assert got == [] and bus.fired == 0
 
 
-def test_trace_mirror_runs_after_every_subscriber():
-    """Record order is unchanged: a subscriber that writes to the trace
-    from its callback lands before the fire's own mirrored record."""
+def test_attach_compiles_once_and_subscribe_is_its_one_pair_case(monkeypatch):
+    _sim, _trace, bus = make_bus(with_trace=False)
+    compiles = []
+    compile_table = ProbeBus._invalidate
+    monkeypatch.setattr(
+        ProbeBus, "_invalidate",
+        lambda self: (compiles.append(1), compile_table(self))[1])
+    seen = []
+    callbacks = bus.attach(
+        (probe, lambda ev, probe=probe: seen.append((probe, ev.probe)))
+        for probe in PROBES)
+    assert len(compiles) == 1 and len(callbacks) == len(PROBES)
+    assert all(bus.wants_map.values())
+    for probe in PROBES:
+        bus.fire(probe, "x")
+    assert seen == [(probe, probe) for probe in PROBES]
+    bus.subscribe("hb.send", lambda ev: seen.append("one more"))
+    assert len(compiles) == 2
+    bus.unsubscribe(*callbacks)         # any number, one compile
+    assert len(compiles) == 3
+    assert [name for name, wanted in bus.wants_map.items() if wanted] == \
+        ["hb.send"]
+
+
+def test_the_milestone_list_is_attached_first_and_sees_every_traced_fire():
+    """The world attaches its list when it is built, so it is the first
+    sink of a traced probe: by the time a later subscriber runs, the
+    event is already the list's last entry."""
     _sim, trace, bus = make_bus()
-    bus.subscribe("hb.send", lambda ev: trace.record("hb", "sub", "saw it"))
-    bus.subscribe_all(lambda ev: None)
+    order = []
+    bus.subscribe("hb.send", lambda ev: order.append(trace[-1] is ev))
     bus.fire("hb.send", "hb", "sent")
-    assert [r.message for r in trace] == ["saw it", "sent"]
+    assert order == [True]
 
 
 # ----------------------------------------------------------- the event type
@@ -217,20 +251,17 @@ def test_probe_event_is_immutable_and_keeps_its_field_order():
         event.extra = 1
 
 
-# ------------------------------------------ enabled() / wants() / the table
+# ------------------------------------------------- wants() / the table
 
-def test_enabled_and_wants_differ_only_by_the_trace_mirror():
-    _sim, trace, bus = make_bus()
-    # Traced probe, category kept, nobody subscribed: the mirror alone.
-    assert bus.wants("hb.send") and not bus.enabled("hb.send")
-    trace.set_enabled_categories(set())
-    assert not bus.wants("hb.send") and not bus.enabled("hb.send")
+def test_wants_answers_from_the_compiled_table():
+    _sim, _trace, bus = make_bus()
+    # Traced probe, category kept, nobody subscribed: the list alone.
+    assert bus.wants("hb.send")
+    _sim, _trace, bus = make_bus(with_trace=False)
+    assert not bus.wants("hb.send")
     bus.subscribe("hb.send", lambda ev: None)
-    assert bus.wants("hb.send") and bus.enabled("hb.send")
+    assert bus.wants("hb.send")
     for probe in PROBES:
         assert bus.wants(probe) == bus.wants_map[probe]
-        assert bus.enabled(probe) <= bus.wants(probe)
-    with pytest.raises(UnknownProbeError):
-        bus.enabled("nope.nope")
     with pytest.raises(UnknownProbeError):
         bus.wants("nope.nope")

@@ -11,14 +11,13 @@ import re
 from pathlib import Path
 
 from repro.obs.registry import CATEGORIES, PROBES
-from repro.scenarios.builder import DEFAULT_TRACE_CATEGORIES
+from repro.scenarios.builder import MILESTONE_CATEGORIES
 from repro.sttcp.events import EventKind
 
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src"
 DOCS = REPO / "docs"
 
-_RECORD_LITERAL = re.compile(r'\.record\(\s*\n?\s*"([a-z_]+)"')
 _FIRE_LITERAL = re.compile(r'probes\.fire\(\s*\n?\s*"([\w.-]+)"')
 
 
@@ -28,18 +27,6 @@ def _scan(pattern):
         for name in pattern.findall(path.read_text(encoding="utf-8")):
             hits.setdefault(name, []).append(path.relative_to(REPO))
     return hits
-
-
-def test_every_emitted_trace_category_is_registered():
-    """Each literal ``trace.record("<cat>", ...)`` in src/ must use a
-    category declared in the registry."""
-    emitted = _scan(_RECORD_LITERAL)
-    assert emitted, "scan found no trace.record call sites — regex broken?"
-    unregistered = {cat: paths for cat, paths in emitted.items()
-                    if cat not in CATEGORIES}
-    assert not unregistered, (
-        f"trace categories emitted but missing from "
-        f"repro.obs.registry.CATEGORIES: {unregistered}")
 
 
 def test_every_fired_probe_literal_is_registered():
@@ -52,6 +39,17 @@ def test_every_fired_probe_literal_is_registered():
     assert not unregistered, (
         f"probes fired but missing from repro.obs.registry.PROBES: "
         f"{unregistered}")
+
+
+def test_every_registered_probe_has_a_fire_site():
+    """The converse: a row nobody fires is a dead row.  (``sttcp.<kind>``
+    rows are fired through one f-string; the next test covers them.)"""
+    fired = _scan(_FIRE_LITERAL)
+    engine = {f"sttcp.{v}" for k, v in vars(EventKind).items()
+              if isinstance(v, str) and not k.startswith("_")}
+    dead = [name for name in PROBES if name not in fired
+            and name not in engine]
+    assert not dead, f"registered probes with no probes.fire site: {dead}"
 
 
 def test_every_engine_event_kind_has_a_probe():
@@ -67,7 +65,8 @@ def test_every_engine_event_kind_has_a_probe():
 
 
 def test_default_trace_categories_are_registered():
-    assert set(DEFAULT_TRACE_CATEGORIES) <= set(CATEGORIES)
+    """What ``build_testbed`` keeps in ``world.trace``."""
+    assert set(MILESTONE_CATEGORIES) <= set(CATEGORIES)
 
 
 def test_probe_categories_are_registered():
@@ -89,31 +88,26 @@ def test_docs_list_every_probe_and_category():
 
 def test_every_registered_probe_has_a_compiled_dispatch_entry():
     """The bus recompiles its whole dispatch table on every subscription
-    or trace-filter change; a registered probe without an entry would
-    make its emitter's ``wants_map[...]`` guard raise mid-run."""
+    change; a registered probe without an entry would make its emitter's
+    ``wants_map[...]`` guard raise mid-run."""
     from repro.obs.bus import ProbeBus
-    from repro.sim.trace import TraceLog
 
-    trace = TraceLog(lambda: 0)
-    bus = ProbeBus(lambda: 0, trace)
+    bus = ProbeBus(lambda: 0)
 
     def compiled():
         assert set(bus._table) == set(bus.wants_map) == set(PROBES)
-        for name, (category, _message, sinks, subscribed) in \
-                bus._table.items():
+        for name, (category, _message, sinks) in bus._table.items():
             assert category == PROBES[name].category
             assert isinstance(sinks, tuple)
             assert bus.wants_map[name] == bool(sinks)
-            assert subscribed == bus.enabled(name)
 
     compiled()
     callback = bus.subscribe("tcp.segment_tx", lambda ev: None)
     compiled()
     bus.subscribe_all(callback)
     compiled()
+    bus.attach((name, callback) for name in PROBES)
+    compiled()
     bus.unsubscribe(callback)
     compiled()
-    trace.set_enabled_categories({"hb"})
-    compiled()
-    trace.set_enabled_categories(None)
-    compiled()
+    assert not any(bus.wants_map.values())

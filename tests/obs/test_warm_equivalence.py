@@ -38,8 +38,7 @@ def _run(tmp_path, testbed=None, seed=7):
 
 
 def _snapshot(seed: int) -> bytes:
-    return build_testbed(seed=seed,
-                         trace_categories=OPTS.trace_categories).snapshot()
+    return build_testbed(seed=seed).snapshot()
 
 
 def test_restored_testbed_matches_cold_run_byte_for_byte(tmp_path):
@@ -55,6 +54,20 @@ def test_restored_testbed_matches_cold_run_byte_for_byte(tmp_path):
     assert warm_result.stream_intact and cold_result.stream_intact
     assert warm_result.timeline.failover_time_ns \
         == cold_result.timeline.failover_time_ns
+
+
+def test_a_restored_world_appends_to_its_own_milestone_list():
+    """``World.trace`` is a list and its bus holds the bound ``append``;
+    both travel in one pickle, so the thawed bus writes to the thawed
+    world's list — not to the snapshotted world's, and not to a copy."""
+    cold = build_testbed(seed=7)
+    warm = _Testbed.restore(cold.snapshot(), seed=7)
+    assert warm.world.trace == [] and warm.world.trace is not cold.world.trace
+    warm.primary.crash_hw()
+    assert [e.probe for e in warm.world.trace] == ["fault.host-down"]
+    assert cold.world.trace == []
+    cold.primary.crash_hw()
+    assert warm.world.trace == cold.world.trace
 
 
 def test_reseeded_snapshot_matches_cold_build_of_that_seed(tmp_path):

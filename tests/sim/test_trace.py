@@ -1,79 +1,59 @@
-"""Unit tests for the structured trace log."""
+"""Unit tests for the milestone list, ``World.trace``: a plain list of
+the ``ProbeEvent``s the world's own bus appends for every ``traced``
+probe in a kept category."""
 
-from repro.sim.core import Simulator
-from repro.sim.trace import TraceLog
-
-
-def make_log(enabled=None):
-    sim = Simulator()
-    return sim, TraceLog(lambda: sim.now, enabled_categories=enabled)
+from repro.sim.world import World
 
 
 def test_records_carry_time_and_fields():
-    sim, log = make_log()
-    sim.schedule(100, lambda: log.record("tcp", "conn1", "sent", seq=5))
-    sim.run()
-    assert len(log) == 1
-    record = log.records[0]
-    assert record.time == 100
-    assert record.category == "tcp"
-    assert record.fields == {"seq": 5}
+    world = World()
+    world.sim.schedule(100, lambda: world.probes.fire(
+        "tcp.state", "conn1", state="SYN_SENT"))
+    world.run()
+    assert len(world.trace) == 1
+    event = world.trace[0]
+    assert event.time == 100
+    assert event.time_s == 100e-9
+    assert (event.category, event.source, event.message) == \
+        ("tcp", "conn1", "state")
+    assert event.fields == {"state": "SYN_SENT"}
 
 
 def test_category_filtering_drops_unlisted():
-    _sim, log = make_log(enabled={"hb"})
-    log.record("tcp", "x", "dropped")
-    log.record("hb", "x", "kept")
-    assert len(log) == 1
-    assert log.records[0].category == "hb"
+    world = World(trace_categories={"hb"})
+    world.probes.fire("tcp.state", "x", state="LISTEN")
+    world.probes.fire("hb.send", "x", "sent")
+    assert [event.category for event in world.trace] == ["hb"]
+    # Dropped means not subscribed: a fire in an unlisted category finds
+    # no sink and builds no event at all.
+    assert not world.probes.wants("tcp.state")
+    assert world.probes.fired == 1
 
 
 def test_filter_by_category_source_contains():
-    _sim, log = make_log()
-    log.record("tcp", "a", "sent data")
-    log.record("tcp", "b", "sent data")
-    log.record("hb", "a", "heartbeat out")
-    assert len(log.filter(category="tcp")) == 2
-    assert len(log.filter(source="a")) == 2
-    assert len(log.filter(contains="heartbeat")) == 1
-    assert len(log.filter(category="tcp", source="a")) == 1
-
-
-def test_first_and_last():
-    _sim, log = make_log()
-    log.record("x", "s", "one")
-    log.record("x", "s", "two")
-    assert log.first(category="x").message == "one"
-    assert log.last(category="x").message == "two"
-    assert log.first(category="zzz") is None
+    """The log has no query helpers: an event carries ``category``,
+    ``source`` and ``message``, and a comprehension is the filter (the
+    "reading the milestone list" example in docs/observability.md)."""
+    world = World()
+    world.probes.fire("tcp.closed", "a", reason="sent data")
+    world.probes.fire("tcp.closed", "b", reason="sent data")
+    world.probes.fire("hb.send", "a", "heartbeat out")
+    trace = world.trace
+    assert len([e for e in trace if e.category == "tcp"]) == 2
+    assert len([e for e in trace if e.source == "a"]) == 2
+    assert len([e for e in trace if "heartbeat" in e.message]) == 1
+    assert len([e for e in trace
+                if e.category == "tcp" and e.source == "a"]) == 1
+    first_tcp = next(e for e in trace if e.category == "tcp")
+    assert first_tcp.source == "a"
 
 
 def test_subscribe_sees_live_records():
-    _sim, log = make_log()
+    """The list is one subscriber among others: whoever else attaches to
+    the bus is handed the very event the list keeps, as it fires."""
+    world = World()
     seen = []
-    log.subscribe(seen.append)
-    log.record("x", "s", "hello")
+    world.probes.subscribe("hb.send", seen.append)
+    world.probes.fire("hb.send", "s", "hello")
     assert len(seen) == 1
-
-
-def test_set_enabled_categories_at_runtime():
-    _sim, log = make_log()
-    log.record("tcp", "s", "kept")
-    log.set_enabled_categories({"hb"})
-    log.record("tcp", "s", "dropped")
-    assert len(log) == 1
-
-
-def test_str_rendering_includes_fields():
-    _sim, log = make_log()
-    log.record("tcp", "conn", "sent", seq=3)
-    text = str(log.records[0])
-    assert "seq=3" in text and "tcp" in text
-
-
-def test_dump_filters():
-    _sim, log = make_log()
-    log.record("a", "s", "m1")
-    log.record("b", "s", "m2")
-    assert "m1" in log.dump(category="a")
-    assert "m2" not in log.dump(category="a")
+    assert seen[0] is world.trace[0]

@@ -1,5 +1,7 @@
 """Tests for the World container."""
 
+import pytest
+
 from repro.sim.core import seconds
 from repro.sim.world import World
 
@@ -8,9 +10,10 @@ def test_world_bundles_services():
     world = World(seed=5)
     assert world.rng.seed == 5
     assert world.now == 0
-    world.trace.record("sim", "test", "hello")
-    assert len(world.trace) == 1
-    assert world.trace.records[0].time == 0
+    world.probes.fire("hb.send", "test", "hello")
+    assert type(world.trace) is list and len(world.trace) == 1
+    assert world.trace[0].time == 0
+    assert world.trace[0].message == "hello"
 
 
 def test_run_and_run_for():
@@ -25,13 +28,23 @@ def test_run_and_run_for():
 
 def test_trace_clock_follows_sim():
     world = World()
-    world.sim.schedule(100, lambda: world.trace.record("sim", "t", "later"))
+    world.sim.schedule(100, lambda: world.probes.fire("hb.send", "t", "later"))
     world.run()
-    assert world.trace.records[0].time == 100
+    assert world.trace[0].time == 100
 
 
 def test_trace_category_restriction():
     world = World(trace_categories={"fault"})
-    world.trace.record("tcp", "x", "dropped")
-    world.trace.record("fault", "x", "kept")
-    assert len(world.trace) == 1
+    world.probes.fire("tcp.state", "x", state="dropped")
+    world.probes.fire("fault.host-down", "x", "kept")
+    assert [event.message for event in world.trace] == ["kept"]
+
+
+@pytest.mark.no_invariant_check   # counts sinks: the oracle would be one
+def test_an_empty_category_set_keeps_nothing_and_costs_nothing():
+    """What the benchmark's layer drivers construct: no probe has a sink,
+    so every emitter's ``wants_map`` guard reads False."""
+    world = World(seed=1, trace_categories=frozenset())
+    assert not any(world.probes.wants_map.values())
+    world.probes.fire("fault.host-down", "x")
+    assert world.trace == [] and world.probes.fired == 0

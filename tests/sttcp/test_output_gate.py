@@ -78,7 +78,7 @@ def _watch_replicas(tb) -> dict:
 
 def _golden_failover():
     opts = RunOptions(seed=7, run_until_s=3, obs_level="frames")
-    tb = build_testbed(seed=opts.seed, trace_categories=opts.trace_categories)
+    tb = build_testbed(seed=opts.seed)
     seen = _watch_replicas(tb)
     run_failover_experiment(lambda tb, sp, sb: HwCrash(tb.primary),
                             total_bytes=60_000, fault_at_s=0.5,
@@ -88,8 +88,7 @@ def _golden_failover():
 
 def _golden_workload():
     opts = RunOptions(seed=3, run_until_s=6, obs_level="frames")
-    tb = build_testbed(seed=opts.seed, num_clients=4,
-                       trace_categories=opts.trace_categories)
+    tb = build_testbed(seed=opts.seed, num_clients=4)
     seen = _watch_replicas(tb)
     run_workload_failover(
         WorkloadSpec(kind="stream", connections=6, bytes_per_conn=20_000,
@@ -111,7 +110,7 @@ def _midstream_failover():
     """The crash lands mid-stream, unobserved: a replica with data in
     flight is live at takeover."""
     opts = RunOptions(seed=11, run_until_s=4)
-    tb = build_testbed(seed=opts.seed, trace_categories=opts.trace_categories)
+    tb = build_testbed(seed=opts.seed)
     seen = _watch_replicas(tb)
     result = run_failover_experiment(lambda tb, sp, sb: HwCrash(tb.primary),
                                      total_bytes=4_000_000, fault_at_s=0.1,
@@ -122,8 +121,7 @@ def _midstream_failover():
 
 def _kv_smoke():
     opts = RunOptions(seed=3, run_until_s=4)
-    tb = build_testbed(seed=opts.seed, num_clients=8, egress_filtering=True,
-                       trace_categories=opts.trace_categories)
+    tb = build_testbed(seed=opts.seed, num_clients=8, egress_filtering=True)
     seen = _watch_replicas(tb)
     result = run_workload_failover(
         WorkloadSpec(kind="kv", connections=16, kv_ops=10,
