@@ -10,9 +10,10 @@ its ``id``.
 Layers
 ------
 
-* ``tcp-endpoint`` — checked from the enriched ``tcp.segment_tx`` /
+* ``tcp-endpoint`` — checked from the ``tcp.segment_tx`` /
   ``tcp.deliver`` probes, per connection, against that endpoint's own
-  declared sender/receiver state;
+  sender/receiver state (read off the live connection the
+  ``tcp.segment_tx`` fire hands over);
 * ``wire`` — checked from ``eth.frame`` at the switch, per TCP flow
   direction, so they hold across *whichever* machine is emitting
   (primary before failover, backup after — the ST-TCP headline claim);

@@ -13,7 +13,8 @@ Every invariant is evaluated on every event it applies to and counted in
 ``conn``/``detail`` strings of a :class:`Violation` are formatted only
 when a check fails, and a wire-layer violation stores the decoded
 ``describe_frame`` row of the offending frame, not the frame: frames
-are pooled and recycled as the run goes on.
+are pooled and recycled as the run goes on (a sender-state violation,
+likewise, the connection's name).
 
 Three front doors, all documented in ``docs/invariants.md``:
 
@@ -79,7 +80,8 @@ class Violation:
     conn: str             # connection / flow / service identifier
     detail: str           # human-readable specifics (observed vs expected)
     #: The probe record itself; a ``frame`` field holds the decoded row
-    #: (:func:`~repro.obs.export.describe_frame`), not the pooled frame.
+    #: (:func:`~repro.obs.export.describe_frame`), not the pooled frame,
+    #: and a ``conn`` field the connection's name, not the connection.
     event: Optional[ProbeEvent] = None
 
     def __str__(self) -> str:
@@ -190,6 +192,12 @@ class InvariantOracle:
                    f"{packet.src}:{seg.src_port}->{packet.dst}:{seg.dst_port}",
                    detail)
 
+    def _fail_tx(self, invariant: str, ev: ProbeEvent, detail: str) -> None:
+        """A sender-state breach, filed under the connection's name in
+        place of the live connection, which moves on."""
+        named = ev._replace(fields={**ev.fields, "conn": ev.source})
+        self._fail(invariant, named, ev.source, detail)
+
     def report(self) -> str:
         """Human-readable summary: per-invariant check/violation counts."""
         lines = [f"invariant oracle: {self.violation_count} violation(s)"]
@@ -203,55 +211,52 @@ class InvariantOracle:
 
     def _on_segment_tx(self, ev: ProbeEvent) -> None:
         f = ev.fields
-        una, nxt = f.get("una"), f.get("nxt")
-        if una is None or nxt is None:
-            return
-        flags = f.get("flags", "")
+        conn = f["conn"]
+        una, nxt = conn.snd_una_off, conn.snd_nxt_off
+        rcv_nxt = conn.last_byte_received
+        flags = f["flags"]
         state = self._endpoints.get(ev.source)
-        if state is None or "SYN" in flags:
+        if state is None or flags & TcpFlags.SYN:
             # First sighting, or a new incarnation reusing the name.
             state = self._endpoints[ev.source] = _EndpointState(
-                una=una, rcv_nxt=f.get("rcv_nxt", 0))
+                una=una, rcv_nxt=rcv_nxt)
         checks = self.checks
         checks["tcp.snd-una-le-nxt"] += 1
         if una > nxt:
-            self._fail("tcp.snd-una-le-nxt", ev, ev.source,
-                       f"snd_una={una} > snd_nxt={nxt}")
+            self._fail_tx("tcp.snd-una-le-nxt", ev,
+                          f"snd_una={una} > snd_nxt={nxt}")
         checks["tcp.snd-una-monotone"] += 1
         if una < state.una:
-            self._fail("tcp.snd-una-monotone", ev, ev.source,
-                       f"snd_una retreated {state.una} -> {una}")
+            self._fail_tx("tcp.snd-una-monotone", ev,
+                          f"snd_una retreated {state.una} -> {una}")
         else:
             state.una = una
-        mss = f.get("mss")
-        if mss:
-            cwnd, ssthresh = f.get("cwnd"), f.get("ssthresh")
-            checks["tcp.cwnd-floor"] += 1
-            if cwnd < mss:
-                self._fail("tcp.cwnd-floor", ev, ev.source,
-                           f"cwnd={cwnd} < 1 MSS ({mss})")
-            checks["tcp.ssthresh-floor"] += 1
-            if ssthresh < 2 * mss:
-                self._fail("tcp.ssthresh-floor", ev, ev.source,
-                           f"ssthresh={ssthresh} < 2 MSS ({2 * mss})")
-        off = f.get("off")
-        if off is not None and "SYN" not in flags and "RST" not in flags:
+        mss = conn.config.mss
+        cwnd, ssthresh = conn.cc.cwnd, conn.cc.ssthresh
+        checks["tcp.cwnd-floor"] += 1
+        if cwnd < mss:
+            self._fail_tx("tcp.cwnd-floor", ev,
+                          f"cwnd={cwnd} < 1 MSS ({mss})")
+        checks["tcp.ssthresh-floor"] += 1
+        if ssthresh < 2 * mss:
+            self._fail_tx("tcp.ssthresh-floor", ev,
+                          f"ssthresh={ssthresh} < 2 MSS ({2 * mss})")
+        iss = conn.iss
+        if iss is not None and not flags & (TcpFlags.SYN | TcpFlags.RST):
             # (RSTs are exempt: a reset for a bogus handshake ack echoes
             # the offender's ack field as its seq, per RFC 793.)
+            off = seq_sub(f["seq"], seq_add(iss, 1))
             checks["tcp.seq-in-window"] += 1
             if not una <= off <= nxt:
-                self._fail("tcp.seq-in-window", ev, ev.source,
-                           f"segment offset {off} outside [una={una}, "
-                           f"nxt={nxt}]")
-        rcv_nxt = f.get("rcv_nxt")
-        if rcv_nxt is not None:
-            checks["tcp.rcv-nxt-monotone"] += 1
-            if rcv_nxt < state.rcv_nxt:
-                self._fail("tcp.rcv-nxt-monotone", ev, ev.source,
-                           f"rcv_next retreated {state.rcv_nxt} -> "
-                           f"{rcv_nxt}")
-            else:
-                state.rcv_nxt = rcv_nxt
+                self._fail_tx("tcp.seq-in-window", ev,
+                              f"segment offset {off} outside [una={una}, "
+                              f"nxt={nxt}]")
+        checks["tcp.rcv-nxt-monotone"] += 1
+        if rcv_nxt < state.rcv_nxt:
+            self._fail_tx("tcp.rcv-nxt-monotone", ev,
+                          f"rcv_next retreated {state.rcv_nxt} -> {rcv_nxt}")
+        else:
+            state.rcv_nxt = rcv_nxt
 
     def _on_deliver(self, ev: ProbeEvent) -> None:
         off, length = ev.fields.get("off"), ev.fields.get("len", 0)

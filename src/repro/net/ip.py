@@ -202,9 +202,6 @@ class IpStack:
             frame = acquire_frame(mac, nic.mac, EtherType.IPV4, packet)
             nic.frames_sent += 1
             nic.bytes_sent += frame.size_bytes
-            probes = self._world.probes
-            if probes.wants_map["nic.tx"]:
-                probes.fire("nic.tx", nic.name, size=frame.size_bytes)
             nic._cable.transmit(nic, frame)
             return
         self._send_slow(dst, protocol, payload, src)

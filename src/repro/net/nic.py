@@ -30,6 +30,10 @@ class Nic:
                  "frames_sent", "frames_received", "bytes_sent",
                  "bytes_received", "frames_filtered", "_accept_values")
 
+    #: counters.json key -> the attribute that counts it (summed over
+    #: ``World.nics`` by an ObsSession; no probe repeats these counts).
+    COUNTED = {"nic.tx": "frames_sent", "nic.rx": "frames_received"}
+
     def __init__(self, world: World, name: str, mac: MacAddress):
         self._world = world
         self.name = name
@@ -57,6 +61,7 @@ class Nic:
         self.bytes_sent = 0
         self.bytes_received = 0
         self.frames_filtered = 0
+        world.nics.append(self)
 
     # -------------------------------------------------------------- wiring
 
@@ -127,9 +132,6 @@ class Nic:
             return
         self.frames_sent += 1
         self.bytes_sent += frame.size_bytes
-        probes = self._world.probes
-        if probes.wants_map["nic.tx"]:
-            probes.fire("nic.tx", self.name, size=frame.size_bytes)
         self._cable.transmit(self, frame)
 
     def receive_frame(self, frame: EthernetFrame) -> None:
@@ -142,9 +144,6 @@ class Nic:
             return
         self.frames_received += 1
         self.bytes_received += frame.size_bytes
-        probes = self._world.probes
-        if probes.wants_map["nic.rx"]:
-            probes.fire("nic.rx", self.name, size=frame.size_bytes)
         if self._upper is not None:
             self._upper(frame)
 

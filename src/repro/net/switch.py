@@ -83,6 +83,11 @@ class Switch:
                  "frames_egress_filtered", "_fwd_label", "_flood_label",
                  "_flood_cache", "_cache_net_epoch", "__weakref__")
 
+    #: counters.json key -> the attribute that counts it (summed over
+    #: ``World.switches`` by an ObsSession; no probe repeats these counts).
+    COUNTED = {"eth.forward": "frames_forwarded",
+               "eth.flood": "frames_flooded"}
+
     def __init__(self, world: World, name: str = "switch",
                  forwarding_delay_ns: int = 2_000,
                  egress_filtering: bool = False):
@@ -116,6 +121,7 @@ class Switch:
         # address-filter changes (tracked by World.net_epoch).
         self._flood_cache: dict = {}
         self._cache_net_epoch = -1
+        world.switches.append(self)
 
     def new_port(self) -> SwitchPort:
         """Allocate a fresh port (call before cabling a device to it)."""
@@ -163,9 +169,6 @@ class Switch:
             learned = self._mac_by_value.get(dst_value)
             if learned is not None and learned is not ingress:
                 self.frames_forwarded += 1
-                if probes.wants_map["eth.forward"]:
-                    probes.fire("eth.forward", self.name, "forward",
-                                dst=str(dst), port=learned.index)
                 # SwitchPort.transmit inlined (keep in sync): one call
                 # per forwarded unicast frame.  Claims: the fabric's claim
                 # transfers into cable.transmit; a SPAN copy needs its own
@@ -190,8 +193,6 @@ class Switch:
                 return  # destination is on the ingress segment; drop
         # Multicast, broadcast, or unknown unicast: flood (batched).
         self.frames_flooded += 1
-        if probes.wants_map["eth.flood"]:
-            probes.fire("eth.flood", self.name, "flood", dst=str(dst))
         # Sink classification below depends on the far-end address
         # filters, so the cache is destination-keyed and epoch-checked in
         # both modes (net_epoch covers multicast joins/leaves and

@@ -38,7 +38,9 @@ class ProbeEvent(NamedTuple):
     ``fields`` holds what the emitter passed; a value may be a live
     simulator object that is only valid during the callback (``eth.frame``
     passes a pooled frame — copy it with
-    :func:`~repro.obs.export.describe_frame` to keep it).
+    :func:`~repro.obs.export.describe_frame` to keep it; ``tcp.segment_tx``
+    passes the sending connection — copy the state you need from it).  A
+    subscriber that keeps ``fields`` past the callback must copy inside it.
     """
 
     time: int                    # virtual time, ns

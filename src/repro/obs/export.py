@@ -14,12 +14,17 @@ bus and accumulates three artifacts:
 Rows are *captured* when the probe fires and *decoded* when somebody asks
 for them.  The two fixed-shape, high-volume rows — a TCP/IP frame and a
 transmitted segment — are captured as one flat tuple of scalars and
-immutable address objects, copied out of the pooled frame/segment (never
-a reference to one: it is recycled as soon as the callback returns);
-everything else is rare and is decoded on the spot.  :attr:`ObsSession.frames`
-and :attr:`ObsSession.tcp_rows` turn the captures into the documented
-dict rows, and :meth:`ObsSession.write` renders the fixed-shape captures
+immutable address objects, copied out of the pooled frame or the live
+connection (never a reference to either: the frame is recycled and the
+connection moves on as soon as the callback returns); everything else is
+rare and is decoded on the spot.  :attr:`ObsSession.frames` and
+:attr:`ObsSession.tcp_rows` turn the captures into the documented dict
+rows, and :meth:`ObsSession.write` renders the fixed-shape captures
 straight to their JSON text.
+
+Four ``counters.json`` keys are not probes at all: ``nic.tx``, ``nic.rx``,
+``eth.forward`` and ``eth.flood`` are what the world's NICs and switches
+counted (their ``COUNTED`` attributes) between attach and detach.
 
 Every export is deterministic: rows carry only virtual time and
 seed-derived values, JSON keys are sorted, and row order is fire order —
@@ -32,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import json
-import operator
 import os
 from typing import Any, Callable, Iterable, Optional
 
@@ -42,7 +46,9 @@ from repro.obs.bus import ProbeEvent
 from repro.obs.metrics import (MetricsRegistry, format_snapshot_json,
                                format_snapshot_text)
 from repro.obs.registry import PROBES
+from repro.tcp.congestion import DEFAULT_CC
 from repro.tcp.segment import TcpFlags, TcpSegment
+from repro.tcp.seq import seq_add, seq_sub
 
 __all__ = ["ObsSession", "OBS_LEVELS", "describe_frame", "jsonl_line"]
 
@@ -75,6 +81,16 @@ _TOTALS = {
 def jsonl_line(row: dict) -> str:
     """One canonical JSONL row: sorted keys, compact, newline-terminated."""
     return json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _layer_counts(world) -> dict[str, int]:
+    """Every ``COUNTED`` attribute of the world's NICs and switches,
+    summed by its counters.json key."""
+    counts: dict[str, int] = {}
+    for device in (*world.nics, *world.switches):
+        for key, attr in device.COUNTED.items():
+            counts[key] = counts.get(key, 0) + getattr(device, attr)
+    return counts
 
 
 # ------------------------------------------------------------- frame rows
@@ -177,25 +193,32 @@ def _frames_text(captures: Iterable) -> str:
 
 # ---------------------------------------------------------- timeline rows
 #
-# A captured transmission is (t, conn) + the values of exactly these
-# ``tcp.segment_tx`` fields, in this order.  A fire with any other field
-# set (a congestion controller that adds its own, say) and every
-# retransmission is decoded on the spot instead.
+# A captured transmission is (t, conn name) + the values of exactly these
+# keys: the segment's five ``tcp.segment_tx`` fields (flags as the int),
+# then the sender state read off the live ``conn`` during the fire.  A row
+# with one more key (``cc``, a non-default congestion controller) and
+# every retransmission is decoded on the spot instead.
 
 _TX_KEYS = ("seq", "ack", "flags", "len", "win", "cwnd", "flight", "off",
             "una", "nxt", "rcv_nxt", "mss", "ssthresh")
-_tx_values = operator.itemgetter(*_TX_KEYS)
+
+
+def _capture_tx(event: ProbeEvent) -> tuple:
+    """``(t, conn name) + _TX_KEYS`` of one ``tcp.segment_tx`` fire."""
+    f = event.fields
+    conn, seq = f["conn"], f["seq"]
+    cc, iss = conn.cc, conn.iss
+    return (event.time, event.source, seq, f["ack"], f["flags"], f["len"],
+            f["win"], cc.cwnd, conn.flight_size,
+            seq_sub(seq, seq_add(iss, 1)) if iss is not None else None,
+            conn.snd_una_off, conn.snd_nxt_off, conn.last_byte_received,
+            conn.config.mss, cc.ssthresh)
+
 
 _TX_JSON = (
     '{"ack":%d,"conn":%s,"cwnd":%d,"ev":"tx","flags":%s,"flight":%d,'
     '"len":%d,"mss":%d,"nxt":%d,"off":%s,"rcv_nxt":%d,"seq":%d,'
     '"ssthresh":%d,"t":%d,"una":%d,"win":%d}\n')
-
-
-def _decoded_tcp_row(event: ProbeEvent, kind: str) -> dict:
-    row = {"t": event.time, "conn": event.source, "ev": kind}
-    row.update({k: _jsonable(v) for k, v in event.fields.items()})
-    return row
 
 
 def _tcp_row(captured) -> dict:
@@ -204,6 +227,7 @@ def _tcp_row(captured) -> dict:
         return captured
     row = {"t": captured[0], "conn": captured[1], "ev": "tx"}
     row.update(zip(_TX_KEYS, captured[2:]))
+    row["flags"] = TcpFlags.describe(row["flags"])
     return row
 
 
@@ -218,9 +242,9 @@ def _timeline_text(captures: Iterable) -> str:
         (t, conn, seq, ack, flags, length, window, cwnd, flight, off,
          una, nxt, rcv_nxt, mss, ssthresh) = captured
         lines.append(_TX_JSON % (
-            ack, quote(conn), cwnd, quote(flags), flight, length, mss, nxt,
-            "null" if off is None else off, rcv_nxt, seq, ssthresh, t, una,
-            window))
+            ack, quote(conn), cwnd, quote(TcpFlags.describe(flags)), flight,
+            length, mss, nxt, "null" if off is None else off, rcv_nxt, seq,
+            ssthresh, t, una, window))
     return "".join(lines)
 
 
@@ -246,9 +270,13 @@ class ObsSession:
         self._last_hb_rx: Optional[int] = None
         self._subs = world.probes.attach(
             (probe, self._handler(probe)) for probe in PROBES)
+        # What the layers had counted at attach; None once detached.
+        self._layer_base: Optional[dict] = _layer_counts(world)
 
     def detach(self) -> None:
         """Stop observing (the collected data stays queryable)."""
+        self._fold_layer_counts()
+        self._layer_base = None
         self.world.probes.unsubscribe(*self._subs)
         self._subs.clear()
 
@@ -340,26 +368,27 @@ class ObsSession:
                 fired = metrics.counter("tcp.segment_tx")
                 total = metrics.counter(_TOTALS["tcp.segment_tx"])
                 octets = metrics.counter("tcp.bytes_sent_total")
+                cwnd_bytes = metrics.histogram("tcp.cwnd_bytes")
             fields = event.fields
+            cc = fields["conn"].cc
             fired.value += 1
             total.value += 1
-            octets.inc(fields.get("len", 0))
-            if "cwnd" in fields:
-                if cwnd_bytes is None:
-                    cwnd_bytes = metrics.histogram("tcp.cwnd_bytes")
-                cwnd_bytes.observe(fields["cwnd"])
+            octets.value += fields["len"]
+            cwnd_bytes.observe(cc.cwnd)
             if keep is not None:
-                if len(fields) == len(_TX_KEYS):
-                    try:
-                        keep((event.time, event.source) + _tx_values(fields))
-                        return
-                    except KeyError:
-                        pass
-                keep(_decoded_tcp_row(event, "tx"))
+                captured = _capture_tx(event)
+                if cc.name == DEFAULT_CC:
+                    keep(captured)
+                else:   # absent means the default (docs/congestion.md)
+                    row = _tcp_row(captured)
+                    row["cc"] = cc.name
+                    keep(row)
         return handle
 
     def _keep_retransmit(self, event: ProbeEvent) -> None:
-        self._tcp_rows.append(_decoded_tcp_row(event, "rtx"))
+        row = {"t": event.time, "conn": event.source, "ev": "rtx"}
+        row.update({k: _jsonable(v) for k, v in event.fields.items()})
+        self._tcp_rows.append(row)
 
     def _hb_interarrival(self, event: ProbeEvent) -> None:
         now = event.time
@@ -384,10 +413,23 @@ class ObsSession:
 
     # ----------------------------------------------------------- finishing
 
+    def _fold_layer_counts(self) -> None:
+        """Set each layer counter to what the devices counted since
+        attach (idempotent; frozen once detached).  Like a probe that
+        never fired, a count that did not move lists no key."""
+        if self._layer_base is None:
+            return
+        for key, value in _layer_counts(self.world).items():
+            moved = value - self._layer_base.get(key, 0)
+            if moved:
+                self.metrics.counter(key).value = moved
+
     def finalize(self, timeline=None, extra: Optional[dict] = None) -> None:
         """Fold end-of-run results in: the failover timeline's latencies
         become gauges (``sttcp.failover_latency_ns`` is the paper's
-        headline number) and the kernel totals are stamped."""
+        headline number), the kernel totals are stamped and the layer
+        counters are read."""
+        self._fold_layer_counts()
         sim = self.world.sim
         self.metrics.gauge("sim.virtual_time_ns").set(sim.now)
         self.metrics.gauge("sim.events_processed_total").set(

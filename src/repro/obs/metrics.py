@@ -10,7 +10,7 @@ Naming conventions (documented in ``docs/observability.md``):
 
 * counters ``<category>.<noun>_total`` — monotonic event counts;
 * gauges ``<area>.<quantity>_<unit>`` — last-written values;
-* histograms ``<area>.<quantity>`` — count/sum/min/max plus powers-of-two
+* histograms ``<area>.<quantity>`` — count/sum/min/max plus powers-of-four
   bucket counts (``le_<bound>`` upper bounds, Prometheus-flavoured).
 """
 
@@ -56,16 +56,16 @@ class Gauge:
 
 
 class Histogram:
-    """Streaming distribution summary with powers-of-two buckets.
+    """Streaming distribution summary with powers-of-four buckets.
 
-    Stores no samples: count, sum, min, max and fixed log2 bucket counts,
+    Stores no samples: count, sum, min, max and fixed log4 bucket counts,
     so memory stays flat over 100 MB transfers while percentile-ish shape
     survives into the snapshot.
     """
 
     __slots__ = ("name", "count", "total", "min", "max", "_buckets")
 
-    #: Bucket upper bounds: 1, 2, 4, ... 2**62, +inf (covers ns durations).
+    #: Bucket upper bounds: 1, 4, 16, ... 4**31, +inf (covers ns durations).
     BOUNDS = tuple(1 << i for i in range(0, 63, 2))
 
     def __init__(self, name: str):

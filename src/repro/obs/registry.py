@@ -23,7 +23,10 @@ Naming conventions
   are historically dash-separated (``sttcp.takeover``,
   ``sttcp.non-ft-mode``);
 * counters derived from probes are named ``<category>.<noun>_total``;
-  gauges ``<area>.<quantity>_<unit>``; histograms ``<area>.<quantity>``.
+  gauges ``<area>.<quantity>_<unit>``; histograms ``<area>.<quantity>``;
+* ``emitted_by`` is the dotted path of the code that fires the probe;
+  ``a.B.m1/m2`` names two methods of one owner and `` / `` separates
+  full paths (every alternative must import and resolve).
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class ProbeSpec:
 #: Category registry: every probe's category must appear here.
 CATEGORIES: dict[str, str] = {
     "sim": "simulation kernel (run markers)",
-    "eth": "switch / NIC / cable frame events",
+    "eth": "switch and cable frame events",
     "arp": "ARP requests/replies and static entries",
     "ip": "IP forwarding and errors",
     "icmp": "echo requests/replies",
@@ -74,9 +77,9 @@ CATEGORIES: dict[str, str] = {
 
 
 def _spec(name: str, description: str, emitted_by: str,
-          traced: bool = True, category: str = "") -> ProbeSpec:
-    category = category or name.split(".", 1)[0]
-    return ProbeSpec(name, category, description, emitted_by, traced)
+          traced: bool = True) -> ProbeSpec:
+    return ProbeSpec(name, name.split(".", 1)[0], description, emitted_by,
+                     traced)
 
 
 _ALL_PROBES = [
@@ -84,18 +87,12 @@ _ALL_PROBES = [
     _spec("sim.run", "one Simulator.run episode finished",
           "repro.sim.world.World.run", traced=False),
     # ----------------------------------------------------------- ethernet
-    _spec("eth.frame", "a frame entered the switch fabric (pcap tap)",
+    _spec("eth.frame", "a frame entered the switch fabric (pcap tap; "
+          "fields: frame — live, valid only during the callback — and "
+          "ingress)",
           "repro.net.switch.Switch._forward", traced=False),
-    _spec("eth.forward", "switch forwarded a unicast frame to a learned port",
-          "repro.net.switch.Switch._forward"),
-    _spec("eth.flood", "switch flooded a multicast/broadcast/unknown frame",
-          "repro.net.switch.Switch._forward"),
     _spec("eth.frame_lost", "cable dropped a frame (injected loss)",
           "repro.net.cable.Cable"),
-    _spec("nic.tx", "a NIC put a frame on its cable",
-          "repro.net.nic.Nic.send", traced=False, category="eth"),
-    _spec("nic.rx", "a NIC accepted an inbound frame",
-          "repro.net.nic.Nic.receive_frame", traced=False, category="eth"),
     # ------------------------------------------------------ arp / ip / icmp
     _spec("arp.static", "a permanent ARP entry was installed "
           "(the serviceIP -> multiEA trick)",
@@ -108,12 +105,13 @@ _ALL_PROBES = [
           "repro.net.ip.IpStack._send_slow"),
     _spec("ip.no-handler", "an accepted packet named a protocol nobody "
           "registered",
-          "repro.net.ip.IpStack._deliver_up"),
+          "repro.net.ip.IpStack.receive_frame/_deliver_up"),
     _spec("icmp.echo-reply", "an echo request was answered",
           "repro.net.icmp.IcmpLayer.handle_packet"),
     # ---------------------------------------------------------------- tcp
-    _spec("tcp.segment_tx", "a connection emitted a segment "
-          "(fields: off/ack/flags/len/cwnd/flight)",
+    _spec("tcp.segment_tx", "a connection emitted a segment (fields: "
+          "conn — the live TcpConnection, valid only during the callback "
+          "— and seq/ack/flags (int)/len/win)",
           "repro.tcp.connection.TcpConnection._fire_segment_tx", traced=False),
     _spec("tcp.segment_rx", "a connection received a segment",
           "repro.tcp.connection.TcpConnection.segment_arrived", traced=False),

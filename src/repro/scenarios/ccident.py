@@ -14,7 +14,8 @@ probes, and classifies the algorithm from three trajectory fingerprints:
   recovery *entries*, pinned at exactly ``ssthresh + 3*MSS``;
 * **deflation ratio** — CUBIC's multiplicative decrease is ``0.7 * cwnd``
   where the Reno family uses ``flight/2``; both ``cwnd`` and ``flight``
-  ride on every tx row, so each loss episode votes for the closer model.
+  are copied off the sender at every tx, so each loss episode votes for
+  the closer model.
 
 Run it standalone via :func:`run_cc_ident`, or as the ``cc_ident``
 campaign scenario (``python -m repro sweep --scenario cc_ident --grid
@@ -57,7 +58,9 @@ class CcIdentResult:
 
 def extract_features(events: list) -> dict:
     """Reduce an ordered ``("tx"|"rtx", fields)`` probe stream to the
-    classifier's feature dict.
+    classifier's feature dict.  A tx entry's fields are the sender's
+    ``cwnd``/``ssthresh``/``flight``/``mss`` as the segment left; an rtx
+    entry's are the ``tcp.retransmit`` fields.
 
     A *loss episode* is one ``kind="head"`` retransmission: its tx row
     (fired immediately after, same instant) carries the post-loss
@@ -164,8 +167,14 @@ def run_cc_ident(cc: str, seed: int = 3,
     events: list = []
 
     def on_tx(event) -> None:
+        # The connection is live: copy its sender state now, or every
+        # row would read the connection's final state.
         if event.source.startswith("primary."):
-            events.append(("tx", event.fields))
+            conn = event.fields["conn"]
+            events.append(("tx", {"cwnd": conn.cc.cwnd,
+                                  "ssthresh": conn.cc.ssthresh,
+                                  "flight": conn.flight_size,
+                                  "mss": conn.config.mss}))
 
     def on_rtx(event) -> None:
         if event.source.startswith("primary."):

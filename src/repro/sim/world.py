@@ -6,7 +6,8 @@ A ``World`` bundles the kernel services every component needs:
 * the :class:`~repro.obs.bus.ProbeBus` (observability probe points),
 * ``trace``, the milestone list: a plain ``list`` of
   :class:`~repro.obs.bus.ProbeEvent` the world subscribes to its own bus,
-* the :class:`~repro.sim.rng.RngRegistry`.
+* the :class:`~repro.sim.rng.RngRegistry`,
+* ``nics`` and ``switches``, every device built on the world.
 
 Passing a single ``world`` around keeps constructor signatures short and
 guarantees all components share one clock and one seed.
@@ -43,6 +44,11 @@ class World:
             if spec.traced and (trace_categories is None
                                 or spec.category in trace_categories))
         self.rng = RngRegistry(seed)
+        # Every NIC and switch built on this world, in construction order
+        # (each appends itself); their ``COUNTED`` attributes are what an
+        # ObsSession reports as layer counters.
+        self.nics: list = []
+        self.switches: list = []
         # Bumped whenever NIC address filters change (multicast join/leave,
         # promiscuous toggles); switches use it to invalidate cached flood
         # target lists.  See Switch._forward.

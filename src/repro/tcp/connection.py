@@ -89,7 +89,7 @@ class TcpConnection:
         "config", "transmit", "output_gate", "state", "iss", "irs",
         "send_buffer", "recv_buffer", "snd_una_off", "snd_nxt_off",
         "peer_window", "fin_queued", "fin_off", "fin_sent", "fin_acked",
-        "peer_fin_off", "peer_fin_consumed", "rst_sent", "cc", "_cc_extra",
+        "peer_fin_off", "peer_fin_consumed", "rst_sent", "cc",
         "rtt", "_rtx_timer", "_persist_timer", "_delack_timer",
         "_timewait_timer", "_persist_interval", "_last_sent_window",
         "_rtx_count", "_syn_rtx_count", "_timed_end", "_timed_at",
@@ -139,11 +139,6 @@ class TcpConnection:
         self.cc = make_congestion_control(self.config.cc, self.config.mss,
                                           self.config.initial_window_segments,
                                           clock=world.sim)
-        # Timeline rows carry the algorithm name only when it is not the
-        # default — absence means "reno", which keeps the committed golden
-        # traces byte-identical for default runs.
-        self._cc_extra = ({} if self.cc.name == DEFAULT_CC
-                          else {"cc": self.cc.name})
         self.rtt = RttEstimator(self.config.initial_rto_ns,
                                 self.config.min_rto_ns, self.config.max_rto_ns)
         # The RTO timer is restarted on every new ack; DeadlineTimer makes
@@ -740,19 +735,13 @@ class TcpConnection:
 
     def _fire_segment_tx(self, seq: int, ack: int, flags: int, length: int,
                          window: int) -> None:
-        # The extra sender-state fields (off/una/nxt/rcv_nxt/mss/ssthresh)
-        # feed the repro.check invariant oracle; see docs/invariants.md.
-        # Building them (flag rendering included) costs more than the
-        # fire itself, so callers skip this when nobody listens.
-        self.world.probes.fire(
-            "tcp.segment_tx", self.name, seq=seq, ack=ack,
-            flags=TcpFlags.describe(flags), len=length, win=window,
-            cwnd=self.cc.cwnd, flight=self.flight_size,
-            off=(seq_sub(seq, seq_add(self.iss, 1))
-                 if self.iss is not None else None),
-            una=self.snd_una_off, nxt=self.snd_nxt_off,
-            rcv_nxt=self.recv_buffer.rcv_next, mss=self.config.mss,
-            ssthresh=self.cc.ssthresh, **self._cc_extra)
+        # The segment's own values, plus the connection itself: a
+        # subscriber reads whatever sender state it needs (cwnd, una, nxt,
+        # ...) off ``conn`` during the callback, so nothing is computed
+        # for a subscriber that does not ask.
+        self.world.probes.fire("tcp.segment_tx", self.name, conn=self,
+                               seq=seq, ack=ack, flags=flags, len=length,
+                               win=window)
 
     def _send_syn(self) -> None:
         self._emit(TcpSegment(self.local_port, self.remote_port, seq=self.iss,

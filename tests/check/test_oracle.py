@@ -13,6 +13,9 @@ from repro.net.packet import IPPacket, IPProtocol
 from repro.sim.world import World
 from repro.sttcp.state import ConnProgress, Heartbeat
 from repro.tcp.segment import TcpFlags, TcpSegment
+from repro.tcp.seq import SEQ_MASK
+
+from tests.conftest import stub_conn
 
 pytestmark = pytest.mark.no_invariant_check   # we fire violations on purpose
 
@@ -22,12 +25,17 @@ def oracle(world):
     return InvariantOracle(world).attach()
 
 
-def _tx(world, source="c", **overrides):
-    fields = dict(seq=0, ack=0, flags="ACK", len=0, win=65535,
-                  cwnd=14600, flight=0, off=None, una=0, nxt=0, rcv_nxt=0,
-                  mss=1460, ssthresh=1 << 30)
-    fields.update(overrides)
-    world.probes.fire("tcp.segment_tx", source, **fields)
+def _tx(world, source="c", *, off=None, flags=TcpFlags.ACK, len=0,
+        **state):
+    """One synthetic transmission whose sender sits at ``state`` (see
+    ``stub_conn``); ``off`` is the segment's stream offset, None before
+    the connection has an ISN."""
+    # ISS = -1 mod 2**32 puts stream offset 0 at sequence number 0.
+    iss = None if off is None else SEQ_MASK
+    world.probes.fire("tcp.segment_tx", source,
+                      conn=stub_conn(iss=iss, **state),
+                      seq=0 if off is None else off & SEQ_MASK, ack=0,
+                      flags=flags, len=len, win=65535)
 
 
 def _ids(oracle):
@@ -35,7 +43,8 @@ def _ids(oracle):
 
 
 def test_clean_endpoint_traffic_passes(world, oracle):
-    _tx(world, una=0, nxt=1460, off=0, flags="ACK|PSH", len=1460)
+    _tx(world, una=0, nxt=1460, off=0, flags=TcpFlags.ACK | TcpFlags.PSH,
+        len=1460)
     _tx(world, una=1460, nxt=2920, off=1460, len=1460)
     world.probes.fire("tcp.deliver", "c", off=0, len=100)
     world.probes.fire("tcp.deliver", "c", off=100, len=50)
@@ -58,7 +67,7 @@ def test_snd_una_retreat_trips(world, oracle):
 def test_syn_resets_endpoint_incarnation(world, oracle):
     _tx(world, una=5000, nxt=5000)
     # A new connection reusing the same source name starts over.
-    _tx(world, una=0, nxt=0, flags="SYN", off=-1)
+    _tx(world, una=0, nxt=0, flags=TcpFlags.SYN, off=-1)
     _tx(world, una=0, nxt=100, off=0, len=100)
     assert oracle.violations == []
 
@@ -77,7 +86,7 @@ def test_seq_outside_send_window_trips(world, oracle):
 
 
 def test_rst_exempt_from_seq_window(world, oracle):
-    _tx(world, una=1000, nxt=2000, off=999_999, flags="RST")
+    _tx(world, una=1000, nxt=2000, off=999_999, flags=TcpFlags.RST)
     assert oracle.violations == []
 
 
@@ -251,6 +260,14 @@ def test_checked_run_raises(world):
             _tx(world, una=2000, nxt=1000)
     assert err.value.violations[0].invariant == "tcp.snd-una-le-nxt"
     assert err.value.violations[0].event is not None
+
+
+def test_a_sender_state_violation_keeps_the_name_not_the_connection(
+        world, oracle):
+    _tx(world, "client.tcp", una=2000, nxt=1000)
+    [violation] = oracle.violations
+    assert violation.event.fields["conn"] == "client.tcp"
+    assert "snd_una=2000 > snd_nxt=1000" in violation.detail
 
 
 def test_checked_run_detaches(world):

@@ -170,6 +170,55 @@ def test_components_report_through_the_bus_and_the_log_stays_deleted():
     assert not two_args, f"ProbeBus takes the clock only: {two_args}"
 
 
+def test_a_count_a_layer_keeps_is_not_fired_again():
+    """``nic.tx``, ``nic.rx``, ``eth.forward`` and ``eth.flood`` used to
+    be probes fired beside the very increments they repeated; they are
+    the NICs' and switches' own counters now, declared once in each
+    class's ``COUNTED`` and read by an ObsSession.  Under net/, tcp/ and
+    sttcp/ the four names appear only as keys of those declarations.
+    ``tcp.segment_tx`` is fired from ``_fire_segment_tx`` alone, with the
+    live connection instead of a computed sender-state snapshot."""
+    names = re.compile(r"\b(?:nic\.tx|nic\.rx|eth\.forward|eth\.flood)\b")
+    declared, strays = set(), []
+    for module, text in _sources():
+        if not module.startswith(("net/", "tcp/", "sttcp/")):
+            continue
+        counted_lines = set()
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets]
+                    == ["COUNTED"]):
+                counted_lines.update(range(node.lineno, node.end_lineno + 1))
+        for match in names.finditer(text):
+            line = text.count("\n", 0, match.start()) + 1
+            if line in counted_lines:
+                declared.add(match.group(0))
+            else:
+                strays.append(f"{module}:{line} ({match.group(0)})")
+    assert not strays, f"a layer counter fired or named as a probe: {strays}"
+    assert declared == {"nic.tx", "nic.rx", "eth.forward", "eth.flood"}
+
+    fires = []
+    for module, text in _sources():
+        tree = ast.parse(text)
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", "") == "fire"
+                        and node.args
+                        and getattr(node.args[0], "value", None)
+                        == "tcp.segment_tx"):
+                    fires.append((module, func.name,
+                                  sorted(k.arg for k in node.keywords)))
+    assert fires == [("tcp/connection.py", "_fire_segment_tx",
+                      ["ack", "conn", "flags", "len", "seq", "win"])], fires
+    gone = [f"{_where(module, text, m)}" for module, text in _sources()
+            for m in re.finditer(r"\b_cc_extra\b", text)]
+    assert not gone, f"the cc name comes from conn.cc.name: {gone}"
+
+
 def test_no_literal_stands_in_for_another_modules_constant():
     """A ``# == NAME`` comment marks a literal kept equal to a constant by
     hand.  The last ones (the wheel geometry inside ``sim/core.py``) went

@@ -9,6 +9,9 @@ with ``@pytest.mark.no_invariant_check``.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+from typing import Optional
+
 import pytest
 
 from repro.check.autocheck import env_enabled, patch_worlds
@@ -83,3 +86,16 @@ def lan3(world: World) -> Lan:
 
 def make_lan(world: World, **kwargs) -> Lan:
     return Lan(world, **kwargs)
+
+
+def stub_conn(*, una: int = 0, nxt: int = 0, rcv_nxt: int = 0,
+              iss: Optional[int] = None, cwnd: int = 14600,
+              ssthresh: int = 1 << 30, mss: int = 1460,
+              cc: str = "reno") -> SimpleNamespace:
+    """What a ``tcp.segment_tx`` subscriber reads off the live ``conn``,
+    for synthetic fires: ``fire("tcp.segment_tx", src, conn=stub_conn(),
+    seq=..., ack=..., flags=..., len=..., win=...)``."""
+    return SimpleNamespace(
+        iss=iss, snd_una_off=una, snd_nxt_off=nxt, flight_size=nxt - una,
+        last_byte_received=rcv_nxt, config=SimpleNamespace(mss=mss),
+        cc=SimpleNamespace(cwnd=cwnd, ssthresh=ssthresh, name=cc))

@@ -34,6 +34,7 @@ from repro.scenarios.runner import (run_baseline_failover,
 from repro.sim.core import seconds
 from repro.workloads import WorkloadSpec, run_workload_failover
 
+from tests.conftest import stub_conn
 from tests.obs.test_golden_traces import GOLDEN_ARTIFACTS, GOLDEN_DIR
 from tests.sttcp.conftest import SttcpFixture
 
@@ -137,11 +138,13 @@ def test_a_congestion_controller_with_extra_fields_is_decoded_on_the_spot(
 
 
 def test_odd_field_sets_render_like_any_row(world, tmp_path):
-    """No ingress, no send offset, a message that needs escaping."""
+    """No ingress, no send offset, a name that needs escaping, and the
+    extra ``cc`` key of a non-default congestion controller."""
     from repro.net.addresses import IPAddress, MacAddress
     from repro.net.frame import EthernetFrame
     from repro.net.packet import IPPacket
     from repro.tcp.segment import TcpFlags, TcpSegment
+    from repro.tcp.seq import SEQ_MASK
 
     segment = TcpSegment(80, 49152, seq=1, ack=2, flags=TcpFlags.ACK,
                          window=65535, payload=b"xyz")
@@ -152,18 +155,20 @@ def test_odd_field_sets_render_like_any_row(world, tmp_path):
     obs = ObsSession(world, level="frames")
     world.probes.fire("eth.frame", "switch", frame=frame)
     world.probes.fire("eth.frame", "switch", frame=frame, ingress=3)
-    fields = dict(seq=1, ack=2, flags="SYN", len=0, win=65535, cwnd=14600,
-                  flight=0, off=None, una=0, nxt=0, rcv_nxt=0, mss=1460,
-                  ssthresh=1 << 30)
-    world.probes.fire("tcp.segment_tx", 'c"\\\u00e9', **fields)
-    world.probes.fire("tcp.segment_tx", "c", **{**fields, "off": 7})
-    world.probes.fire("tcp.segment_tx", "c", len=100)
+    fields = dict(seq=1, ack=2, flags=TcpFlags.SYN, len=0, win=65535)
+    # No ISN yet, then one that puts seq 1 at stream offset 7.
+    world.probes.fire("tcp.segment_tx", 'c"\\\u00e9', conn=stub_conn(),
+                      **fields)
     world.probes.fire("tcp.segment_tx", "c",
-                      **{("x" if k == "mss" else k): v
-                         for k, v in fields.items()})
+                      conn=stub_conn(iss=SEQ_MASK - 6), **fields)
+    world.probes.fire("tcp.segment_tx", "c", conn=stub_conn(cc="cubic"),
+                      **{**fields, "len": 100})
     assert [row["ingress"] for row in obs.frames] == [None, 3]
-    assert [row.get("off", "absent") for row in obs.tcp_rows] == \
-        [None, 7, "absent", None]
+    rows = obs.tcp_rows
+    assert [row["off"] for row in rows] == [None, 7, None]
+    assert [row.get("cc", "absent") for row in rows] == \
+        ["absent", "absent", "cubic"]
+    assert {row["flags"] for row in rows} == {"SYN"}
     _rendered_equals_decoded(obs, tmp_path)
 
 

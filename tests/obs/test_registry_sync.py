@@ -7,6 +7,7 @@ missing from the registry — and when the registry itself is missing from
 ``docs/observability.md``.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -50,6 +51,45 @@ def test_every_registered_probe_has_a_fire_site():
     dead = [name for name in PROBES if name not in fired
             and name not in engine]
     assert not dead, f"registered probes with no probes.fire site: {dead}"
+
+
+def _emitter_paths(emitted_by: str) -> list[str]:
+    """``a.B.m1/m2`` names two methods of one owner; `` / `` separates
+    full paths (the registry's convention)."""
+    paths = []
+    for full in emitted_by.split(" / "):
+        first, *others = full.split("/")
+        owner = first.rsplit(".", 1)[0]
+        paths += [first, *(f"{owner}.{name}" for name in others)]
+    return paths
+
+
+def _resolve(path: str):
+    """Import the longest module prefix of ``path``, walk the rest."""
+    parts = path.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            target = getattr(target, name)
+        return target
+    raise ImportError(path)
+
+
+def test_every_emitted_by_alternative_resolves():
+    """A row's ``emitted_by`` names code that exists: each alternative
+    imports and every attribute on the way resolves."""
+    assert _emitter_paths("a.B.m1/m2 / c.D") == ["a.B.m1", "a.B.m2", "c.D"]
+    unresolved = {}
+    for spec in PROBES.values():
+        for path in _emitter_paths(spec.emitted_by):
+            try:
+                _resolve(path)
+            except (ImportError, AttributeError) as exc:
+                unresolved[spec.name] = f"{path}: {exc!r}"
+    assert not unresolved, unresolved
 
 
 def test_every_engine_event_kind_has_a_probe():

@@ -24,7 +24,7 @@ def _record_window_probes(world, source_prefix):
     def on_tx(event):
         fields = event.fields
         if (event.source.startswith(source_prefix) and fields["len"] == 1
-                and fields["flight"] == 0):
+                and fields["conn"].flight_size == 0):
             times.append(event.time)
 
     world.probes.subscribe("tcp.segment_tx", on_tx)

@@ -34,8 +34,13 @@ from repro.workloads import WorkloadSpec, run_workload_failover  # noqa: E402
 
 #: ``frames+check / plain`` must stay at or under this.  2.6 before the
 #: compiled dispatch and capture-now/decode-at-export rows, about 1.7
-#: after; the margin is for interpreter versions, not for regressions.
-CEILING = 2.2
+#: after, and 2.2 was set as that plus 0.5 for interpreter versions.  By
+#: the time the four per-packet counter probes went and the segment probe
+#: handed over its connection, the same 2-vCPU box read 1.82-1.85 before
+#: that change and 1.69-1.75 after (docs/performance.md, "A watched packet
+#: is counted once"); the ceiling came down by what the change bought, so
+#: the headroom is the 0.35-0.38 the gate already ran with.
+CEILING = 2.1
 
 ROUNDS = 3
 
