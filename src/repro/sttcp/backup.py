@@ -34,10 +34,9 @@ from repro.tcp.segment import TcpFlags, TcpSegment, release_segment
 from repro.tcp.sockets import Socket
 from repro.sttcp.control import (AppFailureNotice, ConnClosed, ConnInit,
                                  FetchReply, FetchRequest)
-from repro.sttcp.detector import LagTracker
-from repro.sttcp.engine import MODE_ACTIVE, MODE_FT, SttcpEngine
+from repro.sttcp.engine import MODE_ACTIVE, MODE_FT, ManagedConn, SttcpEngine
 from repro.sttcp.events import EventKind
-from repro.sttcp.state import ConnKey, ConnProgress, Heartbeat, ROLE_BACKUP
+from repro.sttcp.state import ConnKey, ROLE_BACKUP
 
 __all__ = ["BackupEngine", "ManagedBackupConn"]
 
@@ -45,36 +44,15 @@ __all__ = ["BackupEngine", "ManagedBackupConn"]
 _MAX_BUFFERED_SEGMENTS = 256
 
 
-class ManagedBackupConn:
+class ManagedBackupConn(ManagedConn):
     """Backup-side per-connection replica state."""
 
     def __init__(self, engine: "BackupEngine", conn: TcpConnection,
                  socket: Socket, key: ConnKey):
-        self.engine = engine
-        self.conn = conn
-        self.socket = socket
-        self.key = key
-        config = engine.config
+        super().__init__(engine, conn, socket, key)
         world = engine.world
-        self.primary_progress: Optional[ConnProgress] = None
         self.suppressed_segments = 0
         self.suppressed_fin = False
-        # Primary application-failure trackers (Sec. 4.2.1, backup side).
-        self.read_tracker = LagTracker(world, config.app_max_lag_bytes,
-                                       config.app_max_lag_time_ns,
-                                       config.app_lag_confirm_ns,
-                                       name=f"{key}:app-read")
-        self.write_tracker = LagTracker(world, config.app_max_lag_bytes,
-                                        config.app_max_lag_time_ns,
-                                        config.app_lag_confirm_ns,
-                                        name=f"{key}:app-write")
-        # Primary NIC-failure tracker (Sec. 4.3): client bytes the primary
-        # reports receiving vs what we receive directly off the wire.
-        self.nic_rx_tracker = LagTracker(world, config.nic_max_lag_bytes,
-                                         config.nic_max_lag_time_ns,
-                                         config.nic_lag_confirm_ns,
-                                         name=f"{key}:nic-rx")
-        self.primary_fin_seen = False
         # Missed-byte fetch state.
         self.fetch_outstanding = False
         self.fetch_expected_end = 0
@@ -86,36 +64,6 @@ class ManagedBackupConn:
         # Post-takeover gap bookkeeping (output-commit handling).
         self.gap_since: Optional[int] = None
         self.last_logger_fetch = 0
-
-    def progress(self) -> ConnProgress:
-        """Snapshot of this replica's HB progress counters."""
-        conn = self.conn
-        return ConnProgress(
-            key=self.key,
-            last_byte_received=conn.last_byte_received,
-            last_ack_received=conn.last_ack_received,
-            last_app_byte_written=conn.last_app_byte_written,
-            last_app_byte_read=conn.last_app_byte_read,
-            fin_generated=conn.fin_queued,
-            rst_generated=conn.rst_sent)
-
-    def update_trackers_from_primary(self, progress: ConnProgress) -> None:
-        """Fold the primary's latest HB entry into the lag trackers."""
-        self.primary_progress = progress
-        conn = self.conn
-        self.read_tracker.update(conn.last_app_byte_read,
-                                 progress.last_app_byte_read)
-        self.write_tracker.update(conn.last_app_byte_written,
-                                  progress.last_app_byte_written)
-        self.nic_rx_tracker.update(conn.last_byte_received,
-                                   progress.last_byte_received)
-        if progress.fin_generated and not self.primary_fin_seen:
-            self.primary_fin_seen = True
-
-    def app_failure_verdict(self, evidence_time) -> Optional[str]:
-        """Combined read/write lag verdict (None if healthy)."""
-        return (self.read_tracker.verdict(evidence_time)
-                or self.write_tracker.verdict(evidence_time))
 
     def hold(self, length: int, flags: int) -> None:
         """The replica's shut output gate: count one segment that did not
@@ -141,7 +89,6 @@ class BackupEngine(SttcpEngine):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, role=ROLE_BACKUP, **kwargs)
-        self.conns: dict[ConnKey, ManagedBackupConn] = {}
         self._pending_segments: dict[ConnKey, list[TcpSegment]] = {}
         self.host.tcp.segment_filter = self._segment_filter
         self.takeover_at: Optional[int] = None
@@ -263,30 +210,17 @@ class BackupEngine(SttcpEngine):
             conn.segment_arrived(segment)
             release_segment(segment)  # the tap buffer's claim
 
-    # ----------------------------------------------------------- heartbeat
-
-    def connection_progress(self) -> list[ConnProgress]:
-        """HB payload: one entry per managed replica."""
-        return [mc.progress() for mc in self.conns.values()]
-
-    def handle_peer_heartbeat(self, hb: Heartbeat, link: str) -> None:
-        """Process a heartbeat from the primary."""
-        if hb.sender_role == ROLE_BACKUP:
-            return
-        for progress in hb.connections:
-            mc = self.conns.get(progress.key)
-            if mc is not None:
-                mc.update_trackers_from_primary(progress)
-                self.check_fetch(mc)
-
     # --------------------------------------------------- missed-byte fetch
+
+    def peer_progress_arrived(self, mc: ManagedBackupConn) -> None:
+        self.check_fetch(mc)
 
     def check_fetch(self, mc: ManagedBackupConn) -> None:
         """Request client bytes the primary has but we are missing
         (Table 1 row 5: temporary local network failure at the backup)."""
         if self.mode != MODE_FT or mc.fetch_outstanding:
             return
-        progress = mc.primary_progress
+        progress = mc.peer_progress
         if progress is None:
             return
         rcv = mc.conn.recv_buffer
@@ -371,61 +305,11 @@ class BackupEngine(SttcpEngine):
     def _tick(self) -> None:
         if self.mode == MODE_ACTIVE:
             self._manage_post_takeover_gaps()
-            return
-        if self.mode != MODE_FT:
-            return
-        ip_up, serial_up = self.check_links()
-        if not ip_up and not serial_up:
-            # Table 1 row 1: the primary machine crashed.
-            self.emit(EventKind.PEER_CRASH_DETECTED,
-                      symptom="HB failure on both links")
-            self.take_over("primary HB failure on both links")
-            return
-        if not ip_up and serial_up:
-            # Sec. 4.3 mode: app-lag detection suspended (divergence is the
-            # expected symptom of a NIC failure; pings and client-byte lag
-            # decide whose NIC it is).
-            self._ensure_probing()
-            if self._diagnose_primary_nic():
-                return
         else:
-            self._stop_probing()
-            self._check_primary_app_failure()
+            super()._tick()
+
+    def housekeep(self) -> None:
         self._collect_closed()
-
-    def _diagnose_primary_nic(self) -> bool:
-        evidence = self.peer_evidence_time()
-        for mc in self.conns.values():
-            if mc.primary_progress is not None:
-                mc.nic_rx_tracker.update(
-                    mc.conn.last_byte_received,
-                    mc.primary_progress.last_byte_received)
-            verdict = mc.nic_rx_tracker.verdict(evidence)
-            if verdict is not None:
-                self.emit(EventKind.NIC_FAILURE_DETECTED, key=mc.key,
-                          symptom=verdict)
-                self.take_over(f"primary NIC failure: {verdict}")
-                return True
-        if self.ping_board.peer_nic_failed():
-            self.emit(EventKind.NIC_FAILURE_DETECTED,
-                      symptom="primary gateway pings failing, ours succeed")
-            self.take_over("primary NIC failure: gateway ping asymmetry")
-            return True
-        return False
-
-    def _check_primary_app_failure(self) -> None:
-        if not self.peer_hb_fresh():
-            return  # silence is the crash detector's evidence, not ours
-        evidence = self.peer_evidence_time()
-        for mc in self.conns.values():
-            if mc.primary_progress is not None:
-                mc.update_trackers_from_primary(mc.primary_progress)
-            verdict = mc.app_failure_verdict(evidence)
-            if verdict is not None:
-                self.emit(EventKind.APP_FAILURE_DETECTED, key=mc.key,
-                          symptom=verdict, location="primary")
-                self.take_over(f"primary application failure: {verdict}")
-                return
 
     def _collect_closed(self) -> None:
         for key in [k for k, mc in self.conns.items()
@@ -463,8 +347,8 @@ class BackupEngine(SttcpEngine):
         self.stonith_peer(reason)
         unrecoverable = []
         for mc in self.conns.values():
-            gap = (mc.primary_progress is not None
-                   and mc.primary_progress.last_byte_received
+            gap = (mc.peer_progress is not None
+                   and mc.peer_progress.last_byte_received
                    > mc.conn.recv_buffer.rcv_next)
             if gap or mc.conn.recv_buffer.has_gap:
                 if self.logger_ip is not None:
@@ -491,6 +375,8 @@ class BackupEngine(SttcpEngine):
         self.hb.stop()
         self._stop_probing()
         self.host.tcp.segment_filter = None
+
+    recover = take_over
 
     def _manage_post_takeover_gaps(self) -> None:
         """After takeover, a hole below the dead primary's ack point can
@@ -527,8 +413,8 @@ class BackupEngine(SttcpEngine):
         rcv = mc.conn.recv_buffer
         ranges = list(rcv.missing_ranges())
         target = max(
-            mc.primary_progress.last_byte_received
-            if mc.primary_progress is not None else rcv.rcv_next,
+            mc.peer_progress.last_byte_received
+            if mc.peer_progress is not None else rcv.rcv_next,
             mc.conn.peer_data_high)
         if target > rcv.highest_received:
             ranges.append((rcv.highest_received, target))
@@ -574,8 +460,8 @@ class BackupEngine(SttcpEngine):
         if not getattr(mc, "recovering_via_logger", False):
             return
         rcv = mc.conn.recv_buffer
-        target = (mc.primary_progress.last_byte_received
-                  if mc.primary_progress is not None else rcv.rcv_next)
+        target = (mc.peer_progress.last_byte_received
+                  if mc.peer_progress is not None else rcv.rcv_next)
         if rcv.has_gap or rcv.rcv_next < target:
             return  # more replies still in flight
         mc.recovering_via_logger = False

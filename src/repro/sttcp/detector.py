@@ -13,15 +13,19 @@ detection of Sec. 4.3 (client-byte and client-ack lag).
 
 :class:`PingScoreboard` tracks the gateway-ping exchange of Sec. 4.3:
 consecutive local successes vs consecutive peer failures.
+
+:func:`classify` is paper Table 1's decision tree, written once for both
+engines: it turns the link states, the ping asymmetry and the managed
+connections' trackers into at most one :class:`Verdict`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, NamedTuple, Optional
 
 from repro.sim.world import World
 
-__all__ = ["LagTracker", "PingScoreboard"]
+__all__ = ["LagTracker", "PingScoreboard", "Verdict", "classify"]
 
 
 class LagTracker:
@@ -165,3 +169,59 @@ class PingScoreboard:
         """Clear all windows/streaks."""
         self._local_ok_streak = self._local_fail_streak = 0
         self._peer_ok_streak = self._peer_fail_streak = 0
+
+
+class Verdict(NamedTuple):
+    """Which detector found the peer failed, on which connection (None for
+    the connection-less detectors), and what it saw."""
+
+    detector: str
+    key: Optional[tuple]
+    symptom: str
+
+
+def classify(ip_up: bool, serial_up: bool, peer_hb_fresh: bool,
+             peer_nic_failed: bool, evidence_ns: Optional[int],
+             conns: Iterable) -> Optional[Verdict]:
+    """Table 1's decision tree: the first failure verdict, or None.
+
+    1. Both HB links silent: the peer machine crashed (row 1).
+    2. IP link silent, serial alive: a NIC failed (row 4), and Sec. 4.3's
+       criteria decide whose — per connection the NIC trackers, then the
+       gateway-ping asymmetry.  App lag is not asked: divergence is the
+       expected symptom of a NIC failure.
+    3. Otherwise, while the peer's heartbeats are fresh, per connection
+       the app trackers (rows 2 and 3), then the FIN rule (Sec. 4.2.2).
+
+    Each connection of ``conns`` (dict order) brings its ``key``, its
+    ``nic_trackers`` and ``app_trackers`` tuples, ``refresh_nic()`` and
+    ``refresh_app()`` to fold its peer's latest progress into them, and
+    ``fin_verdict()``.  Connections are asked lazily and the first answer
+    wins: :meth:`LagTracker.verdict` fires ``detect.verdict`` and re-arms
+    its edge trigger, so which trackers are asked is part of the result.
+    """
+    if not ip_up:
+        if not serial_up:
+            return Verdict("hb-silence", None, "HB failure on both links")
+        for mc in conns:
+            mc.refresh_nic()
+            for tracker in mc.nic_trackers:
+                symptom = tracker.verdict(evidence_ns)
+                if symptom is not None:
+                    return Verdict("nic-lag", mc.key, symptom)
+        if peer_nic_failed:
+            return Verdict("ping-asymmetry", None,
+                           "gateway pings failing, ours succeed")
+        return None
+    if not peer_hb_fresh:
+        return None  # silence is the crash detector's evidence, not ours
+    for mc in conns:
+        mc.refresh_app()
+        for tracker in mc.app_trackers:
+            symptom = tracker.verdict(evidence_ns)
+            if symptom is not None:
+                return Verdict("app-lag", mc.key, symptom)
+        symptom = mc.fin_verdict()
+        if symptom is not None:
+            return Verdict("fin-disagreement", mc.key, symptom)
+    return None

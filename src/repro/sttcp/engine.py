@@ -4,7 +4,10 @@ Each server runs one engine.  The base class owns the plumbing common to
 both roles: the dual-link heartbeat service, the control channel, the
 serial-line demultiplexer (HB and control messages share the null-modem
 cable), the gateway-ping scoreboard for NIC-failure disambiguation
-(Sec. 4.3), the periodic detector tick, and STONITH.
+(Sec. 4.3), the periodic detector tick that turns Table 1's one
+:func:`~repro.sttcp.detector.classify` into the role's recovery, and
+STONITH.  :class:`ManagedConn` is what both roles keep per replicated
+connection: the peer's latest progress and the lag trackers it feeds.
 """
 
 from __future__ import annotations
@@ -19,20 +22,116 @@ from repro.sim.timers import PeriodicTimer
 from repro.sim.world import World
 from repro.host.host import Host
 from repro.host.power import PowerStrip
+from repro.tcp.connection import TcpConnection
+from repro.tcp.sockets import Socket
 from repro.sttcp.config import SttcpConfig
 from repro.sttcp.control import ControlChannel
-from repro.sttcp.detector import PingScoreboard
+from repro.sttcp.detector import LagTracker, PingScoreboard, Verdict, classify
 from repro.sttcp.events import EngineEventLog, EventKind
 from repro.sttcp.heartbeat import HeartbeatService
-from repro.sttcp.state import ConnProgress, Heartbeat
+from repro.sttcp.state import (ConnKey, ConnProgress, Heartbeat, ROLE_BACKUP,
+                               ROLE_PRIMARY)
 
-__all__ = ["SttcpEngine", "MODE_FT", "MODE_NON_FT", "MODE_ACTIVE",
-           "MODE_STOPPED"]
+__all__ = ["SttcpEngine", "ManagedConn", "MODE_FT", "MODE_NON_FT",
+           "MODE_ACTIVE", "MODE_STOPPED"]
 
 MODE_FT = "fault-tolerant"      # normal replicated operation
 MODE_NON_FT = "non-fault-tolerant"  # primary alone (backup declared failed)
 MODE_ACTIVE = "active"          # backup after takeover
 MODE_STOPPED = "stopped"        # engine's own host is down
+
+#: detector -> (event, symptom as emitted, recovery reason); ``{peer}`` is
+#: the failed peer's role, ``{symptom}`` the verdict's.
+_RESPONSES = {
+    "hb-silence": (EventKind.PEER_CRASH_DETECTED, "{symptom}",
+                   "{peer} HB failure on both links"),
+    "nic-lag": (EventKind.NIC_FAILURE_DETECTED, "{symptom}",
+                "{peer} NIC failure: {symptom}"),
+    "ping-asymmetry": (EventKind.NIC_FAILURE_DETECTED, "{peer} {symptom}",
+                       "{peer} NIC failure: gateway ping asymmetry"),
+    "app-lag": (EventKind.APP_FAILURE_DETECTED, "{symptom}",
+                "{peer} application failure: {symptom}"),
+    "fin-disagreement": (EventKind.APP_FAILURE_DETECTED, "{symptom}",
+                         "{peer} FIN disagreement at MaxDelayFIN"),
+}
+
+
+class ManagedConn:
+    """One replicated connection: the peer's progress and the trackers
+    that watch it (Sec. 4.2.1 app lag, Sec. 4.3 client-byte lag)."""
+
+    # The application asked to close / abort.  Only the primary intercepts
+    # those calls (Sec. 4.2.2); the backup's replica never sets them.
+    close_requested = False
+    abort_requested = False
+
+    def __init__(self, engine: "SttcpEngine", conn: TcpConnection,
+                 socket: Socket, key: ConnKey):
+        self.engine = engine
+        self.conn = conn
+        self.socket = socket
+        self.key = key
+        self.peer_progress: Optional[ConnProgress] = None
+        self.read_tracker = self.lag_tracker("app-read")
+        self.write_tracker = self.lag_tracker("app-write")
+        # Client bytes the peer reports receiving vs what we received.
+        self.nic_rx_tracker = self.lag_tracker("nic-rx")
+        self.app_trackers = (self.read_tracker, self.write_tracker)
+        self.nic_trackers: tuple[LagTracker, ...] = (self.nic_rx_tracker,)
+
+    def lag_tracker(self, kind: str) -> LagTracker:
+        """An ``app-*`` or ``nic-*`` tracker with that family's thresholds."""
+        config = self.engine.config
+        if kind.startswith("app-"):
+            limits = (config.app_max_lag_bytes, config.app_max_lag_time_ns,
+                      config.app_lag_confirm_ns)
+        else:
+            limits = (config.nic_max_lag_bytes, config.nic_max_lag_time_ns,
+                      config.nic_lag_confirm_ns)
+        return LagTracker(self.engine.world, *limits,
+                          name=f"{self.key}:{kind}")
+
+    def progress(self) -> ConnProgress:
+        """Snapshot of the live connection's HB progress counters."""
+        conn = self.conn
+        return ConnProgress(
+            key=self.key,
+            last_byte_received=conn.last_byte_received,
+            last_ack_received=conn.last_ack_received,
+            last_app_byte_written=conn.last_app_byte_written,
+            last_app_byte_read=conn.last_app_byte_read,
+            fin_generated=self.close_requested or conn.fin_queued,
+            rst_generated=self.abort_requested or conn.rst_sent)
+
+    def absorb(self, progress: ConnProgress) -> None:
+        """Fold the peer's latest HB entry into every tracker."""
+        self.peer_progress = progress
+        conn = self.conn
+        self.read_tracker.update(conn.last_app_byte_read,
+                                 progress.last_app_byte_read)
+        self.write_tracker.update(conn.last_app_byte_written,
+                                  progress.last_app_byte_written)
+        self.fold_nic(progress)
+
+    def fold_nic(self, progress: ConnProgress) -> None:
+        """Fold the peer's progress into the NIC trackers only."""
+        self.nic_rx_tracker.update(self.conn.last_byte_received,
+                                   progress.last_byte_received)
+
+    def refresh_nic(self) -> None:
+        """Keep the NIC trackers current between peer HBs: our own counters
+        advance as the client keeps sending."""
+        if self.peer_progress is not None:
+            self.fold_nic(self.peer_progress)
+
+    def refresh_app(self) -> None:
+        """Re-absorb the peer's latest progress before asking app lag."""
+        if self.peer_progress is not None:
+            self.absorb(self.peer_progress)
+
+    def fin_verdict(self) -> Optional[str]:
+        """FIN disagreement past MaxDelayFIN; only the primary holds FINs."""
+        return None
 
 
 class SttcpEngine:
@@ -54,9 +153,11 @@ class SttcpEngine:
         self.gateway_ip = gateway_ip
         self.power_strip = power_strip
         self.peer_host = peer_host
+        self.peer_role = ROLE_BACKUP if role == ROLE_PRIMARY else ROLE_PRIMARY
         self.name = f"{host.name}.sttcp"
         self.mode = MODE_FT
         self.events = EngineEventLog()
+        self.conns: dict[ConnKey, ManagedConn] = {}
 
         self.hb = HeartbeatService(world, config, role, host.udp, local_ip,
                                    peer_ip, serial_port, name=f"{self.name}.hb")
@@ -130,23 +231,67 @@ class SttcpEngine:
                          ping_ok=self._last_ping_ok)
 
     def connection_progress(self) -> list[ConnProgress]:
-        """Role-specific: progress entries for every managed connection."""
-        raise NotImplementedError
+        """HB payload: one entry per managed connection."""
+        return [mc.progress() for mc in self.conns.values()]
 
     def _on_heartbeat(self, hb: Heartbeat, link: str) -> None:
-        """Role-specific HB processing; base handles the ping scoreboard."""
+        """Record the peer's ping outcome and fold its progress entries
+        into the matching connections' trackers."""
         if hb.ping_probing:
             self.ping_board.record_peer(hb.ping_ok)
-        self.handle_peer_heartbeat(hb, link)
+        if hb.sender_role == self.role:
+            return  # misconfiguration guard
+        for progress in hb.connections:
+            mc = self.conns.get(progress.key)
+            if mc is not None:
+                mc.absorb(progress)
+                self.peer_progress_arrived(mc)
 
-    def handle_peer_heartbeat(self, hb: Heartbeat, link: str) -> None:
-        """Role-specific heartbeat processing."""
-        raise NotImplementedError
+    def peer_progress_arrived(self, mc: ManagedConn) -> None:
+        """Role hook, after a peer HB entry was absorbed."""
 
     def _on_control(self, message: Any) -> None:
         raise NotImplementedError
 
+    # ----------------------------------------------------------- detection
+
     def _tick(self) -> None:
+        """Table 1: classify what the links and trackers show, and either
+        recover from the verdict or run the role's housekeeping."""
+        if self.mode != MODE_FT:
+            return
+        ip_up, serial_up = self.check_links()
+        if ip_up:
+            self._stop_probing()
+        elif serial_up:
+            # Sec. 4.3: a network failure somewhere; pings help find whose.
+            self._ensure_probing()
+        verdict = classify(ip_up, serial_up, self.peer_hb_fresh(),
+                           self.ping_board.peer_nic_failed(),
+                           self.peer_evidence_time(), self.conns.values())
+        if verdict is None:
+            self.housekeep()
+        else:
+            self.respond(verdict)
+
+    def respond(self, verdict: Verdict) -> None:
+        """Emit the verdict's detection event and run the role's recovery."""
+        kind, symptom, reason = _RESPONSES[verdict.detector]
+        peer = self.peer_role
+        detail: dict[str, Any] = {} if verdict.key is None \
+            else {"key": verdict.key}
+        detail["symptom"] = symptom.format(peer=peer, symptom=verdict.symptom)
+        if kind == EventKind.APP_FAILURE_DETECTED:
+            detail["location"] = peer
+        self.emit(kind, **detail)
+        self.recover(reason.format(peer=peer, symptom=verdict.symptom))
+
+    def recover(self, reason: str) -> None:
+        """Role-specific: act alone without the failed peer (Table 1)."""
+        raise NotImplementedError
+
+    def housekeep(self) -> None:
+        """Role-specific per-tick upkeep when no verdict was reached."""
         raise NotImplementedError
 
     # ------------------------------------------------- gateway-ping probing

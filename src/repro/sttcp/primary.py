@@ -26,91 +26,61 @@ from repro.tcp.connection import TcpConnection
 from repro.tcp.sockets import Listener, Socket
 from repro.sttcp.control import (AppFailureNotice, ConnClosed, ConnInit,
                                  FetchReply, FetchRequest)
-from repro.sttcp.detector import LagTracker
-from repro.sttcp.engine import MODE_FT, MODE_NON_FT, SttcpEngine
+from repro.sttcp.engine import MODE_FT, MODE_NON_FT, ManagedConn, SttcpEngine
 from repro.sttcp.events import EventKind
-from repro.sttcp.state import ConnKey, ConnProgress, Heartbeat, ROLE_PRIMARY
+from repro.sttcp.state import ConnKey, ConnProgress, ROLE_PRIMARY
 
 __all__ = ["PrimaryEngine", "ManagedPrimaryConn"]
 
 
-class ManagedPrimaryConn:
+class ManagedPrimaryConn(ManagedConn):
     """Primary-side per-connection replication state."""
 
     def __init__(self, engine: "PrimaryEngine", conn: TcpConnection,
                  socket: Socket, key: ConnKey):
-        self.engine = engine
-        self.conn = conn
-        self.socket = socket
-        self.key = key
+        super().__init__(engine, conn, socket, key)
         config = engine.config
         world = engine.world
         self.retain = RetainBuffer(config.retain_buffer_bytes)
-        self.backup_progress: Optional[ConnProgress] = None
         self.created_at = world.sim.now
         self.init_resent = 0
-        # Backup application-failure trackers (Sec. 4.2.1, primary side).
-        self.read_tracker = LagTracker(world, config.app_max_lag_bytes,
-                                       config.app_max_lag_time_ns,
-                                       config.app_lag_confirm_ns,
-                                       name=f"{key}:app-read")
-        self.write_tracker = LagTracker(world, config.app_max_lag_bytes,
-                                        config.app_max_lag_time_ns,
-                                        config.app_lag_confirm_ns,
-                                        name=f"{key}:app-write")
-        # Backup NIC-failure trackers (Sec. 4.3) — consulted only while the
-        # IP HB is down and the serial HB is alive.
-        self.nic_rx_tracker = LagTracker(world, config.nic_max_lag_bytes,
-                                         config.nic_max_lag_time_ns,
-                                         config.nic_lag_confirm_ns,
-                                         name=f"{key}:nic-rx")
-        self.nic_ack_tracker = LagTracker(world, config.nic_max_lag_bytes,
-                                          config.nic_max_lag_time_ns,
-                                          config.nic_lag_confirm_ns,
-                                          name=f"{key}:nic-ack")
+        # The backup reports the client's acks too (Sec. 4.3).
+        self.nic_ack_tracker = self.lag_tracker("nic-ack")
+        self.nic_trackers = (self.nic_rx_tracker, self.nic_ack_tracker)
         # FIN/RST disagreement state (Sec. 4.2.2).
         self.close_requested = False        # app or OS asked to close
         self.abort_requested = False
         self.fin_held = False
         self.fin_release_timer = Timer(world.sim, self._fin_deadline,
                                        label="max-delay-fin")
-        self.backup_fin_seen = False
-        self.backup_fin_seen_at: Optional[int] = None
+        self.backup_fin_at: Optional[int] = None
 
-    # ------------------------------------------------------------- progress
-
-    def progress(self) -> ConnProgress:
-        """Snapshot of the live connection's HB progress counters."""
-        conn = self.conn
-        return ConnProgress(
-            key=self.key,
-            last_byte_received=conn.last_byte_received,
-            last_ack_received=conn.last_ack_received,
-            last_app_byte_written=conn.last_app_byte_written,
-            last_app_byte_read=conn.last_app_byte_read,
-            fin_generated=self.close_requested or conn.fin_queued,
-            rst_generated=self.abort_requested or conn.rst_sent)
-
-    def update_trackers_from_backup(self, progress: ConnProgress) -> None:
-        """Fold the backup's latest HB entry into trackers and release retained bytes."""
-        self.backup_progress = progress
-        conn = self.conn
-        self.read_tracker.update(conn.last_app_byte_read,
-                                 progress.last_app_byte_read)
-        self.write_tracker.update(conn.last_app_byte_written,
-                                  progress.last_app_byte_written)
-        self.nic_rx_tracker.update(conn.last_byte_received,
-                                   progress.last_byte_received)
-        self.nic_ack_tracker.update(conn.last_ack_received,
-                                    progress.last_ack_received)
+    def absorb(self, progress: ConnProgress) -> None:
+        """Fold the backup's latest HB entry into every tracker, release
+        the retained bytes it confirms, and note its FIN."""
+        super().absorb(progress)
         # Release retained client bytes the backup has confirmed.
         self.retain.release_to(progress.last_byte_received)
-        if progress.fin_generated and not self.backup_fin_seen:
-            self.backup_fin_seen = True
-            self.backup_fin_seen_at = self.engine.world.sim.now
+        if progress.fin_generated and self.backup_fin_at is None:
+            self.backup_fin_at = self.engine.world.sim.now
             if self.fin_held:
                 # Both sides generated a FIN: normal socket closure.
                 self.engine.release_fin(self, "backup also generated FIN")
+
+    def fold_nic(self, progress: ConnProgress) -> None:
+        super().fold_nic(progress)
+        self.nic_ack_tracker.update(self.conn.last_ack_received,
+                                    progress.last_ack_received)
+
+    def fin_verdict(self) -> Optional[str]:
+        """Sec. 4.2.2 case "backup generates FIN, primary does not":
+        resolved at MaxDelayFIN if no failure verdict arrived earlier."""
+        if (self.backup_fin_at is not None and not self.close_requested
+                and not self.conn.fin_queued
+                and (self.engine.world.sim.now - self.backup_fin_at
+                     >= self.engine.config.max_delay_fin_ns)):
+            return "backup FIN without primary FIN, unresolved at MaxDelayFIN"
+        return None
 
     # --------------------------------------------------- FIN gate internals
 
@@ -119,23 +89,12 @@ class ManagedPrimaryConn:
         # behaviour is correct and let the FIN out (Sec. 4.2.2).
         self.engine.release_fin(self, "MaxDelayFIN expired")
 
-    def app_failure_verdict(self, evidence_time) -> Optional[str]:
-        """Combined read/write lag verdict (None if healthy)."""
-        return (self.read_tracker.verdict(evidence_time)
-                or self.write_tracker.verdict(evidence_time))
-
-    def nic_failure_verdict(self, evidence_time) -> Optional[str]:
-        """Combined client-byte/ack lag verdict (None if healthy)."""
-        return (self.nic_rx_tracker.verdict(evidence_time)
-                or self.nic_ack_tracker.verdict(evidence_time))
-
 
 class PrimaryEngine(SttcpEngine):
     """ST-TCP on the primary server."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, role=ROLE_PRIMARY, **kwargs)
-        self.conns: dict[ConnKey, ManagedPrimaryConn] = {}
         self.host.tcp.on_connection_accepted.append(self._on_accepted)
 
     def _on_host_down(self) -> None:
@@ -171,21 +130,6 @@ class PrimaryEngine(SttcpEngine):
     def _send_conn_init(self, mc: ManagedPrimaryConn) -> None:
         self.control.send(ConnInit(mc.key, self.config.service_port,
                                    mc.conn.iss), also_serial=True)
-
-    # ----------------------------------------------------------- heartbeat
-
-    def connection_progress(self) -> list[ConnProgress]:
-        """HB payload: one entry per managed connection."""
-        return [mc.progress() for mc in self.conns.values()]
-
-    def handle_peer_heartbeat(self, hb: Heartbeat, link: str) -> None:
-        """Process a heartbeat from the backup."""
-        if hb.sender_role == ROLE_PRIMARY:
-            return  # misconfiguration guard
-        for progress in hb.connections:
-            mc = self.conns.get(progress.key)
-            if mc is not None:
-                mc.update_trackers_from_backup(progress)
 
     # -------------------------------------------------------------- control
 
@@ -265,7 +209,7 @@ class PrimaryEngine(SttcpEngine):
             # "the primary always immediately sends out a FIN if it has
             # already received a FIN from the client"
             return False
-        if mc.backup_fin_seen:
+        if mc.backup_fin_at is not None:
             # Both sides agree: normal closure, no delay.
             return False
         mc.fin_held = True
@@ -282,7 +226,7 @@ class PrimaryEngine(SttcpEngine):
             return True
         mc.abort_requested = True
         self.hb.send_now()
-        if mc.backup_progress is not None and mc.backup_progress.rst_generated:
+        if mc.peer_progress is not None and mc.peer_progress.rst_generated:
             return False
         mc.fin_held = True  # reuse the same hold machinery
         mc.fin_release_timer.start(self.config.max_delay_fin_ns)
@@ -301,84 +245,12 @@ class PrimaryEngine(SttcpEngine):
         else:
             mc.conn.close()
 
-    # ----------------------------------------------------------- detection
+    # ---------------------------------------------------------- housekeeping
 
-    def _tick(self) -> None:
-        if self.mode != MODE_FT:
-            return
-        ip_up, serial_up = self.check_links()
-        if not ip_up and not serial_up:
-            # Table 1 row 1 (backup side): backup machine crashed.
-            self.emit(EventKind.PEER_CRASH_DETECTED,
-                      symptom="HB failure on both links")
-            self.enter_non_ft("backup HB failure on both links")
-            return
-        if not ip_up and serial_up:
-            # Table 1 row 4: a local network failure somewhere; find whose.
-            # Application-lag detection is suspended while the IP link is
-            # down — progress divergence is the *expected* symptom of a NIC
-            # failure, and Sec. 4.3's own criteria decide whose it is.
-            self._ensure_probing()
-            if self._diagnose_backup_nic():
-                return
-        else:
-            self._stop_probing()
-            self._check_backup_app_failure()
+    def housekeep(self) -> None:
         self._check_retain_overflow()
         self._resend_missing_inits()
         self._collect_closed()
-
-    def _diagnose_backup_nic(self) -> bool:
-        evidence = self.peer_evidence_time()
-        for mc in self.conns.values():
-            # Keep NIC trackers current even between backup HBs: our own
-            # counters advance as the client keeps sending.
-            if mc.backup_progress is not None:
-                mc.nic_rx_tracker.update(
-                    mc.conn.last_byte_received,
-                    mc.backup_progress.last_byte_received)
-                mc.nic_ack_tracker.update(
-                    mc.conn.last_ack_received,
-                    mc.backup_progress.last_ack_received)
-            verdict = mc.nic_failure_verdict(evidence)
-            if verdict is not None:
-                self.emit(EventKind.NIC_FAILURE_DETECTED, key=mc.key,
-                          symptom=verdict)
-                self.enter_non_ft(f"backup NIC failure: {verdict}")
-                return True
-        if self.ping_board.peer_nic_failed():
-            self.emit(EventKind.NIC_FAILURE_DETECTED,
-                      symptom="backup gateway pings failing, ours succeed")
-            self.enter_non_ft("backup NIC failure: gateway ping asymmetry")
-            return True
-        return False
-
-    def _check_backup_app_failure(self) -> None:
-        if not self.peer_hb_fresh():
-            return  # silence is the crash detector's evidence, not ours
-        evidence = self.peer_evidence_time()
-        for mc in self.conns.values():
-            if mc.backup_progress is not None:
-                mc.update_trackers_from_backup(mc.backup_progress)
-            verdict = mc.app_failure_verdict(evidence)
-            if verdict is not None:
-                self.emit(EventKind.APP_FAILURE_DETECTED, key=mc.key,
-                          symptom=verdict, location="backup")
-                self.enter_non_ft(f"backup application failure: {verdict}")
-                return
-            # Sec. 4.2.2 case "backup generates FIN, primary does not":
-            # resolve at MaxDelayFIN if no failure verdict arrived earlier.
-            if (mc.backup_fin_seen and not mc.close_requested
-                    and not mc.conn.fin_queued
-                    and mc.backup_fin_seen_at is not None
-                    and (self.world.sim.now - mc.backup_fin_seen_at
-                         >= self.config.max_delay_fin_ns)):
-                self.emit(EventKind.APP_FAILURE_DETECTED, key=mc.key,
-                          symptom="backup FIN without primary FIN, "
-                                  "unresolved at MaxDelayFIN",
-                          location="backup")
-                self.enter_non_ft("backup FIN disagreement at MaxDelayFIN")
-                return
 
     def _check_retain_overflow(self) -> None:
         for mc in self.conns.values():
@@ -394,7 +266,7 @@ class PrimaryEngine(SttcpEngine):
         """Re-announce connections the backup's HBs never mention."""
         now = self.world.sim.now
         for mc in self.conns.values():
-            if (mc.backup_progress is None and mc.init_resent < 5
+            if (mc.peer_progress is None and mc.init_resent < 5
                     and now - mc.created_at
                     > (mc.init_resent + 2) * self.config.hb_period_ns):
                 mc.init_resent += 1
@@ -424,3 +296,5 @@ class PrimaryEngine(SttcpEngine):
             mc.conn.inorder_tap = None  # no more retained copies needed
             mc.socket.close_interceptor = None
             mc.socket.abort_interceptor = None
+
+    recover = enter_non_ft

@@ -234,3 +234,31 @@ def test_no_literal_stands_in_for_another_modules_constant():
 def test_scheduler_has_no_hand_synced_copies():
     core = (PACKAGE / "sim" / "core.py").read_text(encoding="utf-8")
     assert "keep in sync" not in core
+
+
+def test_table_one_is_decided_in_one_place():
+    """Paper Table 1's decision tree — crash, then NIC, then app lag — is
+    ``detector.classify``, and the engine base turns its verdict into an
+    event and a recovery.  The roles keep only their recovery action and
+    housekeeping: the link checks, the ping criterion, the trackers and
+    the crash/NIC events are not named in ``primary.py`` or ``backup.py``,
+    and the per-role copies of the tree stay deleted everywhere."""
+    in_roles = re.compile(r"check_links\(|peer_nic_failed\(|LagTracker\("
+                          r"|EventKind\.PEER_CRASH_DETECTED"
+                          r"|EventKind\.NIC_FAILURE_DETECTED|peer_hb_fresh\(")
+    gone = re.compile(r"\b(?:_diagnose_backup_nic|_diagnose_primary_nic"
+                      r"|_check_backup_app_failure|_check_primary_app_failure"
+                      r"|app_failure_verdict|nic_failure_verdict)\b"
+                      r"|\bupdate_trackers_from_")
+    assert in_roles.search("self." + "check_links()")
+    assert gone.search("mc.update_trackers_from_" + "backup(p)")
+    strays = [f"{_where(module, text, m)} ({m.group(0)})"
+              for module, text in _sources()
+              for m in (*gone.finditer(text),
+                        *(in_roles.finditer(text)
+                          if module in ("sttcp/primary.py", "sttcp/backup.py")
+                          else ()))]
+    assert not strays, f"a second copy of the Table-1 tree: {strays}"
+    detector = (PACKAGE / "sttcp" / "detector.py").read_text(encoding="utf-8")
+    engine = (PACKAGE / "sttcp" / "engine.py").read_text(encoding="utf-8")
+    assert "def classify(" in detector and "classify(" in engine

@@ -44,7 +44,7 @@ def test_backup_caught_up_completely():
     for mc in tb.pair.backup.conns.values():
         assert not mc.conn.recv_buffer.has_gap
         assert mc.conn.recv_buffer.rcv_next \
-            >= mc.primary_progress.last_byte_received
+            >= mc.peer_progress.last_byte_received
 
 
 def test_recovered_backup_can_still_take_over():

@@ -9,6 +9,8 @@ Case 2a: primary normal-closes (FIN); backup app failed (no FIN)
          -> FIN held up to MaxDelayFIN; released at detection/expiry.
 Case 2b: backup app fails WITH cleanup (FIN); primary healthy
          -> backup FIN suppressed; primary goes non-FT.
+Backup FIN, no primary FIN, no lag (idle connection)
+         -> the FIN rule itself decides at MaxDelayFIN: primary non-FT.
 
 Plus the two no-delay paths: both sides close (normal), and client-FIN-
 first (primary sends its FIN immediately).
@@ -69,6 +71,8 @@ def test_case_1b_backup_fin_retransmitted_after_takeover():
     client.start()
     tb.run_until(1)
     assert client.received == 10_000     # transfer done; connection idle
+    farewell = bytearray()
+    client.sock.on_data = lambda sock: farewell.extend(sock.read())
     # The primary's app hangs (no FIN, no reads/writes ever again)...
     server_p.crash(cleanup=False)
     # ...while the replica app, per its normal idle-closure policy, sends
@@ -85,7 +89,7 @@ def test_case_1b_backup_fin_retransmitted_after_takeover():
     takeover = tb.pair.backup.takeover_at
     assert takeover is not None and fin_at < takeover
     # ...and after it, the client received the farewell and the close.
-    assert client.sock.read() == b"BYE\n" or True  # drained via on_data
+    assert bytes(farewell) == b"BYE\n"
     assert client.sock.connection.peer_fin_consumed
     assert client.reset_count == 0
 
@@ -121,6 +125,36 @@ def test_case_2b_backup_cleanup_crash_primary_non_ft():
     fixture.run(30)
     assert fixture.client.received == fixture.client.total_bytes
     assert fixture.client.reset_count == 0
+
+
+def test_backup_fin_alone_is_a_failure_at_max_delay_fin():
+    """The backup's replica closes, the primary's application stays alive
+    and silent: no lag criterion can fire on an idle connection, so the
+    primary's FIN rule decides — the backup is declared failed once its
+    FIN has gone unmatched for MaxDelayFIN (Sec. 4.2.2)."""
+    fixture = SttcpFixture(config=CONFIG)
+    client = fixture.start_client(total_bytes=10_000,
+                                  close_when_complete=False)
+    fixture.run(1)
+    assert client.received == 10_000     # transfer done; now idle
+    next(iter(fixture.backup_engine.conns.values())).socket.close()
+    fixture.run(6)                       # > MaxDelayFIN (3s)
+    primary = fixture.primary_engine
+    mc = next(iter(primary.conns.values()))
+    detected = primary.events.first(EventKind.APP_FAILURE_DETECTED)
+    assert detected.detail == {
+        "key": mc.key, "location": "backup",
+        "symptom": "backup FIN without primary FIN, unresolved at "
+                   "MaxDelayFIN"}
+    non_ft = primary.events.first(EventKind.NON_FT_MODE)
+    assert non_ft.detail == {"reason": "backup FIN disagreement at "
+                                       "MaxDelayFIN"}
+    # The first detector tick once the backup's FIN is MaxDelayFIN old.
+    assert non_ft.time == detected.time == 4_250_000_000
+    assert 0 <= non_ft.time - (mc.backup_fin_at + CONFIG.max_delay_fin_ns) \
+        < millis(50)
+    assert fixture.backup_engine.takeover_at is None
+    assert client.reset_count == 0
 
 
 def test_normal_closure_no_delay():

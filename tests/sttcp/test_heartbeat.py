@@ -20,8 +20,8 @@ def test_heartbeat_carries_connection_progress(sttcp):
     sttcp.start_client(total_bytes=20_000_000)
     sttcp.run(1)
     mc = next(iter(sttcp.backup_engine.conns.values()))
-    assert mc.primary_progress is not None
-    assert mc.primary_progress.last_byte_received > 0
+    assert mc.peer_progress is not None
+    assert mc.peer_progress.last_byte_received > 0
 
 
 def test_hb_stops_when_peer_dies(sttcp):

@@ -88,7 +88,7 @@ def test_fetch_racing_backup_confirmation_serves_remaining_bytes(sttcp):
     expected = mc.retain.get_range(0, end)
     mid = end // 2
     # The backup's HB arrives first, confirming bytes through `mid`.
-    mc.update_trackers_from_backup(ConnProgress(
+    mc.absorb(ConnProgress(
         key=key, last_byte_received=mid, last_ack_received=0,
         last_app_byte_written=0, last_app_byte_read=0))
     assert mc.retain.base_offset == mid
