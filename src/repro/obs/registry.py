@@ -203,9 +203,12 @@ _ENGINE_EVENT_PROBES = {
     "fin-held": "a locally generated FIN/RST is being delayed (Sec. 4.2.2)",
     "fin-released": "a held FIN/RST was let out to the client",
     "fin-suppressed": "the backup suppressed a replica FIN",
-    "fetch-requested": "the backup asked the primary for missed bytes",
+    "fetch-requested": ("the backup asked the primary (or, with via=logger, "
+                        "the stream logger) for missed bytes"),
     "fetch-recovered": "a missed-byte fetch completed",
-    "unrecoverable": "a post-takeover gap could not be filled",
+    "unrecoverable": ("a connection is missing client bytes that neither "
+                      "the primary nor the logger can re-supply (once per "
+                      "connection)"),
     "retain-overflow": "the primary's retain buffer filled up",
     "ping-probing": "gateway-ping disambiguation started (Sec. 4.3)",
 }

@@ -17,7 +17,6 @@ from repro.sttcp.control import (
     AppFailureNotice,
     ConnClosed,
     ConnInit,
-    ControlChannel,
     FetchReply,
     FetchRequest,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "ConnInit",
     "ConnKey",
     "ConnProgress",
-    "ControlChannel",
     "EngineEvent",
     "EngineEventLog",
     "EventKind",

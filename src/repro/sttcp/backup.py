@@ -60,6 +60,7 @@ class ManagedBackupConn(ManagedConn):
         self.fetch_retry_timer = Timer(world.sim, self._fetch_retry,
                                        label="fetch-retry")
         self.recovering_via_logger = False
+        self.unrecoverable = False
         self.last_round_at: Optional[int] = None
         # Post-takeover gap bookkeeping (output-commit handling).
         self.gap_since: Optional[int] = None
@@ -165,7 +166,7 @@ class BackupEngine(SttcpEngine):
             """Relay the watchdog's suspicion to the primary."""
             if self.mode != MODE_FT:
                 return
-            self.control.send(AppFailureNotice("backup"), also_serial=True)
+            self.hb.send(AppFailureNotice("backup"), also_serial=True)
 
         watchdog = ApplicationWatchdog(self.world, app, on_suspicion,
                                        period_ns=period_ns,
@@ -271,7 +272,7 @@ class BackupEngine(SttcpEngine):
         mc.fetch_retry_timer.start(self.config.fetch_retry_ns)
         self.emit(EventKind.FETCH_REQUESTED, key=mc.key,
                   ranges=tuple(ranges))
-        self.control.send(FetchRequest(mc.key, tuple(ranges)))
+        self.hb.send(FetchRequest(mc.key, tuple(ranges)))
 
     def _on_fetch_reply(self, reply: FetchReply) -> None:
         mc = self.conns.get(reply.key)
@@ -282,8 +283,8 @@ class BackupEngine(SttcpEngine):
             # from the primary — unrecoverable for this connection.
             mc.fetch_retry_timer.stop()
             mc.fetch_outstanding = False
-            self.emit(EventKind.UNRECOVERABLE, key=reply.key,
-                      reason="primary cannot re-supply missed bytes")
+            self._declare_unrecoverable(
+                mc, "primary cannot re-supply missed bytes")
             return
         before = mc.conn.recv_buffer.rcv_next
         mc.conn.inject_stream_bytes(reply.offset, reply.data)
@@ -368,8 +369,8 @@ class BackupEngine(SttcpEngine):
                   connections=len(self.conns),
                   unrecoverable=len(unrecoverable))
         for mc in unrecoverable:
-            self.emit(EventKind.UNRECOVERABLE, key=mc.key,
-                      reason="missed bytes unavailable after primary crash")
+            self._declare_unrecoverable(
+                mc, "missed bytes unavailable after primary crash")
             mc.conn.output_gate = None
             mc.conn.abort()
         self.hb.stop()
@@ -401,10 +402,18 @@ class BackupEngine(SttcpEngine):
                     mc.last_logger_fetch = now
                     self._fetch_from_logger(mc)
             elif now - mc.gap_since >= self.config.unrecoverable_gap_ns:
-                self.emit(EventKind.UNRECOVERABLE, key=mc.key,
-                          reason="receive gap below the dead primary's ack "
-                                 "point (output-commit problem)")
+                self._declare_unrecoverable(
+                    mc, "receive gap below the dead primary's ack point "
+                        "(output-commit problem)")
                 mc.conn.abort()
+
+    def _declare_unrecoverable(self, mc: ManagedBackupConn,
+                               reason: str) -> None:
+        """Paper Sec. 4.3: bytes the client will not resend are gone —
+        said once per connection, however many replies or ticks find it."""
+        if not mc.unrecoverable:
+            mc.unrecoverable = True
+            self.emit(EventKind.UNRECOVERABLE, key=mc.key, reason=reason)
 
     # ------------------------------------------------- logger fallback
 
@@ -435,9 +444,9 @@ class BackupEngine(SttcpEngine):
         if mc is None:
             return
         if payload.unavailable:
-            self.emit(EventKind.UNRECOVERABLE, key=payload.key,
-                      reason="logger cannot re-supply missed bytes")
-            if getattr(mc, "recovering_via_logger", False):
+            self._declare_unrecoverable(
+                mc, "logger cannot re-supply missed bytes")
+            if mc.recovering_via_logger:
                 mc.recovering_via_logger = False
                 mc.conn.output_gate = None
                 mc.conn.abort()
@@ -457,7 +466,7 @@ class BackupEngine(SttcpEngine):
     def _finish_logger_recovery(self, mc: ManagedBackupConn) -> None:
         """Once the stream is whole again, let the replica go live (if a
         takeover was waiting on this recovery)."""
-        if not getattr(mc, "recovering_via_logger", False):
+        if not mc.recovering_via_logger:
             return
         rcv = mc.conn.recv_buffer
         target = (mc.peer_progress.last_byte_received

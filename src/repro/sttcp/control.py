@@ -1,7 +1,8 @@
-"""Server-to-server control protocol.
+"""Server-to-server control messages.
 
-Three message types ride between the ST-TCP engines, separate from the
-heartbeat:
+These ride between the ST-TCP engines on the heartbeat service's links
+(:meth:`repro.sttcp.heartbeat.HeartbeatService.send`), beside the
+heartbeats but on their own UDP port:
 
 * :class:`ConnInit` — primary → backup at accept time: "a connection was
   established with this client; use this ISN".  This is the simulated
@@ -18,16 +19,11 @@ heartbeat:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
 
-from repro.net.addresses import IPAddress
-from repro.net.serial_link import SerialPort
-from repro.net.udp import UdpLayer
-from repro.sim.world import World
 from repro.sttcp.state import ConnKey
 
 __all__ = ["ConnInit", "FetchRequest", "FetchReply", "ConnClosed",
-           "AppFailureNotice", "ControlChannel"]
+           "AppFailureNotice"]
 
 
 @dataclass(frozen=True)
@@ -98,55 +94,3 @@ class ConnClosed:
     def size_bytes(self) -> int:
         """Modelled on-wire size of the message."""
         return 8
-
-
-class ControlChannel:
-    """UDP-based control endpoint with optional serial mirroring.
-
-    ``send(msg, also_serial=True)`` duplicates small critical messages
-    (ConnInit) over the serial link so a lossy IP path cannot leave the
-    backup without an ISN.  The receiving engine deduplicates naturally —
-    replicate orders are idempotent.
-    """
-
-    def __init__(self, world: World, udp: UdpLayer, local_ip: IPAddress,
-                 peer_ip: IPAddress, port: int,
-                 serial_port: Optional[SerialPort] = None,
-                 name: str = "control"):
-        self._world = world
-        self._udp = udp
-        self._local_ip = local_ip
-        self._peer_ip = peer_ip
-        self._port = port
-        self._serial = serial_port
-        self.name = name
-        self._handler: Optional[Callable[[Any], None]] = None
-        self.messages_sent = 0
-        self.messages_received = 0
-        udp.bind(port, self._on_udp)
-
-    def set_handler(self, handler: Callable[[Any], None]) -> None:
-        """Install the receive callback."""
-        self._handler = handler
-
-    def send(self, message: Any, also_serial: bool = False) -> None:
-        """Transmit to the peer over UDP (and optionally serial)."""
-        self.messages_sent += 1
-        self._udp.send(self._peer_ip, self._port, self._port, message,
-                       src_ip=self._local_ip)
-        if also_serial and self._serial is not None:
-            self._serial.send(message)
-
-    def deliver_from_serial(self, message: Any) -> None:
-        """Entry point for control messages that arrived on the serial mux."""
-        self._dispatch(message)
-
-    def _on_udp(self, payload: Any, src_ip: IPAddress, _src_port: int) -> None:
-        if src_ip != self._peer_ip:
-            return  # only the paired server may speak this protocol
-        self._dispatch(payload)
-
-    def _dispatch(self, message: Any) -> None:
-        self.messages_received += 1
-        if self._handler is not None:
-            self._handler(message)

@@ -1,12 +1,11 @@
 """Shared machinery for the primary and backup ST-TCP engines.
 
 Each server runs one engine.  The base class owns the plumbing common to
-both roles: the dual-link heartbeat service, the control channel, the
-serial-line demultiplexer (HB and control messages share the null-modem
-cable), the gateway-ping scoreboard for NIC-failure disambiguation
-(Sec. 4.3), the periodic detector tick that turns Table 1's one
-:func:`~repro.sttcp.detector.classify` into the role's recovery, and
-STONITH.  :class:`ManagedConn` is what both roles keep per replicated
+both roles: the dual-link heartbeat service (which also carries the
+control messages), the gateway-ping scoreboard for NIC-failure
+disambiguation (Sec. 4.3), the periodic detector tick that turns Table
+1's one :func:`~repro.sttcp.detector.classify` into the role's recovery,
+and STONITH.  :class:`ManagedConn` is what both roles keep per replicated
 connection: the peer's latest progress and the lag trackers it feeds.
 """
 
@@ -25,7 +24,6 @@ from repro.host.power import PowerStrip
 from repro.tcp.connection import TcpConnection
 from repro.tcp.sockets import Socket
 from repro.sttcp.config import SttcpConfig
-from repro.sttcp.control import ControlChannel
 from repro.sttcp.detector import LagTracker, PingScoreboard, Verdict, classify
 from repro.sttcp.events import EngineEventLog, EventKind
 from repro.sttcp.heartbeat import HeartbeatService
@@ -159,17 +157,11 @@ class SttcpEngine:
         self.events = EngineEventLog()
         self.conns: dict[ConnKey, ManagedConn] = {}
 
-        self.hb = HeartbeatService(world, config, role, host.udp, local_ip,
-                                   peer_ip, serial_port, name=f"{self.name}.hb")
-        self.hb.build_heartbeat = self._build_heartbeat
-        self.hb.on_heartbeat = self._on_heartbeat
-        self.control = ControlChannel(world, host.udp, local_ip, peer_ip,
-                                      config.control_udp_port, serial_port,
-                                      name=f"{self.name}.ctl")
-        self.control.set_handler(self._on_control)
-        self._serial = serial_port
-        if serial_port is not None:
-            serial_port.set_handler(self._on_serial_message)
+        self.hb = HeartbeatService(
+            world, config, role, host.udp, local_ip, peer_ip,
+            build_heartbeat=self._build_heartbeat,
+            on_heartbeat=self._on_heartbeat, on_control=self._on_control,
+            serial_port=serial_port, name=f"{self.name}.hb")
 
         tick = max(config.hb_period_ns // 4, millis(10))
         self._tick_timer = PeriodicTimer(world.sim, self._tick, tick,
@@ -215,20 +207,11 @@ class SttcpEngine:
         self.emit(EventKind.STONITH, target=self.peer_host.name, reason=reason)
         self.power_strip.power_down(self.peer_host, initiator=self.name)
 
-    # ----------------------------------------------------- serial demux
-
-    def _on_serial_message(self, message: Any) -> None:
-        if isinstance(message, Heartbeat):
-            self.hb.deliver_from_serial(message)
-        else:
-            self.control.deliver_from_serial(message)
-
     # -------------------------------------------------------- HB assembly
 
-    def _build_heartbeat(self) -> Heartbeat:
-        return Heartbeat(self.role, 0, tuple(self.connection_progress()),
-                         ping_probing=self._probing,
-                         ping_ok=self._last_ping_ok)
+    def _build_heartbeat(self) -> tuple:
+        return (tuple(self.connection_progress()), self._probing,
+                self._last_ping_ok)
 
     def connection_progress(self) -> list[ConnProgress]:
         """HB payload: one entry per managed connection."""
@@ -335,12 +318,7 @@ class SttcpEngine:
     def peer_evidence_time(self) -> Optional[int]:
         """Instant of the latest heartbeat from the peer on any link —
         the most recent proof the peer machine was alive."""
-        ages = [age for age in (self.hb.last_rx_age_ns("ip"),
-                                self.hb.last_rx_age_ns("serial"))
-                if age is not None]
-        if not ages:
-            return None
-        return self.world.sim.now - min(ages)
+        return self.hb.last_heard_at()
 
     def peer_hb_fresh(self) -> bool:
         """True when a heartbeat arrived recently enough (on either link)
@@ -348,13 +326,10 @@ class SttcpEngine:
         application-failure criteria only apply while "HB between the
         servers also stays up" — when HBs stop entirely, stale counters
         must not masquerade as application lag (that is a crash, row 1)."""
-        ages = [age for age in (self.hb.last_rx_age_ns("ip"),
-                                self.hb.last_rx_age_ns("serial"))
-                if age is not None]
-        if not ages:
-            # No HB yet: fresh during the startup grace period.
-            return True
-        return min(ages) <= 2 * self.config.hb_period_ns
+        last = self.hb.last_heard_at()
+        # No HB yet: fresh during the startup grace period.
+        return (last is None
+                or self.world.sim.now - last <= 2 * self.config.hb_period_ns)
 
     def check_links(self) -> tuple[bool, bool]:
         """(ip_up, serial_up), emitting events on state transitions."""

@@ -1,4 +1,4 @@
-"""The dual-link heartbeat service (paper Sec. 3).
+"""The channel between the two servers (paper Sec. 3).
 
 Heartbeats flow between the servers over two *diverse* links — UDP on the
 Ethernet fabric and a direct null-modem serial cable — so that no single
@@ -9,6 +9,9 @@ failure detector reads:
 * IP stale, serial fresh → a local network (NIC/cable) failure
   (Table 1 row 4), triggering the gateway-ping disambiguation.
 
+The same two links carry the control messages of :mod:`repro.sttcp.control`
+(on their own UDP port; on the cable, whatever is not a heartbeat).
+
 The service also tracks its *own* send health only implicitly — exactly
 like the real system, a server cannot distinguish "my NIC dropped my
 outbound HBs" from "the peer's NIC is deaf"; that asymmetry is resolved by
@@ -17,7 +20,7 @@ the Sec. 4.3 mechanisms, not here.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.net.addresses import IPAddress
 from repro.net.serial_link import SerialPort
@@ -34,10 +37,16 @@ LINK_SERIAL = "serial"
 
 
 class HeartbeatService:
-    """Periodic HB transmission + per-link reception freshness."""
+    """The link to the peer: periodic HBs, per-link reception freshness
+    and the control messages.  ``build_heartbeat`` returns the next HB's
+    ``(connections, ping_probing, ping_ok)``; ``on_heartbeat(hb, link)``
+    and ``on_control(message)`` see what the peer sent."""
 
     def __init__(self, world: World, config: SttcpConfig, role: str,
                  udp: UdpLayer, local_ip: IPAddress, peer_ip: IPAddress,
+                 build_heartbeat: Callable[[], tuple],
+                 on_heartbeat: Callable[[Heartbeat, str], None],
+                 on_control: Callable[[Any], None],
                  serial_port: Optional[SerialPort] = None,
                  name: str = "hb"):
         self._world = world
@@ -46,14 +55,11 @@ class HeartbeatService:
         self._udp = udp
         self._local_ip = local_ip
         self._peer_ip = peer_ip
-        self._serial = serial_port if config.use_serial_hb else None
+        self._serial = serial_port
         self.name = name
-        # Callable returning the Heartbeat to send this tick (engine hook).
-        self.build_heartbeat: Callable[[], Heartbeat] = (
-            lambda: Heartbeat(role, 0))
-        # Called on every received HB: (heartbeat, link_name).
-        self.on_heartbeat: Callable[[Heartbeat, str], None] = (
-            lambda hb, link: None)
+        self._build_heartbeat = build_heartbeat
+        self._on_heartbeat = on_heartbeat
+        self._on_control = on_control
         self._timer = PeriodicTimer(world.sim, self._tick,
                                     config.hb_period_ns, label=f"{name}.tick")
         self._seq = 0
@@ -62,7 +68,12 @@ class HeartbeatService:
         self.sent = 0
         self.received = {LINK_IP: 0, LINK_SERIAL: 0}
         self.bytes_sent_serial = 0
+        self.messages_sent = 0
+        self.messages_received = 0
         udp.bind(config.hb_udp_port, self._on_udp)
+        udp.bind(config.control_udp_port, self._on_control_udp)
+        if serial_port is not None:
+            serial_port.set_handler(self._on_serial)
 
     # ------------------------------------------------------------ lifecycle
 
@@ -87,11 +98,26 @@ class HeartbeatService:
 
     # --------------------------------------------------------------- sending
 
+    def send(self, message: Any, also_serial: bool = False) -> None:
+        """Send a control message over UDP, and also over serial for small
+        critical ones (ConnInit: a lossy IP path must not leave the backup
+        without an ISN; the receiver handles duplicates idempotently)."""
+        self.messages_sent += 1
+        port = self._config.control_udp_port
+        self._udp.send(self._peer_ip, port, port, message,
+                       src_ip=self._local_ip)
+        if also_serial and self._serial is not None:
+            self._serial.send(message)
+
+    def next_heartbeat(self) -> Heartbeat:
+        """The heartbeat the next tick sends."""
+        connections, ping_probing, ping_ok = self._build_heartbeat()
+        return Heartbeat(self.role, self._seq + 1, connections,
+                         ping_probing, ping_ok)
+
     def _tick(self, extra: bool = False) -> None:
-        self._seq += 1
-        hb = self.build_heartbeat()
-        hb = Heartbeat(self.role, self._seq, hb.connections,
-                       hb.ping_probing, hb.ping_ok)
+        hb = self.next_heartbeat()
+        self._seq = hb.seq
         self.sent += 1
         self._udp.send(self._peer_ip, self._config.hb_udp_port,
                        self._config.hb_udp_port, hb, src_ip=self._local_ip)
@@ -108,20 +134,30 @@ class HeartbeatService:
     # -------------------------------------------------------------- receiving
 
     def _on_udp(self, payload, src_ip: IPAddress, _src_port: int) -> None:
-        if not isinstance(payload, Heartbeat) or src_ip != self._peer_ip:
-            return
-        self._receive(payload, LINK_IP)
+        if isinstance(payload, Heartbeat) and src_ip == self._peer_ip:
+            self._receive(payload, LINK_IP)
 
-    def deliver_from_serial(self, hb: Heartbeat) -> None:
-        """Entry point for HBs that arrived on the serial mux."""
-        self._receive(hb, LINK_SERIAL)
+    def _on_control_udp(self, payload: Any, src_ip: IPAddress,
+                        _src_port: int) -> None:
+        if src_ip == self._peer_ip:
+            self._dispatch(payload)
+
+    def _on_serial(self, message: Any) -> None:
+        if isinstance(message, Heartbeat):
+            self._receive(message, LINK_SERIAL)
+        else:
+            self._dispatch(message)
 
     def _receive(self, hb: Heartbeat, link: str) -> None:
         self._last_rx[link] = self._world.sim.now
         self.received[link] += 1
         self._world.probes.fire("hb.recv", self.name, "received", link=link,
                                 seq=hb.seq)
-        self.on_heartbeat(hb, link)
+        self._on_heartbeat(hb, link)
+
+    def _dispatch(self, message: Any) -> None:
+        self.messages_received += 1
+        self._on_control(message)
 
     # ------------------------------------------------------------- freshness
 
@@ -156,7 +192,8 @@ class HeartbeatService:
         """The Table-1 row-1 symptom: total HB silence."""
         return not self.ip_link_up() and not self.serial_link_up()
 
-    def last_rx_age_ns(self, link: str) -> Optional[int]:
-        """Age of the last HB on ``link`` (None before any)."""
-        last = self._last_rx[link]
-        return None if last is None else self._world.sim.now - last
+    def last_heard_at(self) -> Optional[int]:
+        """Instant of the latest HB from the peer on either link (None
+        before any)."""
+        heard = [at for at in self._last_rx.values() if at is not None]
+        return max(heard) if heard else None

@@ -128,8 +128,8 @@ class PrimaryEngine(SttcpEngine):
         self._send_conn_init(mc)
 
     def _send_conn_init(self, mc: ManagedPrimaryConn) -> None:
-        self.control.send(ConnInit(mc.key, self.config.service_port,
-                                   mc.conn.iss), also_serial=True)
+        self.hb.send(ConnInit(mc.key, self.config.service_port, mc.conn.iss),
+                     also_serial=True)
 
     # -------------------------------------------------------------- control
 
@@ -156,7 +156,7 @@ class PrimaryEngine(SttcpEngine):
                 return
             self.emit(EventKind.APP_FAILURE_DETECTED, location="primary",
                       symptom="application watchdog suspicion (local)")
-            self.control.send(AppFailureNotice("primary"), also_serial=True)
+            self.hb.send(AppFailureNotice("primary"), also_serial=True)
 
         watchdog = ApplicationWatchdog(self.world, app, on_suspicion,
                                        period_ns=period_ns,
@@ -168,7 +168,7 @@ class PrimaryEngine(SttcpEngine):
         """Re-supply client bytes from the extra receive buffer."""
         mc = self.conns.get(request.key)
         if mc is None:
-            self.control.send(FetchReply(request.key, 0, unavailable=True))
+            self.hb.send(FetchReply(request.key, 0, unavailable=True))
             return
         for start, end in request.ranges:
             # Retained bytes are released only when the backup's own HB
@@ -183,10 +183,10 @@ class PrimaryEngine(SttcpEngine):
                 data = mc.retain.get_range(offset, length)
                 if data is None or data == b"":
                     # Released or never received: cannot re-supply.
-                    self.control.send(FetchReply(request.key, offset,
-                                                 unavailable=True))
+                    self.hb.send(FetchReply(request.key, offset,
+                                            unavailable=True))
                     break
-                self.control.send(FetchReply(request.key, offset, data))
+                self.hb.send(FetchReply(request.key, offset, data))
                 offset += len(data)
 
     # ------------------------------------------------------ FIN intercepts
@@ -275,7 +275,7 @@ class PrimaryEngine(SttcpEngine):
     def _collect_closed(self) -> None:
         for key in [k for k, mc in self.conns.items()
                     if mc.conn.state.value == "CLOSED"]:
-            self.control.send(ConnClosed(key))
+            self.hb.send(ConnClosed(key))
             mc = self.conns.pop(key)
             mc.fin_release_timer.stop()
 

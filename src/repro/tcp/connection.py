@@ -464,8 +464,6 @@ class TcpConnection:
             else:
                 # Ack for data we never sent: protocol violation; ignore.
                 return
-        elif self.stt_tolerate_future_acks:
-            self._future_ack_off = max(self._future_ack_off, data_ack_off)
 
         newly_acked = data_ack_off - self.snd_una_off
         if newly_acked > 0:
@@ -473,8 +471,8 @@ class TcpConnection:
             self.snd_una_off = data_ack_off
             self.snd_nxt_off = max(self.snd_nxt_off, self.snd_una_off)
             self._rtx_count = 0
-            # _sample_rtt guard inlined (keep in sync): the timed range
-            # resolves at most once per flight, but the check runs per ack.
+            # RTT sample: the timed range resolves at most once per
+            # flight, but the check runs per ack.
             timed_end = self._timed_end
             if timed_end is not None and data_ack_off >= timed_end:
                 self.rtt.on_sample(self.world.sim._now - self._timed_at)
@@ -529,11 +527,6 @@ class TcpConnection:
         if self.fin_sent and not self.fin_acked:
             return False
         return True
-
-    def _sample_rtt(self, ack_off: int) -> None:
-        if self._timed_end is not None and ack_off >= self._timed_end:
-            self.rtt.on_sample(self.world.sim.now - self._timed_at)
-            self._timed_end = None
 
     def _apply_future_ack(self) -> None:
         """Backup replica: treat already-client-acked bytes as sent+acked."""
@@ -777,15 +770,15 @@ class TcpConnection:
             return
         # Receiver-side fast exit: most calls on an ack-only flow have no
         # queued data and no FIN pending, so skip the window math.
-        # _send_limit() and _pump_or_persist() are inlined here (keep in
-        # sync) — this branch runs once per inbound ack.
+        # _send_limit() is inlined here (keep in sync) — this branch runs
+        # once per inbound ack.
         fin_off = self.fin_off
         end = self.send_buffer.end_offset
         limit = end if (fin_off is None or end < fin_off) else fin_off
         if (limit <= self.snd_nxt_off
                 and (not self.fin_queued or self.fin_sent)):
             # Nothing sendable is pending, so the persist question is
-            # moot: disarm and reset (the else-arm of _pump_or_persist).
+            # moot: disarm and reset (the persist tail's common arm).
             timer = self._persist_timer
             if timer._handle is not None:
                 timer.stop()
@@ -843,9 +836,8 @@ class TcpConnection:
                 if not self._rtx_timer.armed:
                     self._rtx_timer.start(self.rtt.rto_ns)
             break
-        # _pump_or_persist() inlined (keep in sync): this tail runs once
-        # per data-emitting call, and the common case — peer window open —
-        # is just the disarm/reset arm.
+        # Persist: arm the timer when data waits on a zero window.  The
+        # common case — peer window open — is the disarm/reset arm.
         if (self.peer_window == 0 and self.flight_size == 0
                 and self._send_limit() > self.snd_nxt_off
                 and self.state.is_synchronized):
@@ -861,19 +853,6 @@ class TcpConnection:
         """Highest stream offset we are allowed to transmit up to."""
         end = self.send_buffer.end_offset
         return min(end, self.fin_off) if self.fin_off is not None else end
-
-    def _pump_or_persist(self) -> None:
-        """Arm the persist timer when data waits on a zero window."""
-        if (self.peer_window == 0 and self.flight_size == 0
-                and self._send_limit() > self.snd_nxt_off
-                and self.state.is_synchronized):
-            if not self._persist_timer.armed:
-                self._persist_timer.start(self._persist_interval)
-            return
-        timer = self._persist_timer
-        if timer._handle is not None:
-            timer.stop()
-        self._persist_interval = self.config.persist_min_ns
 
     def _on_persist_timeout(self) -> None:
         """Send a 1-byte window probe into a zero window."""

@@ -262,3 +262,27 @@ def test_table_one_is_decided_in_one_place():
     detector = (PACKAGE / "sttcp" / "detector.py").read_text(encoding="utf-8")
     engine = (PACKAGE / "sttcp" / "engine.py").read_text(encoding="utf-8")
     assert "def classify(" in detector and "classify(" in engine
+
+
+def test_the_peer_is_reached_over_one_channel():
+    """Paper Sec. 3 gives the two servers one channel over two diverse
+    links.  ``HeartbeatService`` is that channel: it sends and dispatches
+    the control messages (ISN, FIN notices, missed-byte fetches) and owns
+    the serial port's handler.  The second transport, the engine's
+    serial-line demultiplexer and the service's serial entry point stay
+    deleted; only the config and the service name the two UDP ports; and
+    a connection is declared unrecoverable from one place, once."""
+    gone = re.compile(r"\b(?:ControlChannel|deliver_from_serial"
+                      r"|_on_serial_message)\b")
+    strays = [f"{_where(module, text, m)} ({m.group(0)})"
+              for module, text in _sources() for m in gone.finditer(text)]
+    assert not strays, f"a second transport to the peer: {strays}"
+
+    ports = re.compile(r"\b(?:hb_udp_port|control_udp_port)\b")
+    named = {module for module, text in _sources() if ports.search(text)}
+    assert named == {"sttcp/config.py", "sttcp/heartbeat.py"}, named
+
+    declared = [_where(module, text, m) for module, text in _sources()
+                if module.startswith("sttcp/")
+                for m in re.finditer(r"\bEventKind\.UNRECOVERABLE\b", text)]
+    assert len(declared) == 1, declared

@@ -49,7 +49,7 @@ def test_heartbeat_scales_with_connections(multi_result):
     tb, _clients = multi_result
     # HB size: base + 20 bytes per managed connection (paper Sec. 3).
     from repro.sttcp.state import HEARTBEAT_BASE_BYTES, PER_CONNECTION_BYTES
-    hb = tb.pair.backup.hb.build_heartbeat()
+    hb = tb.pair.backup.hb.next_heartbeat()
     assert hb.size_bytes <= (HEARTBEAT_BASE_BYTES
                              + PER_CONNECTION_BYTES * N_CLIENTS)
 

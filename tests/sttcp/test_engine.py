@@ -56,9 +56,9 @@ def test_stonith_emits_event_and_powers_down(sttcp):
 
 def test_heartbeats_carry_role(sttcp):
     sttcp.run(1)
-    hb = sttcp.primary_engine.hb.build_heartbeat()
+    hb = sttcp.primary_engine.hb.next_heartbeat()
     assert hb.sender_role == "primary"
-    hb = sttcp.backup_engine.hb.build_heartbeat()
+    hb = sttcp.backup_engine.hb.next_heartbeat()
     assert hb.sender_role == "backup"
 
 

@@ -14,11 +14,20 @@ from repro.scenarios.builder import build_testbed
 from repro.sim.core import millis, seconds
 from repro.sttcp.events import EventKind
 from repro.sttcp.logger import StreamLogger
+from tests.integration.recovery_pins import assert_pinned
+
+#: Loss on the logger's cable over the backup's burst: at each seed the
+#: logger's record has a hole the backup needs, and the connection is lost.
+LOGGER_LOSS = 0.05
+LOGGER_LOSS_SEEDS = (21, 22, 23)
 
 
-def crash_mid_recovery(with_logger: bool, seed: int = 21):
+def crash_mid_recovery(with_logger: bool, seed: int = 21,
+                       logger_loss: float = 0.0):
     """Loss burst at the backup, primary crash while the fetch is still
-    paying the debt down — the paper's unrecoverable window."""
+    paying the debt down — the paper's unrecoverable window.  With
+    ``logger_loss``, the logger's cable drops that share of frames over
+    the same 300 ms."""
     tb = build_testbed(seed=seed)
     EchoServer(tb.primary, "e-p", port=80).start()
     EchoServer(tb.backup, "e-b", port=80).start()
@@ -31,6 +40,9 @@ def crash_mid_recovery(with_logger: bool, seed: int = 21):
     client.start()
     tb.inject.loss_burst(seconds(1), millis(300),
                          TransientLoss(tb.backup_cable, 0.8))
+    if logger_loss:
+        tb.inject.loss_burst(seconds(1), millis(300),
+                             TransientLoss(tb.cables["logger"], logger_loss))
     tb.inject.at(seconds(1) + millis(250), HwCrash(tb.primary))
     tb.run_until(120)
     return tb, client, logger
@@ -39,6 +51,7 @@ def crash_mid_recovery(with_logger: bool, seed: int = 21):
 class TestWithoutLogger:
     def test_output_commit_failure_is_unrecoverable(self):
         tb, client, _logger = crash_mid_recovery(with_logger=False)
+        assert_pinned("crash-mid-recovery", tb, client)
         assert tb.pair.backup.events.has(EventKind.UNRECOVERABLE)
         assert client.reset_count >= 1          # connection was lost
         assert len(client.rtts_ns) < client.count
@@ -47,6 +60,7 @@ class TestWithoutLogger:
 class TestWithLogger:
     def test_connection_survives(self):
         tb, client, logger = crash_mid_recovery(with_logger=True)
+        assert_pinned("crash-mid-recovery-logger", tb, client)
         assert not tb.pair.backup.events.has(EventKind.UNRECOVERABLE)
         assert client.reset_count == 0
         assert len(client.rtts_ns) == client.count
@@ -57,6 +71,18 @@ class TestWithLogger:
         recovered = [e for e in tb.pair.backup.events.of_kind(
             EventKind.FETCH_RECOVERED) if e.detail.get("via") == "logger"]
         assert recovered
+
+    @pytest.mark.parametrize("seed", LOGGER_LOSS_SEEDS)
+    def test_a_lost_connection_is_declared_unrecoverable_once(self, seed):
+        """The logger missed bytes the backup needs, so the connection is
+        lost; the backup declares it unrecoverable once, however many
+        requested ranges the logger answers as unavailable."""
+        tb, client, _logger = crash_mid_recovery(
+            with_logger=True, seed=seed, logger_loss=LOGGER_LOSS)
+        assert_pinned(f"logger-loss-seed{seed}", tb, client)
+        keys = [tuple(e.detail["key"]) for e in
+                tb.pair.backup.events.of_kind(EventKind.UNRECOVERABLE)]
+        assert len(keys) == len(set(keys)) == 1
 
 
 class TestLoggerRecording:

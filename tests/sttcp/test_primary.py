@@ -25,7 +25,7 @@ def test_conn_init_sent_on_both_channels(sttcp):
     sttcp.start_client(total_bytes=20_000_000)
     sttcp.run(0.5)
     # The serial link carried at least one non-heartbeat message.
-    assert sttcp.primary_engine.control.messages_sent >= 1
+    assert sttcp.primary_engine.hb.messages_sent >= 1
     assert len(sttcp.backup_engine.conns) == 1
 
 
@@ -37,7 +37,7 @@ def test_fetch_served_from_retain(sttcp):
     end = mc.retain.end_offset
     assert end > 0
     replies = []
-    sttcp.primary_engine.control.send = \
+    sttcp.primary_engine.hb.send = \
         lambda msg, also_serial=False: replies.append(msg)
     sttcp.primary_engine._serve_fetch(FetchRequest(key, ((0, end),)))
     assert replies and not replies[0].unavailable
@@ -47,7 +47,7 @@ def test_fetch_served_from_retain(sttcp):
 
 def test_fetch_for_unknown_conn_unavailable(sttcp):
     replies = []
-    sttcp.primary_engine.control.send = \
+    sttcp.primary_engine.hb.send = \
         lambda msg, also_serial=False: replies.append(msg)
     sttcp.primary_engine._serve_fetch(FetchRequest((9, 9), ((0, 10),)))
     assert replies[0].unavailable
@@ -64,7 +64,7 @@ def test_fetch_for_released_range_yields_no_reply(sttcp):
     sttcp.run(1)   # backup confirmed; retain released
     key = next(iter(sttcp.primary_engine.conns))
     replies = []
-    sttcp.primary_engine.control.send = \
+    sttcp.primary_engine.hb.send = \
         lambda msg, also_serial=False: replies.append(msg)
     sttcp.primary_engine._serve_fetch(FetchRequest(key, ((0, 5),)))
     assert replies == []
@@ -94,7 +94,7 @@ def test_fetch_racing_backup_confirmation_serves_remaining_bytes(sttcp):
     assert mc.retain.base_offset == mid
     # Now the (older) fetch request for the full range lands.
     replies = []
-    sttcp.primary_engine.control.send = \
+    sttcp.primary_engine.hb.send = \
         lambda msg, also_serial=False: replies.append(msg)
     sttcp.primary_engine._serve_fetch(FetchRequest(key, ((0, end),)))
     assert replies, "fetch for a partially released range got no reply"
@@ -148,8 +148,6 @@ def test_conn_init_resent_if_backup_silent_about_it(sttcp_factory):
         original(init)
 
     fixture.backup_engine._on_conn_init = flaky
-    # Rewire the control dispatch (method was captured at bind time).
-    fixture.backup_engine.control.set_handler(fixture.backup_engine._on_control)
     fixture.start_client(total_bytes=20_000_000)
     fixture.run(1)
     assert dropped["n"] >= 2
