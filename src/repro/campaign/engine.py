@@ -32,7 +32,7 @@ import contextlib
 import gc
 import json
 import multiprocessing
-import queue as queue_mod
+import multiprocessing.connection
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -249,7 +249,13 @@ def _worker_main(worker_id: int, inbox, results,
                  warm_enabled: bool = True,
                  profile_dir: Optional[str] = None) -> None:
     """Worker loop: pull a chunk, announce and run each trial, stream the
-    records back.  ``None`` is the shutdown sentinel."""
+    records back.  ``None`` is the shutdown sentinel.
+
+    ``results`` is this worker's own pipe end and every ``send`` is
+    synchronous, so a trial that kills its process can never do so
+    while a background thread holds a lock another worker needs: with
+    one shared ``multiprocessing.Queue`` a worker dying mid-flush left
+    the queue's write lock taken and wedged every later worker."""
     from repro.campaign import warm as warm_mod
 
     warm_mod.set_enabled(warm_enabled)
@@ -264,25 +270,30 @@ def _worker_main(worker_id: int, inbox, results,
             if chunk is None:
                 return
             for trial in chunk:
-                results.put(("start", worker_id, trial.index, None))
+                results.send(("start", trial.index, None))
                 record = execute_trial(trial)
                 gc_tick()
-                results.put(("done", worker_id, trial.index, record))
-            results.put(("idle", worker_id, None, None))
+                results.send(("done", trial.index, record))
+            results.send(("idle", None, None))
 
 
 class _Worker:
-    """One pool slot: a process, its private inbox, and what it holds."""
+    """One pool slot: a process, its private inbox and result pipe, and
+    what it holds."""
 
-    def __init__(self, ctx, worker_id: int, results, warm_enabled: bool,
+    def __init__(self, ctx, worker_id: int, warm_enabled: bool,
                  profile_dir: Optional[str] = None):
         self.id = worker_id
         self.inbox = ctx.Queue()
+        self.results, sender = ctx.Pipe(duplex=False)
         self.process = ctx.Process(
             target=_worker_main,
-            args=(worker_id, self.inbox, results, warm_enabled, profile_dir),
+            args=(worker_id, self.inbox, sender, warm_enabled, profile_dir),
             daemon=True, name=f"repro-campaign-{worker_id}")
         self.process.start()
+        # Only the worker may hold the sending end, so its death reads
+        # as end-of-file here.
+        sender.close()
         #: Trials handed to this worker and not yet recorded.
         self.assigned: list[TrialSpec] = []
         #: Index of the trial the worker announced it is running.
@@ -295,11 +306,20 @@ class _Worker:
         self.started_at = None
         self.inbox.put(chunk)
 
+    def messages(self):
+        """Every message already in the result pipe, oldest first."""
+        try:
+            while self.results.poll():
+                yield self.results.recv()
+        except (EOFError, OSError):
+            return
+
     def kill(self) -> None:
         if self.process.is_alive():
             self.process.terminate()
         self.process.join(timeout=5.0)
         self.inbox.close()
+        self.results.close()
 
     def shutdown(self) -> None:
         try:
@@ -332,13 +352,12 @@ def _run_pool(trials: list[TrialSpec], jobs: int,
     attempts: dict[int, int] = {t.index: 0 for t in trials}
     records: dict[int, dict] = {}
     by_index = {t.index: t for t in trials}
-    results = ctx.Queue()
     workers: dict[int, _Worker] = {}
     next_worker_id = 0
 
     def spawn() -> _Worker:
         nonlocal next_worker_id
-        worker = _Worker(ctx, next_worker_id, results, warm, profile_dir)
+        worker = _Worker(ctx, next_worker_id, warm, profile_dir)
         workers[worker.id] = worker
         next_worker_id += 1
         return worker
@@ -363,9 +382,9 @@ def _run_pool(trials: list[TrialSpec], jobs: int,
         requeue the untouched rest of its chunk, and replace the worker."""
         index = worker.current
         if index is None:
-            # A crashing worker can die before its "start" message is
-            # flushed (the queue feeder thread never runs).  Charge the
-            # attempt to the trial it must have been holding — the first
+            # A worker can die before announcing a trial (killed from
+            # outside between two trials, say).  Charge the attempt to
+            # the trial it must have been holding — the first
             # unrecorded one of its chunk — or retries could never
             # exhaust and a crash-looping trial would respawn forever.
             index = next((t.index for t in worker.assigned
@@ -391,13 +410,29 @@ def _run_pool(trials: list[TrialSpec], jobs: int,
         spawn()
         pump()
 
+    def handle(worker: _Worker, kind: str, index, payload) -> None:
+        """Apply one message from ``worker``; the caller refills idle
+        workers afterwards (never a dead one)."""
+        if kind == "start":
+            worker.current = index
+            worker.started_at = time.monotonic()
+        elif kind == "done":
+            if index not in records:
+                record_done(index, payload)
+            worker.current = None
+            worker.started_at = None
+        elif kind == "idle":
+            worker.assigned = []
+            worker.current = None
+            worker.started_at = None
+
     for _ in range(jobs):
         spawn()
     pump()
 
     try:
         while len(records) < len(trials):
-            # The next deadline bounds how long we may sit in get().
+            # The next deadline bounds how long we may sit in wait().
             poll = 0.2
             now = time.monotonic()
             if timeout_s is not None:
@@ -405,28 +440,13 @@ def _run_pool(trials: list[TrialSpec], jobs: int,
                     if worker.started_at is not None:
                         poll = min(poll, max(
                             0.01, worker.started_at + timeout_s - now))
-            try:
-                kind, wid, index, payload = results.get(timeout=poll)
-            except queue_mod.Empty:
-                kind = None
-            if kind == "start":
-                worker = workers.get(wid)
-                if worker is not None:
-                    worker.current = index
-                    worker.started_at = time.monotonic()
-            elif kind == "done":
-                worker = workers.get(wid)
-                if worker is not None and index not in records:
-                    record_done(index, payload)
-                    worker.current = None
-                    worker.started_at = None
-            elif kind == "idle":
-                worker = workers.get(wid)
-                if worker is not None:
-                    worker.assigned = []
-                    worker.current = None
-                    worker.started_at = None
-                    pump()
+            ready = multiprocessing.connection.wait(
+                [w.results for w in workers.values()], timeout=poll)
+            for worker in list(workers.values()):
+                if worker.results in ready:
+                    for message in worker.messages():
+                        handle(worker, *message)
+            pump()
 
             # Deadline sweep: kill workers stuck past the per-trial budget.
             if timeout_s is not None:
@@ -439,6 +459,8 @@ def _run_pool(trials: list[TrialSpec], jobs: int,
             # Crash sweep: a worker that died mid-trial sends no message.
             for worker in list(workers.values()):
                 if not worker.process.is_alive():
+                    for message in worker.messages():
+                        handle(worker, *message)
                     code = worker.process.exitcode
                     fail_or_retry(
                         worker, f"worker crashed (exit code {code})")
@@ -450,7 +472,7 @@ def _run_pool(trials: list[TrialSpec], jobs: int,
             if worker.process.is_alive():  # pragma: no cover - stuck exit
                 worker.process.terminate()
                 worker.process.join(timeout=2.0)
-        results.close()
+            worker.results.close()
 
     return [records[t.index] for t in trials]
 

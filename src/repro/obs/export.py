@@ -13,18 +13,24 @@ bus and accumulates three artifacts:
 
 Rows are *captured* when the probe fires and *decoded* when somebody asks
 for them.  The two fixed-shape, high-volume rows — a TCP/IP frame and a
-transmitted segment — are captured as one flat tuple of scalars and
-immutable address objects, copied out of the pooled frame or the live
-connection (never a reference to either: the frame is recycled and the
-connection moves on as soon as the callback returns); everything else is
-rare and is decoded on the spot.  :attr:`ObsSession.frames` and
-:attr:`ObsSession.tcp_rows` turn the captures into the documented dict
-rows, and :meth:`ObsSession.write` renders the fixed-shape captures
-straight to their JSON text.
+transmitted segment — are captured as one fixed-width row of int64s in a
+:class:`~repro.obs.metrics.PackedRows` history, copied out of the pooled
+frame or the live connection (never a reference to either: the frame is
+recycled and the connection moves on as soon as the callback returns).
+Addresses are stored by their integer value, the ethertype, the IP
+protocol and the connection name by a per-session code, and ``None`` by
+:data:`_NONE`.  Everything else is rare: it is decoded on the spot and
+kept, at its place in fire order, as its ``jsonl_line`` text.
+:attr:`ObsSession.frames` and :attr:`ObsSession.tcp_rows` turn the
+captures into the documented dict rows, and :meth:`ObsSession.write`
+renders the fixed-shape captures straight to their JSON text.
 
-Four ``counters.json`` keys are not probes at all: ``nic.tx``, ``nic.rx``,
-``eth.forward`` and ``eth.flood`` are what the world's NICs and switches
-counted (their ``COUNTED`` attributes) between attach and detach.
+Eight ``counters.json`` keys are not probes at all: ``nic.tx``,
+``nic.rx``, ``eth.forward`` and ``eth.flood`` are what the world's NICs
+and switches counted, and ``tcp.segment_rx``,
+``tcp.segments_received_total``, ``sttcp.suppress`` and
+``sttcp.suppressed_segments_total`` what the world itself counted (each
+one's ``COUNTED`` attribute), between attach and detach.
 
 Every export is deterministic: rows carry only virtual time and
 seed-derived values, JSON keys are sorted, and row order is fire order —
@@ -38,13 +44,14 @@ from __future__ import annotations
 import functools
 import json
 import os
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
+from repro.net.addresses import IPAddress, MacAddress
 from repro.net.frame import EthernetFrame
 from repro.net.packet import IPPacket
 from repro.obs.bus import ProbeEvent
-from repro.obs.metrics import (MetricsRegistry, format_snapshot_json,
-                               format_snapshot_text)
+from repro.obs.metrics import (MetricsRegistry, PackedRows,
+                               format_snapshot_json, format_snapshot_text)
 from repro.obs.registry import PROBES
 from repro.tcp.congestion import DEFAULT_CC
 from repro.tcp.segment import TcpFlags, TcpSegment
@@ -71,11 +78,12 @@ _TOTALS = {
     "eth.frame": "eth.frames_total",
     "tcp.segment_tx": "tcp.segments_sent_total",
     "tcp.retransmit": "tcp.retransmissions_total",
-    "tcp.segment_rx": "tcp.segments_received_total",
     "hb.send": "hb.sent_total",
     "hb.recv": "hb.received_total",
-    "sttcp.suppress": "sttcp.suppressed_segments_total",
 }
+
+#: What a packed row stores for ``None`` (no ingress port, no ISN yet).
+_NONE = -1 << 63
 
 
 def jsonl_line(row: dict) -> str:
@@ -84,41 +92,61 @@ def jsonl_line(row: dict) -> str:
 
 
 def _layer_counts(world) -> dict[str, int]:
-    """Every ``COUNTED`` attribute of the world's NICs and switches,
-    summed by its counters.json key."""
+    """Every ``COUNTED`` attribute of the world's NICs and switches and
+    of the world itself, summed by its counters.json key."""
     counts: dict[str, int] = {}
-    for device in (*world.nics, *world.switches):
+    for device in (*world.nics, *world.switches, world):
         for key, attr in device.COUNTED.items():
             counts[key] = counts.get(key, 0) + getattr(device, attr)
     return counts
 
 
+class _Codes(dict):
+    """A per-session code table: each distinct value (an ethertype, an IP
+    protocol, a connection name) gets the next small int the first time
+    it is looked up, and ``names[code]`` gives the value back."""
+
+    def __init__(self):
+        super().__init__()
+        self.names: list = []
+
+    def __missing__(self, value) -> int:
+        code = self[value] = len(self.names)
+        self.names.append(value)
+        return code
+
+
 # ------------------------------------------------------------- frame rows
 #
-# A captured TCP/IP frame is the flat tuple
-#   (src, dst, ethertype, bytes,  ip src, ip dst, protocol, ttl,
-#    sport, dport, seq, ack, flags (int), window, payload length)
-# and the session prefixes (t, ingress).  _tcp_frame_body and
-# _TCP_FRAME_JSON are its two renderings; tests/obs/test_lazy_rows.py
-# holds them to each other.
+# A packed TCP/IP frame row is, in this order,
+#   (t, ingress, src, dst, ethertype, bytes,  ip src, ip dst, protocol,
+#    ttl,  sport, dport, seq, ack, flags (int), window, payload length)
+# with the addresses as their integer values and ethertype and protocol
+# as codes.  _decoded_frames gives the fields back as values, and
+# _tcp_frame_body and _TCP_FRAME_JSON are their two renderings;
+# tests/obs/test_lazy_rows.py holds them to each other.
 
-def _capture_tcp_frame(frame: EthernetFrame) -> Optional[tuple]:
-    """The scalars of a TCP-in-IP frame, or None for any other frame."""
-    packet = frame.payload
-    if isinstance(packet, IPPacket):
-        segment = packet.payload
-        if isinstance(segment, TcpSegment):
-            return (frame.src, frame.dst, frame.ethertype, frame.size_bytes,
-                    packet.src, packet.dst, packet.protocol, packet.ttl,
-                    segment.src_port, segment.dst_port, segment.seq,
-                    segment.ack, segment.flags, segment.window,
-                    len(segment.payload))
-    return None
+_FRAME_FIELDS = 17
 
 
-def _tcp_frame_body(captured: tuple) -> dict:
-    (src, dst, ethertype, size, ip_src, ip_dst, protocol, ttl,
-     sport, dport, seq, ack, flags, window, length) = captured
+def _decoded_frames(rows: PackedRows, names: list) -> Iterator:
+    """Every captured frame row with its values decoded: the packed ones
+    as tuples in packed field order, the rest as the text they are."""
+    mac = functools.cache(lambda value: str(MacAddress(value)))
+    ip = functools.cache(lambda value: str(IPAddress(value)))
+    for row in rows:
+        if type(row) is str:
+            yield row
+            continue
+        (t, ingress, src, dst, ethertype, size, ip_src, ip_dst, protocol,
+         ttl, *tcp) = row
+        yield (t, None if ingress == _NONE else ingress, mac(src), mac(dst),
+               names[ethertype], size, ip(ip_src), ip(ip_dst),
+               names[protocol], ttl, *tcp)
+
+
+def _tcp_frame_body(src, dst, ethertype, size, ip_src, ip_dst, protocol, ttl,
+                    sport, dport, seq, ack, flags, window, length) -> dict:
     return {"src": str(src), "dst": str(dst), "type": ethertype,
             "bytes": size,
             "ip": {"src": str(ip_src), "dst": str(ip_dst),
@@ -138,51 +166,57 @@ _TCP_FRAME_JSON = (
 
 def describe_frame(frame: EthernetFrame) -> dict:
     """Decode a frame into a JSON-ready dict (the pcap-row body)."""
-    captured = _capture_tcp_frame(frame)
-    if captured is not None:
-        return _tcp_frame_body(captured)
+    packet = frame.payload
+    if not isinstance(packet, IPPacket):  # ARP and friends: duck-typed
+        return {"src": str(frame.src), "dst": str(frame.dst),
+                "type": frame.ethertype, "bytes": frame.size_bytes,
+                "arp": {"op": getattr(packet, "op", type(packet).__name__),
+                        "target": str(getattr(packet, "target_ip", ""))}}
+    inner = packet.payload
+    if isinstance(inner, TcpSegment):
+        return _tcp_frame_body(
+            frame.src, frame.dst, frame.ethertype, frame.size_bytes,
+            packet.src, packet.dst, packet.protocol, packet.ttl,
+            inner.src_port, inner.dst_port, inner.seq, inner.ack,
+            inner.flags, inner.window, len(inner.payload))
     row: dict[str, Any] = {"src": str(frame.src), "dst": str(frame.dst),
                            "type": frame.ethertype,
-                           "bytes": frame.size_bytes}
-    payload = frame.payload
-    if isinstance(payload, IPPacket):
-        row["ip"] = {"src": str(payload.src), "dst": str(payload.dst),
-                     "proto": payload.protocol, "ttl": payload.ttl}
-        inner = payload.payload
-        if payload.protocol == "udp":
-            row["udp"] = {"sport": getattr(inner, "src_port", None),
-                          "dport": getattr(inner, "dst_port", None),
-                          "payload": type(getattr(inner, "payload",
-                                                  None)).__name__,
-                          "len": getattr(inner, "size_bytes", 0)}
-        elif payload.protocol == "icmp":
-            row["icmp"] = {"kind": type(inner).__name__,
-                           "len": getattr(inner, "size_bytes", 0)}
-    else:  # ARP and friends: duck-typed summary
-        row["arp"] = {"op": getattr(payload, "op", type(payload).__name__),
-                      "target": str(getattr(payload, "target_ip", ""))}
+                           "bytes": frame.size_bytes,
+                           "ip": {"src": str(packet.src),
+                                  "dst": str(packet.dst),
+                                  "proto": packet.protocol,
+                                  "ttl": packet.ttl}}
+    if packet.protocol == "udp":
+        row["udp"] = {"sport": getattr(inner, "src_port", None),
+                      "dport": getattr(inner, "dst_port", None),
+                      "payload": type(getattr(inner, "payload",
+                                              None)).__name__,
+                      "len": getattr(inner, "size_bytes", 0)}
+    elif packet.protocol == "icmp":
+        row["icmp"] = {"kind": type(inner).__name__,
+                       "len": getattr(inner, "size_bytes", 0)}
     return row
 
 
-def _frame_row(captured) -> dict:
-    """The documented ``frames.jsonl`` row of one capture."""
-    if type(captured) is dict:
-        return captured
-    row = _tcp_frame_body(captured[2:])
-    row["t"], row["ingress"] = captured[:2]
+def _frame_row(decoded) -> dict:
+    """The documented ``frames.jsonl`` row of one decoded capture."""
+    if type(decoded) is str:
+        return json.loads(decoded)
+    row = _tcp_frame_body(*decoded[2:])
+    row["t"], row["ingress"] = decoded[:2]
     return row
 
 
-def _frames_text(captures: Iterable) -> str:
+def _frames_text(decoded_rows: Iterable) -> str:
     """``frames.jsonl``: byte-for-byte ``jsonl_line`` of every row."""
     quote = functools.cache(json.dumps)
     lines = []
-    for captured in captures:
-        if type(captured) is dict:
-            lines.append(jsonl_line(captured))
+    for decoded in decoded_rows:
+        if type(decoded) is str:
+            lines.append(decoded)
             continue
         (t, ingress, src, dst, ethertype, size, ip_src, ip_dst, protocol,
-         ttl, sport, dport, seq, ack, flags, window, length) = captured
+         ttl, sport, dport, seq, ack, flags, window, length) = decoded
         lines.append(_TCP_FRAME_JSON % (
             size, dst, "null" if ingress is None else ingress,
             ip_dst, quote(protocol), ip_src, ttl, src, t,
@@ -193,26 +227,31 @@ def _frames_text(captures: Iterable) -> str:
 
 # ---------------------------------------------------------- timeline rows
 #
-# A captured transmission is (t, conn name) + the values of exactly these
-# keys: the segment's five ``tcp.segment_tx`` fields (flags as the int),
-# then the sender state read off the live ``conn`` during the fire.  A row
-# with one more key (``cc``, a non-default congestion controller) and
-# every retransmission is decoded on the spot instead.
+# A packed transmission row is (t, conn name code) + the values of exactly
+# these keys: the segment's five ``tcp.segment_tx`` fields (flags as the
+# int), then the sender state read off the live ``conn`` during the fire.
+# A row with one more key (``cc``, a non-default congestion controller)
+# and every retransmission is decoded on the spot and kept as text.
 
 _TX_KEYS = ("seq", "ack", "flags", "len", "win", "cwnd", "flight", "off",
             "una", "nxt", "rcv_nxt", "mss", "ssthresh")
+_TX_OFF = 2 + _TX_KEYS.index("off")
 
 
-def _capture_tx(event: ProbeEvent) -> tuple:
-    """``(t, conn name) + _TX_KEYS`` of one ``tcp.segment_tx`` fire."""
-    f = event.fields
-    conn, seq = f["conn"], f["seq"]
-    cc, iss = conn.cc, conn.iss
-    return (event.time, event.source, seq, f["ack"], f["flags"], f["len"],
-            f["win"], cc.cwnd, conn.flight_size,
-            seq_sub(seq, seq_add(iss, 1)) if iss is not None else None,
-            conn.snd_una_off, conn.snd_nxt_off, conn.last_byte_received,
-            conn.config.mss, cc.ssthresh)
+def _decoded_tx(row: tuple, names: list) -> tuple:
+    """A packed transmission row with the name and ``off`` decoded."""
+    row = list(row)
+    row[1] = names[row[1]]
+    if row[_TX_OFF] == _NONE:
+        row[_TX_OFF] = None
+    return tuple(row)
+
+
+def _decoded_timeline(rows: PackedRows, names: list) -> Iterator:
+    """Every captured timeline row: the packed ones decoded as by
+    :func:`_decoded_tx`, the rest as the text they are."""
+    for row in rows:
+        yield row if type(row) is str else _decoded_tx(row, names)
 
 
 _TX_JSON = (
@@ -221,26 +260,26 @@ _TX_JSON = (
     '"ssthresh":%d,"t":%d,"una":%d,"win":%d}\n')
 
 
-def _tcp_row(captured) -> dict:
-    """The documented ``tcp_timeline.jsonl`` row of one capture."""
-    if type(captured) is dict:
-        return captured
-    row = {"t": captured[0], "conn": captured[1], "ev": "tx"}
-    row.update(zip(_TX_KEYS, captured[2:]))
+def _tcp_row(decoded) -> dict:
+    """The documented ``tcp_timeline.jsonl`` row of one decoded capture."""
+    if type(decoded) is str:
+        return json.loads(decoded)
+    row = {"t": decoded[0], "conn": decoded[1], "ev": "tx"}
+    row.update(zip(_TX_KEYS, decoded[2:]))
     row["flags"] = TcpFlags.describe(row["flags"])
     return row
 
 
-def _timeline_text(captures: Iterable) -> str:
+def _timeline_text(decoded_rows: Iterable) -> str:
     """``tcp_timeline.jsonl``: byte-for-byte ``jsonl_line`` of every row."""
     quote = functools.cache(json.dumps)
     lines = []
-    for captured in captures:
-        if type(captured) is dict:
-            lines.append(jsonl_line(captured))
+    for decoded in decoded_rows:
+        if type(decoded) is str:
+            lines.append(decoded)
             continue
         (t, conn, seq, ack, flags, length, window, cwnd, flight, off,
-         una, nxt, rcv_nxt, mss, ssthresh) = captured
+         una, nxt, rcv_nxt, mss, ssthresh) = decoded
         lines.append(_TX_JSON % (
             ack, quote(conn), cwnd, quote(TcpFlags.describe(flags)), flight,
             length, mss, nxt, "null" if off is None else off, rcv_nxt, seq,
@@ -265,8 +304,9 @@ class ObsSession:
         self.level = level
         self.metrics = MetricsRegistry()
         self.events: list[dict] = []
-        self._frames: list = []     # captures, see "frame rows" above
-        self._tcp_rows: list = []   # captures, see "timeline rows" above
+        self._frames = PackedRows(_FRAME_FIELDS)   # see "frame rows"
+        self._tcp_rows = PackedRows(2 + len(_TX_KEYS))   # "timeline rows"
+        self._codes = _Codes()
         self._last_hb_rx: Optional[int] = None
         self._subs = world.probes.attach(
             (probe, self._handler(probe)) for probe in PROBES)
@@ -283,12 +323,14 @@ class ObsSession:
     @property
     def frames(self) -> list[dict]:
         """The ``frames.jsonl`` rows so far, decoded (a fresh list)."""
-        return [_frame_row(captured) for captured in self._frames]
+        return [_frame_row(decoded) for decoded
+                in _decoded_frames(self._frames, self._codes.names)]
 
     @property
     def tcp_rows(self) -> list[dict]:
         """The ``tcp_timeline.jsonl`` rows so far, decoded (a fresh list)."""
-        return [_tcp_row(captured) for captured in self._tcp_rows]
+        return [_tcp_row(decoded) for decoded
+                in _decoded_timeline(self._tcp_rows, self._codes.names)]
 
     # -------------------------------------------------------- accumulation
     #
@@ -332,11 +374,14 @@ class ObsSession:
 
     def _frame_handler(self) -> Callable[[ProbeEvent], None]:
         metrics = self.metrics
-        keep = self._frames.append if self.level == "frames" else None
+        rows = self._frames if self.level == "frames" else None
+        if rows is not None:
+            extend, room = rows.open()
+            code = self._codes
         fired = total = octets = None
 
         def handle(event: ProbeEvent) -> None:
-            nonlocal fired, total, octets
+            nonlocal fired, total, octets, extend, room
             if fired is None:
                 fired = metrics.counter("eth.frame")
                 total = metrics.counter(_TOTALS["eth.frame"])
@@ -346,49 +391,77 @@ class ObsSession:
             fired.value += 1
             total.value += 1
             octets.inc(frame.size_bytes)
-            if keep is not None:
-                prefix = (event.time, fields.get("ingress"))
-                captured = _capture_tcp_frame(frame)
-                if captured is not None:
-                    keep(prefix + captured)
-                else:
-                    row = describe_frame(frame)
-                    row["t"], row["ingress"] = prefix
-                    keep(row)
+            if rows is None:
+                return
+            ingress = fields.get("ingress")
+            packet = frame.payload
+            if (isinstance(packet, IPPacket)
+                    and isinstance(packet.payload, TcpSegment)):
+                # Packed here, not in a helper: this runs once per frame.
+                segment = packet.payload
+                extend((event.time, _NONE if ingress is None else ingress,
+                        frame.src._value, frame.dst._value,
+                        code[frame.ethertype], frame.size_bytes,
+                        packet.src._value, packet.dst._value,
+                        code[packet.protocol], packet.ttl,
+                        segment.src_port, segment.dst_port, segment.seq,
+                        segment.ack, segment.flags, segment.window,
+                        len(segment.payload)))
+                room -= 1
+                if not room:
+                    extend, room = rows.open()
+            else:
+                row = describe_frame(frame)
+                row["t"], row["ingress"] = event.time, ingress
+                rows.keep(jsonl_line(row))
         return handle
 
     def _segment_tx_handler(self) -> Callable[[ProbeEvent], None]:
         metrics = self.metrics
-        keep = self._tcp_rows.append if self.level != "counters" else None
+        rows = self._tcp_rows if self.level != "counters" else None
+        if rows is not None:
+            extend, room = rows.open()
+            code = self._codes
         fired = total = octets = cwnd_bytes = None
 
         def handle(event: ProbeEvent) -> None:
-            nonlocal fired, total, octets, cwnd_bytes
+            nonlocal fired, total, octets, cwnd_bytes, extend, room
             if fired is None:
                 fired = metrics.counter("tcp.segment_tx")
                 total = metrics.counter(_TOTALS["tcp.segment_tx"])
                 octets = metrics.counter("tcp.bytes_sent_total")
                 cwnd_bytes = metrics.histogram("tcp.cwnd_bytes")
             fields = event.fields
-            cc = fields["conn"].cc
+            conn = fields["conn"]
+            cc = conn.cc
             fired.value += 1
             total.value += 1
             octets.value += fields["len"]
             cwnd_bytes.observe(cc.cwnd)
-            if keep is not None:
-                captured = _capture_tx(event)
-                if cc.name == DEFAULT_CC:
-                    keep(captured)
-                else:   # absent means the default (docs/congestion.md)
-                    row = _tcp_row(captured)
-                    row["cc"] = cc.name
-                    keep(row)
+            if rows is None:
+                return
+            seq, iss = fields["seq"], conn.iss
+            packed = (event.time, code[event.source], seq, fields["ack"],
+                      fields["flags"], fields["len"], fields["win"], cc.cwnd,
+                      conn.flight_size,
+                      _NONE if iss is None else seq_sub(seq, seq_add(iss, 1)),
+                      conn.snd_una_off, conn.snd_nxt_off,
+                      conn.last_byte_received, conn.config.mss, cc.ssthresh)
+            if cc.name == DEFAULT_CC:
+                extend(packed)
+                room -= 1
+                if not room:
+                    extend, room = rows.open()
+            else:   # absent means the default (docs/congestion.md)
+                row = _tcp_row(_decoded_tx(packed, code.names))
+                row["cc"] = cc.name
+                rows.keep(jsonl_line(row))
         return handle
 
     def _keep_retransmit(self, event: ProbeEvent) -> None:
         row = {"t": event.time, "conn": event.source, "ev": "rtx"}
         row.update({k: _jsonable(v) for k, v in event.fields.items()})
-        self._tcp_rows.append(row)
+        self._tcp_rows.keep(jsonl_line(row))
 
     def _hb_interarrival(self, event: ProbeEvent) -> None:
         now = event.time
@@ -488,9 +561,11 @@ class ObsSession:
         _write("summary.txt", self._summary_text(snapshot))
         _write("summary.json", jsonl_line(self.summary()))
         if self.level in ("timeline", "frames"):
-            _write("tcp_timeline.jsonl", _timeline_text(self._tcp_rows))
+            _write("tcp_timeline.jsonl", _timeline_text(
+                _decoded_timeline(self._tcp_rows, self._codes.names)))
         if self.level == "frames":
-            _write("frames.jsonl", _frames_text(self._frames))
+            _write("frames.jsonl", _frames_text(
+                _decoded_frames(self._frames, self._codes.names)))
         return paths
 
     def _summary_text(self, snapshot: dict) -> str:

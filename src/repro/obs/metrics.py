@@ -6,6 +6,10 @@ firings into it, and ``snapshot()`` renders everything as one sorted,
 JSON-serializable dict — byte-identical across runs with the same seed,
 because the only inputs are virtual time and deterministic event order.
 
+:class:`PackedRows` is the storage of the per-event histories a run keeps
+(an ObsSession's frame and transmit rows, a stream monitor's arrivals):
+fixed-width int64 rows in bounded ``array('q')`` chunks.
+
 Naming conventions (documented in ``docs/observability.md``):
 
 * counters ``<category>.<noun>_total`` — monotonic event counts;
@@ -16,10 +20,12 @@ Naming conventions (documented in ``docs/observability.md``):
 
 from __future__ import annotations
 
+import itertools
 import json
-from typing import Optional, Union
+from array import array
+from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "PackedRows",
            "format_snapshot_text", "format_snapshot_json"]
 
 Number = Union[int, float]
@@ -112,6 +118,73 @@ class Histogram:
         return {"count": self.count, "sum": self.total,
                 "min": self.min, "max": self.max, "mean": self.mean,
                 "buckets": buckets}
+
+
+class PackedRows:
+    """A history of fixed-width rows of int64s, in append order.
+
+    Rows live packed in ``array('q')`` chunks of :attr:`CHUNK_ROWS` rows —
+    8 bytes a field; a 15-field row kept as a tuple, with the ints it
+    keeps alive, takes ~330 — and chunks are bounded so that a long
+    history is many small blocks, not one block reallocated as it grows.
+    A writer takes the open chunk's bound ``extend`` and row budget from
+    :meth:`open`, extends by exactly :attr:`width` ints per row with no
+    call of its own in between, and opens the next chunk when the budget
+    runs out::
+
+        extend, room = rows.open()
+        ...
+        extend((t, a, b))
+        room -= 1
+        if not room:
+            extend, room = rows.open()
+
+    The rare row that is not ``width`` ints (a line of text, say) is
+    :meth:`keep`-ed at its place in append order.  Iteration yields every
+    row in that order, packed rows as tuples of ints — the chunk still
+    being written included, so a history can be read mid-run.
+    """
+
+    __slots__ = ("width", "_chunks", "_odd")
+
+    #: Rows per chunk.
+    CHUNK_ROWS = 2048
+
+    def __init__(self, width: int):
+        self.width = width
+        self._chunks: list[array] = []
+        # (packed rows appended before it, the row)
+        self._odd: list[tuple[int, Any]] = []
+
+    def open(self) -> tuple[Callable[[Iterable[int]], None], int]:
+        """Start the next chunk: its bound ``extend`` and how many rows
+        it takes."""
+        chunk = array("q")
+        self._chunks.append(chunk)
+        return chunk.extend, self.CHUNK_ROWS
+
+    def keep(self, row: Any) -> None:
+        """Append a row that is not ``width`` ints, in order."""
+        packed = sum(map(len, self._chunks)) // self.width
+        self._odd.append((packed, row))
+
+    def __iter__(self) -> Iterator:
+        width = self.width
+        packed = itertools.chain.from_iterable(
+            zip(*[iter(chunk)] * width) for chunk in self._chunks)
+        at = 0
+        for position, row in self._odd:
+            yield from itertools.islice(packed, position - at)
+            at = position
+            yield row
+        yield from packed
+
+    def column(self, field: int) -> array:
+        """Field ``field`` of every packed row, in order."""
+        out = array("q")
+        for chunk in self._chunks:
+            out.extend(chunk[field::self.width])
+        return out
 
 
 class MetricsRegistry:

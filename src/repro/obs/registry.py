@@ -113,8 +113,6 @@ _ALL_PROBES = [
           "conn — the live TcpConnection, valid only during the callback "
           "— and seq/ack/flags (int)/len/win)",
           "repro.tcp.connection.TcpConnection._fire_segment_tx", traced=False),
-    _spec("tcp.segment_rx", "a connection received a segment",
-          "repro.tcp.connection.TcpConnection.segment_arrived", traced=False),
     _spec("tcp.retransmit", "a retransmission was decided (kind: rto — "
           "the timer fired, go-back-N follows; head — the earliest "
           "unacknowledged segment or FIN is resent on a fast retransmit "
@@ -149,9 +147,6 @@ _ALL_PROBES = [
           "repro.sttcp.heartbeat.HeartbeatService._tick", traced=False),
     _spec("hb.miss", "a heartbeat link went stale (freshness transition)",
           "repro.sttcp.engine.SttcpEngine.check_links", traced=False),
-    _spec("sttcp.suppress", "the backup held one replica segment behind "
-          "its output gate",
-          "repro.sttcp.backup.ManagedBackupConn.hold", traced=False),
     _spec("sttcp.retain", "the primary copied in-order client bytes into "
           "its retain buffer",
           "repro.sttcp.primary.PrimaryEngine._on_accepted", traced=False),

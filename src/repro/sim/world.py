@@ -7,7 +7,8 @@ A ``World`` bundles the kernel services every component needs:
 * ``trace``, the milestone list: a plain ``list`` of
   :class:`~repro.obs.bus.ProbeEvent` the world subscribes to its own bus,
 * the :class:`~repro.sim.rng.RngRegistry`,
-* ``nics`` and ``switches``, every device built on the world.
+* ``nics`` and ``switches``, every device built on the world,
+* two run-long segment totals (see :attr:`World.COUNTED`).
 
 Passing a single ``world`` around keeps constructor signatures short and
 guarantees all components share one clock and one seed.
@@ -29,6 +30,17 @@ __all__ = ["World"]
 class World:
     """Root container for one simulation run."""
 
+    #: counters.json key -> the run-long total it reports, like a NIC's and
+    #: a switch's ``COUNTED``.  Both events happen per connection, and a
+    #: connection does not live as long as the run, so the world keeps
+    #: the totals: every ``TcpConnection.segment_arrived`` call, and every
+    #: segment a backup replica held behind its output gate
+    #: (``ManagedBackupConn.hold``).
+    COUNTED = {"tcp.segment_rx": "segments_received",
+               "tcp.segments_received_total": "segments_received",
+               "sttcp.suppress": "segments_suppressed",
+               "sttcp.suppressed_segments_total": "segments_suppressed"}
+
     def __init__(self, seed: int = 0,
                  trace_categories: Optional[set[str]] = None):
         self.sim = Simulator()
@@ -49,6 +61,8 @@ class World:
         # ObsSession reports as layer counters.
         self.nics: list = []
         self.switches: list = []
+        self.segments_received = 0
+        self.segments_suppressed = 0
         # Bumped whenever NIC address filters change (multicast join/leave,
         # promiscuous toggles); switches use it to invalidate cached flood
         # target lists.  See Switch._forward.

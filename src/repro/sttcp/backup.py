@@ -71,9 +71,7 @@ class ManagedBackupConn(ManagedConn):
         leave (see :attr:`TcpConnection.output_gate`)."""
         self.suppressed_segments += 1
         engine = self.engine
-        probes = engine.world.probes
-        if probes.wants_map["sttcp.suppress"]:
-            probes.fire("sttcp.suppress", engine.name, len=length)
+        engine.world.segments_suppressed += 1
         if flags & TcpFlags.FIN and not self.suppressed_fin:
             self.suppressed_fin = True
             engine.emit(EventKind.FIN_SUPPRESSED, key=self.key)

@@ -346,10 +346,7 @@ class TcpConnection:
     def segment_arrived(self, segment: TcpSegment) -> None:
         """Demultiplexed entry point for one inbound segment."""
         self.segments_received += 1
-        probes = self.world.probes
-        if probes.wants_map["tcp.segment_rx"]:
-            probes.fire("tcp.segment_rx", self.name,
-                        len=len(segment.payload), flags=segment.flags)
+        self.world.segments_received += 1
         state = self.state
         flags = segment.flags
         if state is TcpState.CLOSED:

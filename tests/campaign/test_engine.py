@@ -161,6 +161,23 @@ def test_crashed_trial_is_retried_and_can_succeed(tmp_path):
     assert any("retrying" in line for line in result.dispatch_log)
 
 
+@fork_only
+def test_crash_storm_never_wedges_the_pool(tmp_path):
+    # Every worker reports on a pipe of its own, so one dying just after
+    # a report cannot leave a lock taken that the others need to report.
+    modes = ["die_once", "crash", "ok"] * 4
+    spec = CampaignSpec(
+        scenario="test_hostile",
+        base={"die_once_flag": str(tmp_path / "died-once")},
+        grid={"mode": modes},
+        trials=1, seed=1, timeout_s=30.0, retries=1)
+    start = time.monotonic()
+    result = run_campaign(spec, jobs=2, mp_context="fork")
+    assert time.monotonic() - start < 30.0
+    statuses = [r["status"] for r in result.records]
+    assert statuses == [{"crash": "failed"}.get(m, "ok") for m in modes]
+
+
 def test_failing_scenario_yields_failed_record_not_exception():
     spec = CampaignSpec(scenario="failover",
                         base={"fault": "no_such_fault", "total_bytes": 1000},

@@ -174,14 +174,28 @@ def test_a_count_a_layer_keeps_is_not_fired_again():
     """``nic.tx``, ``nic.rx``, ``eth.forward`` and ``eth.flood`` used to
     be probes fired beside the very increments they repeated; they are
     the NICs' and switches' own counters now, declared once in each
-    class's ``COUNTED`` and read by an ObsSession.  Under net/, tcp/ and
-    sttcp/ the four names appear only as keys of those declarations.
-    ``tcp.segment_tx`` is fired from ``_fire_segment_tx`` alone, with the
-    live connection instead of a computed sender-state snapshot."""
-    names = re.compile(r"\b(?:nic\.tx|nic\.rx|eth\.forward|eth\.flood)\b")
+    class's ``COUNTED`` and read by an ObsSession.  So are
+    ``tcp.segment_rx`` and ``sttcp.suppress`` with their two ``*_total``
+    keys: they were probes fired beside ``TcpConnection.segments_received``
+    and ``ManagedBackupConn.suppressed_segments``, and are now run-long
+    totals declared in ``World.COUNTED``.  Under sim/, net/, tcp/ and
+    sttcp/ the eight names appear only as keys of those declarations, and
+    the registry has none of them.  ``tcp.segment_tx`` is fired from
+    ``_fire_segment_tx`` alone, with the live connection instead of a
+    computed sender-state snapshot."""
+    from repro.obs.registry import PROBES
+
+    counted_keys = {"nic.tx", "nic.rx", "eth.forward", "eth.flood",
+                    "tcp.segment_rx", "tcp.segments_received_total",
+                    "sttcp.suppress", "sttcp.suppressed_segments_total"}
+    names = re.compile(r"\b(?:nic\.tx|nic\.rx|eth\.forward|eth\.flood"
+                       r"|tcp\.segment_rx|tcp\.segments_received_total"
+                       r"|sttcp\.suppress|sttcp\.suppressed_segments_total)"
+                       r"\b")
+    assert not counted_keys & set(PROBES)
     declared, strays = set(), []
     for module, text in _sources():
-        if not module.startswith(("net/", "tcp/", "sttcp/")):
+        if not module.startswith(("sim/", "net/", "tcp/", "sttcp/")):
             continue
         counted_lines = set()
         for node in ast.walk(ast.parse(text)):
@@ -196,7 +210,7 @@ def test_a_count_a_layer_keeps_is_not_fired_again():
             else:
                 strays.append(f"{module}:{line} ({match.group(0)})")
     assert not strays, f"a layer counter fired or named as a probe: {strays}"
-    assert declared == {"nic.tx", "nic.rx", "eth.forward", "eth.flood"}
+    assert declared == counted_keys
 
     fires = []
     for module, text in _sources():

@@ -456,3 +456,29 @@ def test_impaired_switch_to_switch_link():
     assert flood() == []
     trunk.impair = None
     assert flood() == [plain]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP 1(a)")
+def test_frames_not_yet_serialized_die_with_their_host():
+    """The cable's question of ROADMAP 1(a): a NIC whose host powers off
+    while frames wait behind ``_tx_free_at`` must not put the ones whose
+    serialization had not started on the wire.  Today ``Cable`` schedules
+    every arrival at send time and never asks again, so the far end keeps
+    receiving a dead host's frames for the length of the backlog."""
+    from repro.host.host import Host
+
+    world = World()
+    host = Host(world, "primary")
+    nic = host.add_nic(MacAddress(1), ["10.0.0.1"], "10.0.0.0")
+    far = Endpoint("far", world)
+    cable = Cable(world, nic, far, bandwidth_bps=100_000_000,
+                  propagation_delay_ns=0)
+    nic.attach_cable(cable)
+    backlog = [frame(1000) for _ in range(10)]
+    for f in backlog:
+        nic.send(f)
+    tx = backlog[0].size_bytes * 8 * 1_000_000_000 // 100_000_000
+    # Frames 0..2 have started serializing by now; 3..9 have not.
+    world.sim.schedule_at(tx * 5 // 2, host.power_off)
+    world.run()
+    assert [f for _t, f in far.received] == backlog[:3]

@@ -1,5 +1,8 @@
 """Unit tests for the RS-232 serial link model."""
 
+import pytest
+
+from repro.host.host import Host
 from repro.net.serial_link import SERIAL_DEFAULT_BAUD, SerialLink, SerialPort
 from repro.sim.world import World
 
@@ -111,3 +114,27 @@ def test_bandwidth_capacity_paper_calculation():
     assert hb_bits_per_second_per_conn == 1000      # 1 kbps on the wire
     capacity_conns = SERIAL_DEFAULT_BAUD / hb_bits_per_second_per_conn
     assert 100 <= capacity_conns <= 120
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP 1(a)")
+def test_bytes_not_yet_serialized_die_with_their_host():
+    """A UART holding a backlog stops when its host loses power: a message
+    whose first bit had not left by then never arrives.  Today
+    ``SerialLink.transmit`` schedules every delivery at send time and only
+    the *receiving* port is checked at delivery, so a dead primary's queued
+    heartbeats keep arriving (ROADMAP item 1)."""
+    world = World()
+    sender = Host(world, "primary")
+    a = sender.add_serial_port()
+    b = SerialPort(world, "ttyB")
+    link = SerialLink(world, a, b)
+    got = []
+    b.set_handler(got.append)
+    backlog = [Message(100) for _ in range(10)]
+    for message in backlog:
+        a.send(message)
+    tx = link.transfer_time_ns(100)
+    # Messages 0..2 have started serializing by now; 3..9 have not.
+    world.sim.schedule_at(tx * 5 // 2, sender.power_off)
+    world.run()
+    assert got == backlog[:3]

@@ -1,11 +1,13 @@
-"""Counted once: the four counters.json keys the layers already count.
+"""Counted once: the eight counters.json keys the layers already count.
 
-``nic.tx``, ``nic.rx``, ``eth.forward`` and ``eth.flood`` are not probes.
-An :class:`~repro.obs.export.ObsSession` reads the sums of the NICs' and
-switches' ``COUNTED`` attributes when it attaches and reports what moved
-when it is finalized or detached.  These tests hold that report to the
-devices' own counters over exactly the session's window, read here from
-the testbed's hosts and switch rather than from ``World``'s device lists.
+``nic.tx``, ``nic.rx``, ``eth.forward`` and ``eth.flood`` are not probes,
+and neither are ``tcp.segment_rx``, ``sttcp.suppress`` and their two
+``*_total`` keys.  An :class:`~repro.obs.export.ObsSession` reads the sums
+of the NICs', switches' and world's ``COUNTED`` attributes when it
+attaches and reports what moved when it is finalized or detached.  These
+tests hold that report to the counters over exactly the session's window,
+read here from the testbed's hosts and switch rather than from
+``World``'s device lists.
 """
 
 from __future__ import annotations
@@ -18,9 +20,12 @@ from repro.scenarios.builder import Testbed as _Testbed, build_testbed
 from repro.scenarios.options import RunOptions
 from repro.scenarios.runner import run_failover_experiment
 from repro.sim.core import seconds
+from repro.sim.world import World
 from repro.workloads import WorkloadSpec, run_workload_failover
 
-LAYER_KEYS = ("nic.tx", "nic.rx", "eth.forward", "eth.flood")
+LAYER_KEYS = ("nic.tx", "nic.rx", "eth.forward", "eth.flood",
+              "tcp.segment_rx", "tcp.segments_received_total",
+              "sttcp.suppress", "sttcp.suppressed_segments_total")
 
 
 def _device_counts(tb) -> dict:
@@ -29,7 +34,11 @@ def _device_counts(tb) -> dict:
     return {"nic.tx": sum(nic.frames_sent for nic in nics),
             "nic.rx": sum(nic.frames_received for nic in nics),
             "eth.forward": tb.switch.frames_forwarded,
-            "eth.flood": tb.switch.frames_flooded}
+            "eth.flood": tb.switch.frames_flooded,
+            "tcp.segment_rx": tb.world.segments_received,
+            "tcp.segments_received_total": tb.world.segments_received,
+            "sttcp.suppress": tb.world.segments_suppressed,
+            "sttcp.suppressed_segments_total": tb.world.segments_suppressed}
 
 
 def _layer_counters(obs) -> dict:
@@ -38,10 +47,14 @@ def _layer_counters(obs) -> dict:
 
 
 def test_the_declarations_name_real_counters():
-    assert set(Nic.COUNTED) | set(Switch.COUNTED) == set(LAYER_KEYS)
+    assert (set(Nic.COUNTED) | set(Switch.COUNTED) | set(World.COUNTED)
+            == set(LAYER_KEYS))
     for cls in (Nic, Switch):
         for attr in cls.COUNTED.values():
             assert attr in cls.__slots__, (cls.__name__, attr)
+    world = World()
+    for attr in World.COUNTED.values():
+        assert getattr(world, attr) == 0, attr
 
 
 def test_the_four_keys_are_the_device_counters_over_the_window():

@@ -53,11 +53,11 @@ def test_enabled_reflects_subscriptions():
     assert not bus.wants("tcp.segment_tx")
     cb = bus.subscribe("tcp.segment_tx", lambda ev: None)
     assert bus.wants("tcp.segment_tx")
-    assert not bus.wants("tcp.segment_rx")
+    assert not bus.wants("tcp.deliver")
     bus.unsubscribe(cb)
     assert not bus.wants("tcp.segment_tx")
     bus.subscribe_all(lambda ev: None)
-    assert bus.wants("tcp.segment_rx")  # wildcard enables everything
+    assert bus.wants("tcp.deliver")  # wildcard enables everything
 
 
 def test_subscriber_receives_event_fields():

@@ -267,15 +267,16 @@ def test_disposing_a_live_replica_keeps_its_rst_off_the_wire_and_in_the_pool(
     conn.transmit = leaked.append
     pool.clear()
     depth = pool.stats()["segment_pool"]
+    world = sttcp.tb.world
     sent, suppressed = conn.segments_sent, mc.suppressed_segments
-    counted = []
-    sttcp.tb.world.probes.subscribe("sttcp.suppress", counted.append)
+    world_suppressed = world.segments_suppressed
     sttcp.backup_engine._on_control(ConnClosed(mc.key))
     assert conn.state is TcpState.CLOSED and conn.rst_sent
     assert conn.segments_sent == sent + 1
     # Built and dropped, but not "suppressed": that counter is about output
     # a live replica shadows (count.sttcp_suppressed_segments pins it).
-    assert mc.suppressed_segments == suppressed and not counted
+    assert mc.suppressed_segments == suppressed
+    assert world.segments_suppressed == world_suppressed
     assert not leaked
     assert pool.stats()["segment_pool"] == depth + 1, \
         "the replica's RST did not return to the segment pool"

@@ -13,6 +13,10 @@ in the same process within seconds of each other, so a slow or noisy
 runner moves them together and cannot trip it; only per-fire work in
 ``repro.obs`` / ``repro.check`` can.  The ladder is printed either way
 (docs/performance.md, "The cost of watching a run", keeps the record).
+After the ladder, one untimed pass of the ``frames`` and ``frames+check``
+rungs under ``tracemalloc`` prints what each run still holds when it
+returns (docs/performance.md, "What a watched run remembers").  That
+reading is information, not a second gate.
 
 Run from the repo root: ``python tools/check_obs_overhead.py``.
 Exit code 0 = within the ceiling, 1 = over it.
@@ -23,6 +27,7 @@ from __future__ import annotations
 import gc
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -44,6 +49,9 @@ CEILING = 2.1
 
 ROUNDS = 3
 
+#: The rungs whose retained memory is read after the ladder.
+RETAINED = ("frames", "frames+check")
+
 LADDER = (
     ("plain", {}),
     ("check", {"check": True}),
@@ -54,20 +62,39 @@ LADDER = (
 )
 
 
-def run_once(options: dict) -> float:
-    """Host seconds of one fleet run with ``options`` switched on."""
+def fleet_run(options: dict):
+    """One fleet run with ``options`` switched on; returns its result."""
     spec = WorkloadSpec(kind="stream", connections=32,
                         bytes_per_conn=500_000, mean_interarrival_s=0.02)
-    pool.clear()
-    gc.collect()
-    start = time.perf_counter()
     result = run_workload_failover(
         spec, num_clients=32, fault_at_s=1.0, egress_filtering=False,
         options=RunOptions(seed=1, run_until_s=45.0, **options))
-    wall_s = time.perf_counter() - start
     if not result.all_intact:
         raise RuntimeError(f"fleet run with {options} lost a stream")
-    return wall_s
+    return result
+
+
+def run_once(options: dict) -> float:
+    """Host seconds of one fleet run with ``options`` switched on."""
+    pool.clear()
+    gc.collect()
+    start = time.perf_counter()
+    result = fleet_run(options)  # noqa: F841 - freed after the clock stops
+    return time.perf_counter() - start
+
+
+def retained_mb(options: dict) -> float:
+    """MB ``tracemalloc`` still traces when a fleet run returns, with its
+    result (testbed, observation session, oracle) alive."""
+    pool.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fleet_run(options)  # noqa: F841 - held while measured
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def main() -> int:
@@ -85,6 +112,11 @@ def main() -> int:
     ratio = best["frames+check"] / plain
     verdict = "ok" if ratio <= CEILING else "OVER"
     print(f"frames+check / plain = {ratio:.2f} (ceiling {CEILING}): {verdict}")
+    options = dict(LADDER)
+    print("retained when the run returns (tracemalloc, one untimed pass; "
+          "not gated)")
+    for name in RETAINED:
+        print(f"  {name:14s} {retained_mb(options[name]):8.1f} MB")
     return 0 if ratio <= CEILING else 1
 
 
