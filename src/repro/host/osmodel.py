@@ -36,11 +36,6 @@ class OperatingSystem:
                                      "OS crashed")
         self._host.power_off(reason="OS crash")
 
-    def kill_app_with_cleanup(self, app: "Application") -> None:
-        """SEGV-style kill: the OS reaps the process and closes its sockets,
-        generating FIN segments (paper Sec. 4.2.2)."""
-        app.crash(cleanup=True)
-
     def hang_app(self, app: "Application") -> None:
         """The app wedges (infinite loop / lost thread): no cleanup, sockets
         stay open, no FIN (paper Sec. 4.2.1)."""

@@ -62,13 +62,6 @@ class Interface:
             self.addr_values.add(ip.value)
             self._world.route_epoch += 1
 
-    def remove_address(self, ip: IPAddress) -> None:
-        """Drop an address/alias from the interface."""
-        if ip in self.addresses:
-            self.addresses.remove(ip)
-            self.addr_values.discard(ip.value)
-            self._world.route_epoch += 1
-
     def on_link(self, ip: IPAddress) -> bool:
         """True if ``ip`` falls inside this interface's subnet."""
         return ip.in_subnet(self.network, self.prefix_len)

@@ -13,8 +13,7 @@ eager import here would close a cycle back through ``World``.
 from repro.obs.bus import ProbeBus, ProbeEvent
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                format_snapshot_json, format_snapshot_text)
-from repro.obs.registry import (CATEGORIES, PROBES, ProbeSpec,
-                                UnknownProbeError, probes_in_category)
+from repro.obs.registry import CATEGORIES, PROBES, ProbeSpec, UnknownProbeError
 
 __all__ = [
     "ProbeBus", "ProbeEvent",
@@ -22,7 +21,6 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "format_snapshot_json", "format_snapshot_text",
     "CATEGORIES", "PROBES", "ProbeSpec", "UnknownProbeError",
-    "probes_in_category",
 ]
 
 _LAZY = {"ObsSession", "OBS_LEVELS", "describe_frame", "jsonl_line"}

@@ -23,7 +23,8 @@ protocol and the connection name by a per-session code, and ``None`` by
 kept, at its place in fire order, as its ``jsonl_line`` text.
 :attr:`ObsSession.frames` and :attr:`ObsSession.tcp_rows` turn the
 captures into the documented dict rows, and :meth:`ObsSession.write`
-renders the fixed-shape captures straight to their JSON text.
+streams the fixed-shape captures straight to their JSON text, a line at
+a time.
 
 Eight ``counters.json`` keys are not probes at all: ``nic.tx``,
 ``nic.rx``, ``eth.forward`` and ``eth.flood`` are what the world's NICs
@@ -207,22 +208,21 @@ def _frame_row(decoded) -> dict:
     return row
 
 
-def _frames_text(decoded_rows: Iterable) -> str:
-    """``frames.jsonl``: byte-for-byte ``jsonl_line`` of every row."""
+def _frames_lines(decoded_rows: Iterable) -> Iterator[str]:
+    """``frames.jsonl``, a line at a time: byte-for-byte ``jsonl_line``
+    of every row."""
     quote = functools.cache(json.dumps)
-    lines = []
     for decoded in decoded_rows:
         if type(decoded) is str:
-            lines.append(decoded)
+            yield decoded
             continue
         (t, ingress, src, dst, ethertype, size, ip_src, ip_dst, protocol,
          ttl, sport, dport, seq, ack, flags, window, length) = decoded
-        lines.append(_TCP_FRAME_JSON % (
+        yield _TCP_FRAME_JSON % (
             size, dst, "null" if ingress is None else ingress,
             ip_dst, quote(protocol), ip_src, ttl, src, t,
             ack, dport, TcpFlags.describe(flags), length, seq, sport,
-            window, quote(ethertype)))
-    return "".join(lines)
+            window, quote(ethertype))
 
 
 # ---------------------------------------------------------- timeline rows
@@ -270,21 +270,20 @@ def _tcp_row(decoded) -> dict:
     return row
 
 
-def _timeline_text(decoded_rows: Iterable) -> str:
-    """``tcp_timeline.jsonl``: byte-for-byte ``jsonl_line`` of every row."""
+def _timeline_lines(decoded_rows: Iterable) -> Iterator[str]:
+    """``tcp_timeline.jsonl``, a line at a time: byte-for-byte
+    ``jsonl_line`` of every row."""
     quote = functools.cache(json.dumps)
-    lines = []
     for decoded in decoded_rows:
         if type(decoded) is str:
-            lines.append(decoded)
+            yield decoded
             continue
         (t, conn, seq, ack, flags, length, window, cwnd, flight, off,
          una, nxt, rcv_nxt, mss, ssthresh) = decoded
-        lines.append(_TX_JSON % (
+        yield _TX_JSON % (
             ack, quote(conn), cwnd, quote(TcpFlags.describe(flags)), flight,
             length, mss, nxt, "null" if off is None else off, rcv_nxt, seq,
-            ssthresh, t, una, window))
-    return "".join(lines)
+            ssthresh, t, una, window)
 
 
 class ObsSession:
@@ -545,26 +544,27 @@ class ObsSession:
         """Write every artifact the level calls for; returns name->path.
 
         Always: ``counters.json`` and ``summary.txt``.  ``timeline`` adds
-        ``tcp_timeline.jsonl``; ``frames`` adds ``frames.jsonl``.
+        ``tcp_timeline.jsonl``; ``frames`` adds ``frames.jsonl``.  The
+        two JSONL files are streamed a line at a time, never built whole.
         """
         os.makedirs(out_dir, exist_ok=True)
         paths: dict[str, str] = {}
 
-        def _write(name: str, content: str) -> None:
+        def _write(name: str, lines: Iterable[str]) -> None:
             path = os.path.join(out_dir, name)
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(content)
+                fh.writelines(lines)
             paths[name] = path
 
         snapshot = self.metrics.snapshot()
-        _write("counters.json", format_snapshot_json(snapshot))
-        _write("summary.txt", self._summary_text(snapshot))
-        _write("summary.json", jsonl_line(self.summary()))
+        _write("counters.json", [format_snapshot_json(snapshot)])
+        _write("summary.txt", [self._summary_text(snapshot)])
+        _write("summary.json", [jsonl_line(self.summary())])
         if self.level in ("timeline", "frames"):
-            _write("tcp_timeline.jsonl", _timeline_text(
+            _write("tcp_timeline.jsonl", _timeline_lines(
                 _decoded_timeline(self._tcp_rows, self._codes.names)))
         if self.level == "frames":
-            _write("frames.jsonl", _frames_text(
+            _write("frames.jsonl", _frames_lines(
                 _decoded_frames(self._frames, self._codes.names)))
         return paths
 

@@ -8,7 +8,8 @@ because the only inputs are virtual time and deterministic event order.
 
 :class:`PackedRows` is the storage of the per-event histories a run keeps
 (an ObsSession's frame and transmit rows, a stream monitor's arrivals):
-fixed-width int64 rows in bounded ``array('q')`` chunks.
+fixed-width int64 rows in bounded ``array('q')`` chunks, each one
+zlib-compressed once it is full.
 
 Naming conventions (documented in ``docs/observability.md``):
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import zlib
 from array import array
 from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
@@ -139,39 +141,53 @@ class PackedRows:
         if not room:
             extend, room = rows.open()
 
+    Only the open chunk stays raw: :meth:`open` seals the one the writer
+    has filled as zlib level-1 bytes (a frame row's 136 raw bytes become
+    about 11), and reads decompress one sealed chunk at a time.
+
     The rare row that is not ``width`` ints (a line of text, say) is
     :meth:`keep`-ed at its place in append order.  Iteration yields every
     row in that order, packed rows as tuples of ints — the chunk still
     being written included, so a history can be read mid-run.
     """
 
-    __slots__ = ("width", "_chunks", "_odd")
+    __slots__ = ("width", "_sealed", "_sealed_ints", "_open", "_odd")
 
     #: Rows per chunk.
     CHUNK_ROWS = 2048
 
     def __init__(self, width: int):
         self.width = width
-        self._chunks: list[array] = []
+        self._sealed: list[bytes] = []   # full chunks, compressed
+        self._sealed_ints = 0            # ints in them
+        self._open = array("q")
         # (packed rows appended before it, the row)
         self._odd: list[tuple[int, Any]] = []
 
     def open(self) -> tuple[Callable[[Iterable[int]], None], int]:
-        """Start the next chunk: its bound ``extend`` and how many rows
-        it takes."""
-        chunk = array("q")
-        self._chunks.append(chunk)
-        return chunk.extend, self.CHUNK_ROWS
+        """Seal the open chunk if it has rows and start the next: its
+        bound ``extend`` and how many rows it takes."""
+        if self._open:
+            self._sealed.append(zlib.compress(self._open, 1))
+            self._sealed_ints += len(self._open)
+            self._open = array("q")
+        return self._open.extend, self.CHUNK_ROWS
 
     def keep(self, row: Any) -> None:
         """Append a row that is not ``width`` ints, in order."""
-        packed = sum(map(len, self._chunks)) // self.width
+        packed = (self._sealed_ints + len(self._open)) // self.width
         self._odd.append((packed, row))
+
+    def _chunks(self) -> Iterator[array]:
+        """Every chunk raw, in order, one sealed chunk decoded at a time."""
+        for sealed in self._sealed:
+            yield array("q", zlib.decompress(sealed))
+        yield self._open
 
     def __iter__(self) -> Iterator:
         width = self.width
         packed = itertools.chain.from_iterable(
-            zip(*[iter(chunk)] * width) for chunk in self._chunks)
+            zip(*[iter(chunk)] * width) for chunk in self._chunks())
         at = 0
         for position, row in self._odd:
             yield from itertools.islice(packed, position - at)
@@ -182,7 +198,7 @@ class PackedRows:
     def column(self, field: int) -> array:
         """Field ``field`` of every packed row, in order."""
         out = array("q")
-        for chunk in self._chunks:
+        for chunk in self._chunks():
             out.extend(chunk[field::self.width])
         return out
 

@@ -33,8 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["ProbeSpec", "PROBES", "CATEGORIES", "UnknownProbeError",
-           "probes_in_category"]
+__all__ = ["ProbeSpec", "PROBES", "CATEGORIES", "UnknownProbeError"]
 
 
 class UnknownProbeError(KeyError):
@@ -221,8 +220,3 @@ for _probe_spec in PROBES.values():  # registry self-consistency
         raise AssertionError(
             f"probe {_probe_spec.name} has unregistered category "
             f"{_probe_spec.category}")
-
-
-def probes_in_category(category: str) -> list[ProbeSpec]:
-    """All registered probes of one category, in table order."""
-    return [spec for spec in PROBES.values() if spec.category == category]

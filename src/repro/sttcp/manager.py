@@ -73,11 +73,6 @@ class SttcpPair:
         self.primary.stop()
         self.backup.stop()
 
-    @property
-    def failover_happened(self) -> bool:
-        """True once the backup has taken over."""
-        return self.backup.takeover_at is not None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<SttcpPair primary={self.primary.mode} "
                 f"backup={self.backup.mode}>")

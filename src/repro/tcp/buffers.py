@@ -253,17 +253,10 @@ class ReceiveBuffer:
         w = naive if naive >= promised else promised
         return w if w > 0 else 0
 
-    def note_advertised(self, window: int) -> None:
-        """Record a window advertisement actually sent to the peer (the
-        connection layer calls this per outgoing segment); ratchets the
-        promised right edge the :attr:`window` property must honour."""
-        edge = self._rcv_next + window
-        if edge > self._adv_edge:
-            self._adv_edge = edge
-
     def advertise_window(self) -> int:
-        """:attr:`window` and :meth:`note_advertised` fused — the
-        per-outgoing-segment hot path pays one call instead of two."""
+        """:attr:`window`, recorded as advertised to the peer: the
+        connection layer calls this per outgoing segment, and it
+        ratchets the promised right edge :attr:`window` must honour."""
         rcv_next = self._rcv_next
         naive = self.capacity - (rcv_next - self._read) - self._ooo_total
         promised = self._adv_edge - rcv_next

@@ -128,3 +128,16 @@ def test_describe_frame_decodes_tcp():
     assert row["ip"]["src"] == "10.0.0.1"
     assert row["tcp"] == {"sport": 1234, "dport": 80, "seq": 5, "ack": 9,
                           "flags": "ACK", "win": 1000, "len": 2}
+
+
+def test_gc_report_matches_gcctl_and_leaves_exports_alone(tmp_path):
+    from repro.sim import gcctl
+
+    result = run_small("counters")
+    before = result.obs.write(tmp_path / "before")
+    report = result.obs.gc_report()
+    assert set(report) == set(gcctl.stats())
+    after = result.obs.write(tmp_path / "after")
+    for name in ("counters.json", "summary.json"):
+        assert (open(before[name], "rb").read()
+                == open(after[name], "rb").read()), name

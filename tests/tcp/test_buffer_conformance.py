@@ -10,7 +10,7 @@ found while auditing the buffer layer ahead of the zero-copy rewrite:
 * RFC 793 ("don't shrink the window"): buffering out-of-order data
   shrank the advertised window with ``rcv_next`` unchanged, retracting
   the previously advertised right edge.  The fix ratchets the advertised
-  edge (``ReceiveBuffer.note_advertised``) — physically safe because the
+  edge (``ReceiveBuffer.advertise_window``) — physically safe because the
   acceptance edge ``bytes_read + capacity`` is monotonic and always at
   or beyond any prior advertisement.
 * RFC 1122 4.2.2.21 (ack duplicate segments): a retransmitted *bare* FIN

@@ -15,8 +15,9 @@ runner moves them together and cannot trip it; only per-fire work in
 (docs/performance.md, "The cost of watching a run", keeps the record).
 After the ladder, one untimed pass of the ``frames`` and ``frames+check``
 rungs under ``tracemalloc`` prints what each run still holds when it
-returns (docs/performance.md, "What a watched run remembers").  That
-reading is information, not a second gate.
+returns, and then what ``ObsSession.write()`` peaks at while the
+``frames+check`` run exports (docs/performance.md, "What a watched run
+remembers").  Those readings are information, not a second gate.
 
 Run from the repo root: ``python tools/check_obs_overhead.py``.
 Exit code 0 = within the ceiling, 1 = over it.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import gc
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -83,18 +85,31 @@ def run_once(options: dict) -> float:
     return time.perf_counter() - start
 
 
-def retained_mb(options: dict) -> float:
-    """MB ``tracemalloc`` still traces when a fleet run returns, with its
-    result (testbed, observation session, oracle) alive."""
+def retained_mb(options: dict) -> tuple:
+    """(MB ``tracemalloc`` still traces when a fleet run returns, with its
+    result (testbed, observation session, oracle) alive; the result)."""
     pool.clear()
     gc.collect()
     tracemalloc.start()
     try:
-        result = fleet_run(options)  # noqa: F841 - held while measured
+        result = fleet_run(options)
         gc.collect()
-        return tracemalloc.get_traced_memory()[0] / 1e6
+        return tracemalloc.get_traced_memory()[0] / 1e6, result
     finally:
         tracemalloc.stop()
+
+
+def write_peak_mb(result) -> float:
+    """MB ``tracemalloc`` peaks at while the run's observation session
+    writes its exports (to a temporary directory, removed afterwards)."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result.obs.write(out_dir)
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
 
 
 def main() -> int:
@@ -116,7 +131,10 @@ def main() -> int:
     print("retained when the run returns (tracemalloc, one untimed pass; "
           "not gated)")
     for name in RETAINED:
-        print(f"  {name:14s} {retained_mb(options[name]):8.1f} MB")
+        mb, result = retained_mb(options[name])
+        print(f"  {name:14s} {mb:8.1f} MB")
+    print(f"{RETAINED[-1]} write() peak (tracemalloc, same pass; not gated)"
+          f" {write_peak_mb(result):.1f} MB")
     return 0 if ratio <= CEILING else 1
 
 
