@@ -60,10 +60,6 @@ class IcmpLayer:
         self._reply_handlers[ident] = handler
         return ident
 
-    def release_ident(self, ident: int) -> None:
-        """Free an echo identifier."""
-        self._reply_handlers.pop(ident, None)
-
     def send_echo_request(self, dst: IPAddress, ident: int, seq: int,
                           src: Optional[IPAddress] = None) -> None:
         """Transmit one echo request."""

@@ -148,7 +148,7 @@ _ALL_PROBES = [
           "repro.sttcp.engine.SttcpEngine.check_links", traced=False),
     _spec("sttcp.retain", "the primary copied in-order client bytes into "
           "its retain buffer",
-          "repro.sttcp.primary.PrimaryEngine._on_accepted", traced=False),
+          "repro.sttcp.primary.ManagedPrimaryConn.tap", traced=False),
     _spec("detect.verdict", "a lag tracker's failure criterion fired",
           "repro.sttcp.detector.LagTracker.verdict", traced=False),
     _spec("detect.watchdog", "the application watchdog missed a deadline",

@@ -131,11 +131,6 @@ class Testbed:
         return self.addresses.service_ip
 
     @property
-    def client_cable(self) -> Cable:
-        """The client's cable to the switch."""
-        return self.cables["client"]
-
-    @property
     def primary_cable(self) -> Cable:
         """The primary's cable to the switch."""
         return self.cables["primary"]

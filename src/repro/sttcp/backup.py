@@ -30,6 +30,7 @@ from repro.net.addresses import IPAddress
 from repro.net.pool import retain
 from repro.sim.timers import Timer
 from repro.tcp.connection import TcpConnection
+from repro.tcp.extension import TcpExtension
 from repro.tcp.segment import TcpFlags, TcpSegment, release_segment
 from repro.tcp.sockets import Socket
 from repro.sttcp.control import (AppFailureNotice, ConnClosed, ConnInit,
@@ -43,6 +44,10 @@ __all__ = ["BackupEngine", "ManagedBackupConn"]
 # Bound on buffered pre-ConnInit segments per flow (SYN + early data).
 _MAX_BUFFERED_SEGMENTS = 256
 
+# A disposed replica's extension: gate shut, nothing counted.
+_DISPOSED = TcpExtension()
+_DISPOSED.gated = True
+
 
 class ManagedBackupConn(ManagedConn):
     """Backup-side per-connection replica state."""
@@ -51,6 +56,8 @@ class ManagedBackupConn(ManagedConn):
                  socket: Socket, key: ConnKey):
         super().__init__(engine, conn, socket, key)
         world = engine.world
+        self.gated = True  # opened at takeover (paper Sec. 2)
+        self.future_ack_off = 0
         self.suppressed_segments = 0
         self.suppressed_fin = False
         # Missed-byte fetch state.
@@ -68,13 +75,29 @@ class ManagedBackupConn(ManagedConn):
 
     def hold(self, length: int, flags: int) -> None:
         """The replica's shut output gate: count one segment that did not
-        leave (see :attr:`TcpConnection.output_gate`)."""
+        leave."""
         self.suppressed_segments += 1
         engine = self.engine
         engine.world.segments_suppressed += 1
         if flags & TcpFlags.FIN and not self.suppressed_fin:
             self.suppressed_fin = True
             engine.emit(EventKind.FIN_SUPPRESSED, key=self.key)
+
+    def accept_future_ack(self, ack_off: int) -> bool:
+        """The client acked bytes the replica app has not written yet:
+        remember, and apply on write."""
+        self.future_ack_off = max(self.future_ack_off, ack_off)
+        return True
+
+    def intercept_abort(self, socket: Socket) -> bool:
+        """The replica app reset: its RST goes behind the gate, and an HB
+        tells the primary at once (Sec. 4.2.2), before the closed replica
+        can be disposed of and drop out of the HBs."""
+        engine = self.engine
+        if engine.mode == MODE_FT:
+            self.abort_requested = True
+            engine.hb.send_now()
+        return False
 
     def _fetch_retry(self) -> None:
         self.fetch_outstanding = False
@@ -89,7 +112,6 @@ class BackupEngine(SttcpEngine):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, role=ROLE_BACKUP, **kwargs)
         self._pending_segments: dict[ConnKey, list[TcpSegment]] = {}
-        self.host.tcp.segment_filter = self._segment_filter
         self.takeover_at: Optional[int] = None
         self.takeover_reason: Optional[str] = None
         # Optional logger fallback (paper Sec. 4.3: the output-commit
@@ -111,8 +133,10 @@ class BackupEngine(SttcpEngine):
 
     # ---------------------------------------------------------- tap filter
 
-    def _segment_filter(self, segment: TcpSegment, src_ip: IPAddress,
-                        dst_ip: IPAddress) -> bool:
+    filters = True
+
+    def filter_segment(self, segment: TcpSegment, src_ip: IPAddress,
+                       dst_ip: IPAddress) -> bool:
         """Swallow service-port segments that have no replica yet.
 
         Once the replica exists, normal stack demux delivers segments to
@@ -154,23 +178,11 @@ class BackupEngine(SttcpEngine):
                 self.take_over("primary application failure "
                                "(watchdog report)")
 
-    def attach_watchdog(self, app, period_ns: int = 100_000_000,
-                        miss_threshold: int = 3):
-        """Sec. 4.2.2 extension: a watchdog on the backup's replica
-        application; on suspicion the primary is told to run non-FT."""
-        from repro.apps.watchdog import ApplicationWatchdog
-
-        def on_suspicion(_app):
-            """Relay the watchdog's suspicion to the primary."""
-            if self.mode != MODE_FT:
-                return
+    def watchdog_suspects(self, _app) -> None:
+        """The local watchdog suspects the replica application: the
+        primary is told to run non-FT."""
+        if self.mode == MODE_FT:
             self.hb.send(AppFailureNotice("backup"), also_serial=True)
-
-        watchdog = ApplicationWatchdog(self.world, app, on_suspicion,
-                                       period_ns=period_ns,
-                                       miss_threshold=miss_threshold)
-        watchdog.start()
-        return watchdog
 
     def _on_conn_init(self, init: ConnInit) -> None:
         if self.mode != MODE_FT or init.key in self.conns:
@@ -198,8 +210,6 @@ class BackupEngine(SttcpEngine):
             isn=init.isn, config=tap_config)
         mc = ManagedBackupConn(self, conn, socket, init.key)
         self.conns[init.key] = mc
-        conn.output_gate = mc.hold
-        conn.stt_tolerate_future_acks = True
         self.emit(EventKind.CONN_REPLICATED, key=init.key, isn=init.isn)
         # Hand the socket to the replica application, then replay whatever
         # the tap buffered (starting with the client's SYN).
@@ -320,9 +330,10 @@ class BackupEngine(SttcpEngine):
         if mc is not None:
             mc.fetch_retry_timer.stop()
             if mc.conn.state.value != "CLOSED":
-                # Drop the replica quietly: its RST stays behind the gate,
-                # and is not counted as output suppressed for a live peer.
-                mc.conn.output_gate = lambda length, flags: None
+                # Drop the replica quietly: its RST stays behind a shut
+                # gate that counts nothing — it is not output suppressed
+                # for a live peer.
+                mc.conn.ext = _DISPOSED
                 mc.conn.abort()
         for segment in self._pending_segments.pop(key, ()):
             release_segment(segment)  # the tap buffer's claim
@@ -360,7 +371,7 @@ class BackupEngine(SttcpEngine):
                 # bytes it had acked — unrecoverable for this connection.
                 unrecoverable.append(mc)
                 continue
-            mc.conn.output_gate = None
+            mc.gated = False
             if self.config.kick_on_takeover:
                 mc.conn.kick_output()
         self.emit(EventKind.TAKEOVER, reason=reason,
@@ -369,11 +380,11 @@ class BackupEngine(SttcpEngine):
         for mc in unrecoverable:
             self._declare_unrecoverable(
                 mc, "missed bytes unavailable after primary crash")
-            mc.conn.output_gate = None
+            mc.gated = False
             mc.conn.abort()
         self.hb.stop()
         self._stop_probing()
-        self.host.tcp.segment_filter = None
+        self.host.tcp.ext = None  # new clients reach the live listener
 
     recover = take_over
 
@@ -446,7 +457,7 @@ class BackupEngine(SttcpEngine):
                 mc, "logger cannot re-supply missed bytes")
             if mc.recovering_via_logger:
                 mc.recovering_via_logger = False
-                mc.conn.output_gate = None
+                mc.gated = False
                 mc.conn.abort()
             return
         before = mc.conn.recv_buffer.rcv_next
@@ -472,7 +483,7 @@ class BackupEngine(SttcpEngine):
         if rcv.has_gap or rcv.rcv_next < target:
             return  # more replies still in flight
         mc.recovering_via_logger = False
-        mc.conn.output_gate = None
+        mc.gated = False
         mc.conn.kick_output()
         self.emit(EventKind.TAKEOVER, key=mc.key,
                   reason="logger recovery complete", connections=1,

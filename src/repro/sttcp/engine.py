@@ -7,6 +7,8 @@ disambiguation (Sec. 4.3), the periodic detector tick that turns Table
 1's one :func:`~repro.sttcp.detector.classify` into the role's recovery,
 and STONITH.  :class:`ManagedConn` is what both roles keep per replicated
 connection: the peer's latest progress and the lag trackers it feeds.
+Both are the TCP extension (:mod:`repro.tcp.extension`): the engine is
+its host's ``TcpStack.ext``, each managed connection its ``conn.ext``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.sim.world import World
 from repro.host.host import Host
 from repro.host.power import PowerStrip
 from repro.tcp.connection import TcpConnection
+from repro.tcp.extension import TcpExtension
 from repro.tcp.sockets import Socket
 from repro.sttcp.config import SttcpConfig
 from repro.sttcp.detector import LagTracker, PingScoreboard, Verdict, classify
@@ -54,12 +57,13 @@ _RESPONSES = {
 }
 
 
-class ManagedConn:
+class ManagedConn(TcpExtension):
     """One replicated connection: the peer's progress and the trackers
-    that watch it (Sec. 4.2.1 app lag, Sec. 4.3 client-byte lag)."""
+    that watch it (Sec. 4.2.1 app lag, Sec. 4.3 client-byte lag).  It is
+    the connection's ``ext`` from replication until non-FT mode."""
 
-    # The application asked to close / abort.  Only the primary intercepts
-    # those calls (Sec. 4.2.2); the backup's replica never sets them.
+    # The application asked to close / abort (Sec. 4.2.2).  The primary
+    # intercepts both; the backup notes its replica's abort.
     close_requested = False
     abort_requested = False
 
@@ -69,6 +73,7 @@ class ManagedConn:
         self.conn = conn
         self.socket = socket
         self.key = key
+        conn.ext = self
         self.peer_progress: Optional[ConnProgress] = None
         self.read_tracker = self.lag_tracker("app-read")
         self.write_tracker = self.lag_tracker("app-write")
@@ -132,7 +137,7 @@ class ManagedConn:
         return None
 
 
-class SttcpEngine:
+class SttcpEngine(TcpExtension):
     """Base class: everything role-independent."""
 
     def __init__(self, world: World, host: Host, config: SttcpConfig,
@@ -174,6 +179,7 @@ class SttcpEngine:
         self._ip_was_up = True
         self._serial_was_up = True
         host.on_power_off.append(self._on_host_down)
+        host.tcp.ext = self
 
     # ------------------------------------------------------------ lifecycle
 
@@ -194,13 +200,28 @@ class SttcpEngine:
 
     # ------------------------------------------------------- event plumbing
 
-    def emit(self, kind: str, **detail: Any):
+    def emit(self, kind: str, /, **detail: Any):
         """Record an engine event and fire its ``sttcp.<kind>`` probe.
         Every :class:`~repro.sttcp.events.EventKind` has a registered
         probe, so an unregistered kind fails loudly instead of drifting."""
         event = self.events.emit(self.world.sim.now, kind, **detail)
         self.world.probes.fire(f"sttcp.{kind}", self.name, kind, **detail)
         return event
+
+    def attach_watchdog(self, app, period_ns: int = 100_000_000,
+                        miss_threshold: int = 3):
+        """Sec. 4.2.2 extension: a watchdog on the local service
+        application; its suspicion goes to the role's
+        ``watchdog_suspects``, which tells the peer directly, so the pair
+        acts even when the connection is idle."""
+        from repro.apps.watchdog import ApplicationWatchdog
+
+        watchdog = ApplicationWatchdog(self.world, app,
+                                       self.watchdog_suspects,
+                                       period_ns=period_ns,
+                                       miss_threshold=miss_threshold)
+        watchdog.start()
+        return watchdog
 
     def stonith_peer(self, reason: str) -> None:
         """Power the peer down (out-of-band) before acting alone."""

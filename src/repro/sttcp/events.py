@@ -60,7 +60,7 @@ class EngineEventLog:
     def __init__(self) -> None:
         self._events: list[EngineEvent] = []
 
-    def emit(self, time: int, kind: str, **detail: Any) -> EngineEvent:
+    def emit(self, time: int, kind: str, /, **detail: Any) -> EngineEvent:
         """Append an event at the given instant."""
         event = EngineEvent(time, kind, detail)
         self._events.append(event)

@@ -137,8 +137,3 @@ class StreamLogger:
                 self.host.udp.send(src_ip, src_port, LOGGER_UDP_PORT,
                                    FetchReply(payload.key, offset, chunk))
                 offset += len(chunk)
-
-    def bytes_logged(self, key: ConnKey) -> int:
-        """Contiguous client bytes recorded so far."""
-        logged = self.connections.get(key)
-        return logged.bytes_logged if logged else 0

@@ -68,11 +68,6 @@ class SttcpPair:
         self.primary.start()
         self.backup.start()
 
-    def stop(self) -> None:
-        """Stop both engines."""
-        self.primary.stop()
-        self.backup.stop()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<SttcpPair primary={self.primary.mode} "
                 f"backup={self.backup.mode}>")

@@ -42,14 +42,13 @@ class ManagedPrimaryConn(ManagedConn):
         config = engine.config
         world = engine.world
         self.retain = RetainBuffer(config.retain_buffer_bytes)
+        self.taps = True
         self.created_at = world.sim.now
         self.init_resent = 0
         # The backup reports the client's acks too (Sec. 4.3).
         self.nic_ack_tracker = self.lag_tracker("nic-ack")
         self.nic_trackers = (self.nic_rx_tracker, self.nic_ack_tracker)
         # FIN/RST disagreement state (Sec. 4.2.2).
-        self.close_requested = False        # app or OS asked to close
-        self.abort_requested = False
         self.fin_held = False
         self.fin_release_timer = Timer(world.sim, self._fin_deadline,
                                        label="max-delay-fin")
@@ -66,6 +65,58 @@ class ManagedPrimaryConn(ManagedConn):
             if self.fin_held:
                 # Both sides generated a FIN: normal socket closure.
                 self.engine.release_fin(self, "backup also generated FIN")
+
+    def tap(self, offset: int, data: bytes) -> None:
+        """Copy in-order client bytes into the retain buffer (and let
+        observers count them via the sttcp.retain probe)."""
+        self.retain.append(offset, data)
+        engine = self.engine
+        engine.world.probes.fire("sttcp.retain", engine.name,
+                                 off=offset, len=len(data))
+
+    def intercept_close(self, socket: Socket) -> bool:
+        """Socket.close() gate: implement the Sec. 4.2.2 decision table.
+
+        Returns True when the close (FIN) is being *held*; False lets the
+        socket proceed to a normal TCP close immediately.
+        """
+        engine = self.engine
+        if engine.mode != MODE_FT:
+            return False
+        if self.close_requested:
+            return True  # already being handled
+        self.close_requested = True
+        # "a server generating a FIN should immediately communicate the FIN
+        # to the other server through the HB"
+        engine.hb.send_now()
+        if self.conn.peer_fin_consumed:
+            # "the primary always immediately sends out a FIN if it has
+            # already received a FIN from the client"
+            return False
+        if self.backup_fin_at is not None:
+            # Both sides agree: normal closure, no delay.
+            return False
+        self.fin_held = True
+        self.fin_release_timer.start(engine.config.max_delay_fin_ns)
+        engine.emit(EventKind.FIN_HELD, key=self.key,
+                    max_delay_s=engine.config.max_delay_fin_ns / 1e9)
+        return True
+
+    def intercept_abort(self, socket: Socket) -> bool:
+        """Socket.abort() gate: RSTs get the same disagreement treatment."""
+        engine = self.engine
+        if engine.mode != MODE_FT:
+            return False
+        if self.abort_requested:
+            return True
+        self.abort_requested = True
+        engine.hb.send_now()
+        if self.peer_progress is not None and self.peer_progress.rst_generated:
+            return False
+        self.fin_held = True  # reuse the same hold machinery
+        self.fin_release_timer.start(engine.config.max_delay_fin_ns)
+        engine.emit(EventKind.FIN_HELD, key=self.key, kind="rst")
+        return True
 
     def fold_nic(self, progress: ConnProgress) -> None:
         super().fold_nic(progress)
@@ -95,7 +146,6 @@ class PrimaryEngine(SttcpEngine):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, role=ROLE_PRIMARY, **kwargs)
-        self.host.tcp.on_connection_accepted.append(self._on_accepted)
 
     def _on_host_down(self) -> None:
         super()._on_host_down()
@@ -104,26 +154,14 @@ class PrimaryEngine(SttcpEngine):
 
     # -------------------------------------------------------------- accept
 
-    def _on_accepted(self, conn: TcpConnection, socket: Socket,
-                     listener: Listener) -> None:
-        if conn.local_port != self.config.service_port:
-            return
-        if self.mode != MODE_FT:
+    def accepted(self, conn: TcpConnection, socket: Socket,
+                 listener: Listener) -> None:
+        """Replicate each service connection accepted in FT mode."""
+        if conn.local_port != self.config.service_port or self.mode != MODE_FT:
             return
         key: ConnKey = (conn.remote_ip.value, conn.remote_port)
         mc = ManagedPrimaryConn(self, conn, socket, key)
         self.conns[key] = mc
-
-        def retain_tap(offset: int, data: bytes, mc=mc) -> None:
-            """Copy in-order client bytes into the retain buffer (and let
-            observers count them via the sttcp.retain probe)."""
-            mc.retain.append(offset, data)
-            self.world.probes.fire("sttcp.retain", self.name,
-                                   off=offset, len=len(data))
-
-        conn.inorder_tap = retain_tap
-        socket.close_interceptor = lambda sock, m=mc: self._intercept_close(m)
-        socket.abort_interceptor = lambda sock, m=mc: self._intercept_abort(m)
         self.emit(EventKind.CONN_REPLICATED, key=key, isn=conn.iss)
         self._send_conn_init(mc)
 
@@ -143,26 +181,13 @@ class PrimaryEngine(SttcpEngine):
                 self.enter_non_ft("backup application failure "
                                   "(watchdog report)")
 
-    def attach_watchdog(self, app, period_ns: int = 100_000_000,
-                        miss_threshold: int = 3):
-        """Sec. 4.2.2 extension: monitor the local service application
-        with a watchdog; on suspicion, notify the backup directly so it
-        can take over even when the connection is idle."""
-        from repro.apps.watchdog import ApplicationWatchdog
-
-        def on_suspicion(_app):
-            """Broadcast the watchdog's suspicion to the backup."""
-            if self.mode != MODE_FT:
-                return
+    def watchdog_suspects(self, _app) -> None:
+        """The local watchdog suspects the service application: record it
+        and tell the backup, which takes over."""
+        if self.mode == MODE_FT:
             self.emit(EventKind.APP_FAILURE_DETECTED, location="primary",
                       symptom="application watchdog suspicion (local)")
             self.hb.send(AppFailureNotice("primary"), also_serial=True)
-
-        watchdog = ApplicationWatchdog(self.world, app, on_suspicion,
-                                       period_ns=period_ns,
-                                       miss_threshold=miss_threshold)
-        watchdog.start()
-        return watchdog
 
     def _serve_fetch(self, request: FetchRequest) -> None:
         """Re-supply client bytes from the extra receive buffer."""
@@ -189,49 +214,7 @@ class PrimaryEngine(SttcpEngine):
                 self.hb.send(FetchReply(request.key, offset, data))
                 offset += len(data)
 
-    # ------------------------------------------------------ FIN intercepts
-
-    def _intercept_close(self, mc: ManagedPrimaryConn) -> bool:
-        """Socket.close() gate: implement the Sec. 4.2.2 decision table.
-
-        Returns True when the close (FIN) is being *held*; False lets the
-        socket proceed to a normal TCP close immediately.
-        """
-        if self.mode != MODE_FT:
-            return False
-        if mc.close_requested:
-            return True  # already being handled
-        mc.close_requested = True
-        # "a server generating a FIN should immediately communicate the FIN
-        # to the other server through the HB"
-        self.hb.send_now()
-        if mc.conn.peer_fin_consumed:
-            # "the primary always immediately sends out a FIN if it has
-            # already received a FIN from the client"
-            return False
-        if mc.backup_fin_at is not None:
-            # Both sides agree: normal closure, no delay.
-            return False
-        mc.fin_held = True
-        mc.fin_release_timer.start(self.config.max_delay_fin_ns)
-        self.emit(EventKind.FIN_HELD, key=mc.key,
-                  max_delay_s=self.config.max_delay_fin_ns / 1e9)
-        return True
-
-    def _intercept_abort(self, mc: ManagedPrimaryConn) -> bool:
-        """Socket.abort() gate: RSTs get the same disagreement treatment."""
-        if self.mode != MODE_FT:
-            return False
-        if mc.abort_requested:
-            return True
-        mc.abort_requested = True
-        self.hb.send_now()
-        if mc.peer_progress is not None and mc.peer_progress.rst_generated:
-            return False
-        mc.fin_held = True  # reuse the same hold machinery
-        mc.fin_release_timer.start(self.config.max_delay_fin_ns)
-        self.emit(EventKind.FIN_HELD, key=mc.key, kind="rst")
-        return True
+    # ----------------------------------------------------------- FIN gate
 
     def release_fin(self, mc: ManagedPrimaryConn, reason: str) -> None:
         """Let a held FIN/RST out to the client."""
@@ -293,8 +276,6 @@ class PrimaryEngine(SttcpEngine):
         for mc in list(self.conns.values()):
             if mc.fin_held:
                 self.release_fin(mc, f"non-FT mode: {reason}")
-            mc.conn.inorder_tap = None  # no more retained copies needed
-            mc.socket.close_interceptor = None
-            mc.socket.abort_interceptor = None
+            mc.conn.ext = None  # plain TCP from here: no retain, no FIN gate
 
     recover = enter_non_ft

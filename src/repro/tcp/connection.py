@@ -7,20 +7,21 @@ TIME_WAIT.  It is the substrate every ST-TCP mechanism acts on.
 
 ST-TCP integration points (used by :mod:`repro.sttcp`):
 
-* :attr:`TcpConnection.output_gate` is the declared output hook: while
-  the backup engine holds it shut, the replica's segments are counted and
-  advance every piece of sender state, but never leave — and on the two
-  hot paths (data, pure ack) are never even built (paper Sec. 2).
+* :attr:`TcpConnection.ext` is the one hook: ``None`` on every plain
+  connection, else a :class:`~repro.tcp.extension.TcpExtension` (the
+  engine's per-connection record).  Through it the backup holds the
+  output gate shut — the replica's segments are counted and advance every
+  piece of sender state, but never leave, and on the two hot paths (data,
+  pure ack) are never even built (paper Sec. 2) — and accepts client acks
+  for bytes its lagging replica application has not written yet; the
+  primary taps in-order client bytes into its retain buffer (Sec. 4.3).
 * :meth:`open_passive` accepts an ISN override so the backup's replica
   connection uses the primary's ISN (paper Sec. 2).
 * Progress counters :attr:`last_byte_received`, :attr:`last_ack_received`,
   :attr:`last_app_byte_written`, :attr:`last_app_byte_read` are exactly
   the four quantities the ST-TCP heartbeat carries (paper Sec. 3).
-* :attr:`inorder_tap` lets the primary copy in-order client bytes into its
-  retain buffer; :meth:`inject_stream_bytes` lets the backup insert bytes
-  fetched from the primary (Table 1 row 5).
-* ``stt_tolerate_future_acks`` lets the backup accept client acks for
-  bytes its (slightly lagging) replica application has not produced yet.
+* :meth:`inject_stream_bytes` lets the backup insert bytes fetched from
+  the primary (Table 1 row 5).
 
 Internally all data positions are *stream offsets* (plain ints, byte 0 =
 first data byte); translation to 32-bit wire sequence numbers happens only
@@ -86,7 +87,7 @@ class TcpConnection:
 
     __slots__ = (
         "world", "name", "local_ip", "local_port", "remote_ip", "remote_port",
-        "config", "transmit", "output_gate", "state", "iss", "irs",
+        "config", "_transmit", "ext", "state", "iss", "irs",
         "send_buffer", "recv_buffer", "snd_una_off", "snd_nxt_off",
         "peer_window", "fin_queued", "fin_off", "fin_sent", "fin_acked",
         "peer_fin_off", "peer_fin_consumed", "rst_sent", "cc",
@@ -94,8 +95,7 @@ class TcpConnection:
         "_timewait_timer", "_persist_interval", "_last_sent_window",
         "_rtx_count", "_syn_rtx_count", "_timed_end", "_timed_at",
         "_syn_sent_at", "on_established", "on_data_available", "on_peer_fin",
-        "on_closed", "on_reset", "on_writable", "inorder_tap",
-        "stt_tolerate_future_acks", "_future_ack_off", "peer_data_high",
+        "on_closed", "on_reset", "on_writable", "peer_data_high",
         "segments_sent", "segments_received", "bytes_sent", "retransmissions",
         "dupacks_received", "acks_sent", "established_at", "closed_at")
 
@@ -111,12 +111,11 @@ class TcpConnection:
         self.remote_port = remote_port
         self.config = config or TcpConfig()
         self.config.validate()
-        self.transmit: Callable[[TcpSegment], None] = transmit or (lambda seg: None)
-        # Output gate.  None: segments go to ``transmit``.  Otherwise the
-        # holder (the ST-TCP backup, for a replica) is called with
-        # (payload length, flags) for every segment that would have left;
-        # sender state advances as if it had, and nothing reaches the wire.
-        self.output_gate: Optional[Callable[[int, int], None]] = None
+        # Set once: the stack's wire for this 4-tuple.  A connection whose
+        # output must not leave is gated through ``ext``, never rewired.
+        self._transmit: Callable[[TcpSegment], None] = \
+            transmit or (lambda seg: None)
+        self.ext = None  # the loaded repro.tcp.extension.TcpExtension
 
         self.state = TcpState.CLOSED
         self.iss: Optional[int] = None
@@ -169,10 +168,6 @@ class TcpConnection:
         self.on_reset: Callable[[str], None] = lambda reason: None
         self.on_writable: Callable[[], None] = lambda: None
 
-        # --- ST-TCP hooks ---
-        self.inorder_tap: Optional[Callable[[int, bytes], None]] = None
-        self.stt_tolerate_future_acks = False
-        self._future_ack_off = 0
         # Highest stream offset the peer has *attempted* to send us, even
         # if the data was trimmed at the window edge.  The ST-TCP backup
         # uses this to recognize an unfillable hole after takeover (data
@@ -260,8 +255,17 @@ class TcpConnection:
             raise ConnectionClosedError(
                 f"{self.name}: write in state {self.state}")
         accepted = self.send_buffer.write(data)
-        if self.stt_tolerate_future_acks and self._future_ack_off > self.snd_una_off:
-            self._apply_future_ack()
+        ext = self.ext
+        if ext is not None and ext.future_ack_off > self.snd_una_off:
+            # The peer acked these bytes before they were written: they
+            # count as sent and acked.
+            target = min(ext.future_ack_off, self.send_buffer.end_offset)
+            if target > self.snd_una_off:
+                self.send_buffer.ack_to(target)
+                self.snd_una_off = target
+                self.snd_nxt_off = max(self.snd_nxt_off, target)
+                if self._all_acked():
+                    self._rtx_timer.stop()
         self._try_send()
         return accepted
 
@@ -324,8 +328,9 @@ class TcpConnection:
             probes = self.world.probes
             if probes.wants_map["tcp.deliver"]:
                 probes.fire("tcp.deliver", self.name, off=before, len=newly)
-            if self.inorder_tap is not None:
-                self.inorder_tap(before, self.recv_buffer.peek_tail(newly))
+            ext = self.ext
+            if ext is not None and ext.taps:
+                ext.tap(before, self.recv_buffer.peek_tail(newly))
         self._maybe_consume_peer_fin()
         if self.recv_buffer.readable:
             self.on_data_available()
@@ -339,7 +344,7 @@ class TcpConnection:
         self._send_pure_ack()
         if self.flight_size > 0 or (self.fin_sent and not self.fin_acked):
             self._retransmit_head()
-            self._restart_rtx()
+            self._rtx_timer.start(self.rtt.rto_ns)
 
     # ---------------------------------------------------------- segment input
 
@@ -453,14 +458,13 @@ class TcpConnection:
             else ack_off
         stream_end = self.send_buffer.end_offset
         if data_ack_off > stream_end:
-            if self.stt_tolerate_future_acks:
-                # Backup replica: the client acked bytes our (lagging) app
-                # has not written yet.  Remember and apply on write.
-                self._future_ack_off = max(self._future_ack_off, data_ack_off)
-                data_ack_off = stream_end
-            else:
-                # Ack for data we never sent: protocol violation; ignore.
+            # Ack for data we never sent: a protocol violation, ignored —
+            # unless the extension takes it (a backup replica whose app
+            # lags the client; it is applied on write).
+            ext = self.ext
+            if ext is None or not ext.accept_future_ack(data_ack_off):
                 return
+            data_ack_off = stream_end
 
         newly_acked = data_ack_off - self.snd_una_off
         if newly_acked > 0:
@@ -490,7 +494,7 @@ class TcpConnection:
                 # presumed lost; retransmit it without leaving recovery
                 # (RFC 6582 Sec. 3.2) and re-arm the RTO from it.
                 self._retransmit_head()
-                self._restart_rtx()
+                self._rtx_timer.start(self.rtt.rto_ns)
             self.on_writable()
         else:
             prev_window = self.peer_window
@@ -510,7 +514,7 @@ class TcpConnection:
                     # from it.  Without this restart the timer armed at
                     # the *last new ack* fires while the fast-retransmitted
                     # head is still in flight, spuriously collapsing cwnd.
-                    self._restart_rtx()
+                    self._rtx_timer.start(self.rtt.rto_ns)
         if ack_covers_fin and not self.fin_acked:
             self.fin_acked = True
             self._rtx_timer.stop()
@@ -524,16 +528,6 @@ class TcpConnection:
         if self.fin_sent and not self.fin_acked:
             return False
         return True
-
-    def _apply_future_ack(self) -> None:
-        """Backup replica: treat already-client-acked bytes as sent+acked."""
-        target = min(self._future_ack_off, self.send_buffer.end_offset)
-        if target > self.snd_una_off:
-            self.send_buffer.ack_to(target)
-            self.snd_una_off = target
-            self.snd_nxt_off = max(self.snd_nxt_off, target)
-            if self._all_acked():
-                self._rtx_timer.stop()
 
     def _on_fin_acked(self) -> None:
         if self.state is TcpState.FIN_WAIT_1:
@@ -567,32 +561,23 @@ class TcpConnection:
             probes = self.world.probes
             if probes.wants_map["tcp.deliver"]:
                 probes.fire("tcp.deliver", self.name, off=before, len=newly)
-            if self.inorder_tap is not None:
-                self.inorder_tap(before, recv_buffer.peek_tail(newly))
+            ext = self.ext
+            if ext is not None and ext.taps:
+                ext.tap(before, recv_buffer.peek_tail(newly))
         if newly == 0 and off > recv_buffer.rcv_next:
             # Out of order: immediate duplicate ack (triggers peer's
             # fast retransmit).
             self._send_pure_ack()
         elif not self.config.delayed_ack:
-            # _ack_received_data's immediate-ack arm inlined (keep in
-            # sync): delayed acks are off by default and this runs once
-            # per in-order data segment.
             self._send_pure_ack()
+        elif not self._delack_timer.armed:
+            self._delack_timer.start(self.config.delayed_ack_timeout_ns)
         else:
-            self._ack_received_data()
+            # Second segment: ack immediately (RFC 1122 every-other).
+            self._delack_timer.stop()
+            self._send_pure_ack()
         if self.recv_buffer.readable:
             self.on_data_available()
-
-    def _ack_received_data(self) -> None:
-        if self.config.delayed_ack:
-            if not self._delack_timer.armed:
-                self._delack_timer.start(self.config.delayed_ack_timeout_ns)
-            else:
-                # Second segment: ack immediately (RFC 1122 every-other).
-                self._delack_timer.stop()
-                self._send_pure_ack()
-        else:
-            self._send_pure_ack()
 
     def _note_peer_fin(self, segment: TcpSegment) -> None:
         if self.irs is None:
@@ -704,11 +689,11 @@ class TcpConnection:
         if self.world.probes.wants_map["tcp.segment_tx"]:
             self._fire_segment_tx(segment.seq, segment.ack, segment.flags,
                                   len(payload), segment.window)
-        gate = self.output_gate
-        if gate is None:
-            self.transmit(segment)
+        ext = self.ext
+        if ext is None or not ext.gated:
+            self._transmit(segment)
         else:
-            gate(len(payload), segment.flags)
+            ext.hold(len(payload), segment.flags)
             release_segment(segment)  # the claim the wire would have consumed
 
     def _hold(self, flags: int, off: int, length: int) -> None:
@@ -721,7 +706,7 @@ class TcpConnection:
         if self.world.probes.wants_map["tcp.segment_tx"]:
             self._fire_segment_tx(self._seq_of(off), self._current_ack()[1],
                                   flags, length, window)
-        self.output_gate(length, flags)
+        self.ext.hold(length, flags)
 
     def _fire_segment_tx(self, seq: int, ack: int, flags: int, length: int,
                          window: int) -> None:
@@ -753,7 +738,8 @@ class TcpConnection:
         if delack._handle is not None:  # armed-check inlined; see stop()
             delack.stop()
         self.acks_sent += 1
-        if self.output_gate is not None:
+        ext = self.ext
+        if ext is not None and ext.gated:
             self._hold(TcpFlags.ACK, self.snd_nxt_off, 0)
             return
         # _seq_of inlined (keep in sync): one pure ack per received data
@@ -791,6 +777,8 @@ class TcpConnection:
         mss = self.config.mss
         send_buffer = self.send_buffer
         stream_end = send_buffer.end_offset
+        ext = self.ext
+        gated = ext is not None and ext.gated
         while True:
             snd_nxt = self.snd_nxt_off
             pending = limit - snd_nxt
@@ -811,7 +799,7 @@ class TcpConnection:
                 if self._timed_end is None:
                     self._timed_end = sent_end
                     self._timed_at = self.world.sim.now
-                if self.output_gate is not None:
+                if gated:
                     self._hold(flags, snd_nxt, chunk)
                 else:
                     self._emit(self._make_segment(
@@ -938,9 +926,6 @@ class TcpConnection:
         elif self.fin_sent and not self.fin_acked:
             self._emit(self._make_segment(TcpFlags.FIN | TcpFlags.ACK,
                                           self._seq_of(self.fin_off)))
-
-    def _restart_rtx(self) -> None:
-        self._rtx_timer.start(self.rtt.rto_ns)
 
     # ------------------------------------------------------------- tear-down
 

@@ -91,11 +91,6 @@ class TcpSegment:
         return bool(self.flags & TcpFlags.RST)
 
     @property
-    def psh(self) -> bool:
-        """PSH flag set."""
-        return bool(self.flags & TcpFlags.PSH)
-
-    @property
     def seq_space(self) -> int:
         """Sequence-space the segment occupies (SYN and FIN count as one)."""
         return len(self.payload) + (1 if self.syn else 0) + (1 if self.fin else 0)

@@ -1,10 +1,10 @@
 """Application-facing socket objects.
 
 A :class:`Socket` wraps one :class:`~repro.tcp.connection.TcpConnection`
-with callback-style I/O.  The ST-TCP engine inserts itself at exactly one
-point here: :attr:`Socket.close_interceptor`, which lets the primary delay
-an application- or OS-generated FIN per the MaxDelayFIN rules of paper
-Sec. 4.2.2 without the application being aware.
+with callback-style I/O.  ST-TCP integration point: :meth:`Socket.close`
+and :meth:`Socket.abort` first ask ``conn.ext``, so the primary can delay
+an application- or OS-generated FIN or RST per the MaxDelayFIN rules of
+paper Sec. 4.2.2 without the application being aware.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ class Socket:
         self.on_closed: Callable[[Socket], None] = lambda sock: None
         self.on_reset: Callable[[Socket, str], None] = lambda sock, reason: None
         self.on_writable: Callable[[Socket], None] = lambda sock: None
-        # ST-TCP hook: returns True when it consumed the close request.
-        self.close_interceptor: Optional[Callable[[Socket], bool]] = None
-        self.abort_interceptor: Optional[Callable[[Socket], bool]] = None
 
         conn.on_established = lambda: self.on_connected(self)
         conn.on_data_available = lambda: self.on_data(self)
@@ -95,13 +92,15 @@ class Socket:
 
     def close(self) -> None:
         """Graceful close (FIN).  The ST-TCP primary may delay the FIN."""
-        if self.close_interceptor is not None and self.close_interceptor(self):
+        ext = self._conn.ext
+        if ext is not None and ext.intercept_close(self):
             return
         self._conn.close()
 
     def abort(self) -> None:
         """Hard close (RST).  The ST-TCP primary may delay the RST."""
-        if self.abort_interceptor is not None and self.abort_interceptor(self):
+        ext = self._conn.ext
+        if ext is not None and ext.intercept_abort(self):
             return
         self._conn.abort()
 

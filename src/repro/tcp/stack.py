@@ -2,11 +2,10 @@
 
 ST-TCP integration points:
 
-* :attr:`TcpStack.segment_filter` — the backup engine intercepts segments
-  for tapped service ports that have no connection yet (buffering the SYN
-  and early data until the primary's CONN_INIT arrives);
-* :attr:`TcpStack.on_connection_accepted` — the primary engine learns about
-  every accepted connection (and its ISN) so it can replicate it;
+* :attr:`TcpStack.ext` — the host's engine (``None`` on a plain host):
+  the backup's filters segments for tapped service ports that have no
+  connection yet (buffering the SYN and early data until the primary's
+  CONN_INIT arrives); the primary's replicates each accepted connection;
 * :meth:`TcpStack.create_tap_connection` — the backup engine materializes
   the replica connection with the *primary's* ISN.
 """
@@ -37,9 +36,8 @@ class TcpStack:
 
     __slots__ = ("_world", "_ip", "name", "config", "_connections",
                  "_conn_by_value", "_listeners", "_next_ephemeral",
-                 "_isn_rng", "_frozen", "segment_filter",
-                 "on_connection_accepted", "segments_demuxed", "rsts_sent",
-                 "__weakref__")
+                 "_isn_rng", "_frozen", "ext", "segments_demuxed",
+                 "rsts_sent", "__weakref__")
 
     EPHEMERAL_BASE = 49152
 
@@ -59,14 +57,7 @@ class TcpStack:
         self._isn_rng = world.rng.stream(f"tcp.isn.{name}")
         self._frozen = False
         ip_stack.register_protocol(IPProtocol.TCP, self._on_packet)
-
-        # --- ST-TCP hooks ---
-        # Return True to consume the segment before normal demux.
-        self.segment_filter: Optional[
-            Callable[[TcpSegment, IPAddress, IPAddress], bool]] = None
-        # Called with (conn, socket, listener) for each accepted connection.
-        self.on_connection_accepted: list[
-            Callable[[TcpConnection, Socket, Listener], None]] = []
+        self.ext = None  # the loaded repro.tcp.extension.TcpExtension
 
         self.segments_demuxed = 0
         self.rsts_sent = 0
@@ -217,8 +208,9 @@ class TcpStack:
         if ((type(segment) is not TcpSegment
              and not isinstance(segment, TcpSegment)) or self._frozen):
             return
-        if (self.segment_filter is not None
-                and self.segment_filter(segment, packet.src, packet.dst)):
+        ext = self.ext
+        if (ext is not None and ext.filters
+                and ext.filter_segment(segment, packet.src, packet.dst)):
             return
         self.segments_demuxed += 1
         conn = self._conn_by_value.get(
@@ -246,11 +238,12 @@ class TcpStack:
         listener.accepted_count += 1
         self._world.probes.fire("tcp.accept", self.name,
                                 port=segment.dst_port, peer=str(packet.src))
-        # Let the application install its callbacks, then notify the ST-TCP
-        # primary engine, then feed the SYN (sends the SYN-ACK).
+        # Let the application install its callbacks, then notify the
+        # extension (the ST-TCP primary), then feed the SYN (sends the
+        # SYN-ACK).
         listener.on_accept(socket)
-        for callback in self.on_connection_accepted:
-            callback(conn, socket, listener)
+        if self.ext is not None:
+            self.ext.accepted(conn, socket, listener)
         conn.segment_arrived(segment)
 
     def _send_rst_for(self, packet: IPPacket, segment: TcpSegment) -> None:

@@ -138,11 +138,6 @@ class WorkloadEngine:
             else 80)
         self._started = False
 
-    @property
-    def port(self) -> int:
-        """The resolved service port connections target."""
-        return self._port
-
     def start(self) -> None:
         """Schedule every arrival (exponential interarrival gaps),
         round-robin over the testbed's client hosts."""

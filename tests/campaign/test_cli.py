@@ -120,3 +120,11 @@ def test_sweep_rejects_bad_grid():
 def test_sweep_listed_in_cli(capsys):
     assert main(["list"]) == 0
     assert "sweep" in capsys.readouterr().out
+
+
+def test_sweep_without_quiet_reports_each_trial(capsys):
+    rc = main([arg for arg in BASE_ARGS if arg != "--quiet"]
+              + ["--trials", "2"])
+    assert rc == 0
+    printed = capsys.readouterr().out
+    assert "trial    0 ok" in printed and "trial    1 ok" in printed

@@ -194,3 +194,24 @@ def test_unknown_scenario_fails_per_trial():
         CampaignSpec(scenario="nope", trials=1, seed=1), jobs=1)
     assert result.records[0]["status"] == "failed"
     assert "unknown scenario" in result.records[0]["error"]
+
+
+@pytest.mark.parametrize("scenario, base, check", [
+    ("baseline", {"total_bytes": 2_000_000, "fault_at_s": 0.1,
+                  "liveness_timeout_s": 0.5},
+     lambda r: r["bytes_received"] == 2_000_000 and r["reconnects"] == 1),
+    ("workload", {"connections": 4, "bytes_per_conn": 50_000,
+                  "num_clients": 2, "fault_at_s": 0.1},
+     lambda r: r["stream_intact"] and r["intact"] == 4),
+    ("cc_ident", {"cc": "reno", "total_bytes": 1_000_000},
+     lambda r: r["bytes_received"] == 1_000_000),
+])
+def test_each_registered_scenario_runs_a_trial(scenario, base, check):
+    """The scenarios besides ``failover`` run in process too: one small
+    trial of each comes back ``ok`` with its own record fields."""
+    result = run_campaign(CampaignSpec(
+        scenario=scenario, base=base, trials=1, seed=5,
+        options=RunOptions(run_until_s=6.0), timeout_s=120.0), jobs=1)
+    (record,) = result.records
+    assert record["status"] == "ok", record["error"]
+    assert check(record), record

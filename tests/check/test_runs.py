@@ -62,7 +62,7 @@ def test_suppression_breach_trips_oracle():
 
     def open_gates(_event):
         for mc in fx.backup_engine.conns.values():
-            mc.conn.output_gate = None
+            mc.gated = False
 
     fx.tb.world.probes.subscribe("sttcp.conn-replicated", open_gates)
     fx.start_client(total_bytes=500_000)

@@ -16,6 +16,8 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[2]
 PACKAGE = REPO / "src" / "repro"
 
@@ -91,11 +93,12 @@ def test_the_tick_end_phase_and_the_receive_batch_stay_deleted():
     assert not strays, f"deleted mechanism named under src/: {strays}"
 
 
-def test_sttcp_holds_the_output_gate_and_never_swaps_transmit():
+def test_sttcp_holds_the_gate_through_ext_and_never_swaps_transmit():
     """The backup keeps a replica quiet through the one declared hook,
-    ``TcpConnection.output_gate`` — not by overwriting ``conn.transmit``
-    on a live connection, which is how a pooled RST once lost its claim —
-    and the closure and saved attribute of the swap stay deleted."""
+    the ``gated`` flag of ``TcpConnection.ext`` — not by overwriting
+    ``conn.transmit`` on a live connection, which is how a pooled RST once
+    lost its claim — and the closure and saved attribute of the swap stay
+    deleted."""
     swap = re.compile(r"\.transmit\s*=(?!=)")
     gone = re.compile(r"\b(?:_suppressor|original_transmit)\b")
     assert swap.search("conn.transmit = quiet")
@@ -104,9 +107,82 @@ def test_sttcp_holds_the_output_gate_and_never_swaps_transmit():
               for m in (*gone.finditer(text),
                         *(swap.finditer(text)
                           if module.startswith("sttcp/") else ()))]
-    assert not strays, f"output is held by output_gate, not by: {strays}"
+    assert not strays, f"output is held by ext.gated, not by: {strays}"
     backup = (PACKAGE / "sttcp" / "backup.py").read_text(encoding="utf-8")
-    assert "output_gate" in backup
+    assert "gated" in backup
+
+
+#: Last identifiers of expressions that name a TcpConnection, TcpStack or
+#: Socket in src/repro/sttcp/ (``mc.conn``, ``self.host.tcp``, ``socket``).
+_TCP_OBJECTS = {"conn", "connection", "tcp", "socket", "sock"}
+
+
+def _tcp_attribute_writes(text):
+    """(line, attribute) for each assignment to an attribute of a TCP
+    object, by the names above."""
+    writes = []
+    for node in ast.walk(ast.parse(text)):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(
+                       node, (ast.AugAssign, ast.AnnAssign)) else [])
+        for target in targets:
+            if not isinstance(target, ast.Attribute):
+                continue
+            owner = target.value
+            name = getattr(owner, "attr", getattr(owner, "id", None))
+            if name in _TCP_OBJECTS:
+                writes.append((target.lineno, target.attr))
+    return writes
+
+
+def test_sttcp_reaches_tcp_through_one_extension():
+    """Paper Secs. 2, 4.2.2 and 4.3 change TCP in five places (output
+    gate, in-order tap, future-ack acceptance, FIN/RST gate, stack filter
+    and accept notice); all of them are hooks of one ``TcpExtension``,
+    reached through ``TcpConnection.ext`` and ``TcpStack.ext``.  The seven
+    assignable hooks they replace stay deleted from src/ and tests/, the
+    TCP layer names no ST-TCP state, the engines assign nothing on a TCP
+    object but ``.ext``, and a connection's wire is fixed at
+    construction."""
+    from repro.sim.world import World
+    from repro.tcp.connection import TcpConnection
+    from repro.tcp.stack import TcpStack
+
+    assert not [f"{_where(module, text, m)}" for module, text in _sources()
+                if module.startswith("tcp/")
+                for m in re.finditer(r"stt_", text)]
+
+    hooks = ["output" + "_gate", "inorder" + "_tap",
+             "stt_tolerate" + "_future_acks", "_future" + "_ack_off",
+             "segment" + "_filter", "on_connection" + "_accepted",
+             "close" + "_interceptor", "abort" + "_interceptor"]
+    named = re.compile(r"\b(?:" + "|".join(hooks) + r")\b")
+    assert named.search("conn." + hooks[0] + " = None")
+    strays = []
+    for root in (REPO / "src", REPO / "tests"):
+        for path in sorted(root.rglob("*")):
+            if path.suffix not in (".py", ".json", ".md"):
+                continue
+            text = path.read_text(encoding="utf-8")
+            strays += [f"{_where(path.relative_to(REPO).as_posix(), text, m)}"
+                       f" ({m.group(0)})" for m in named.finditer(text)]
+    assert not strays, f"a deleted ST-TCP hook is named: {strays}"
+
+    assert _tcp_attribute_writes("mc.conn." + hooks[0] + " = None\n"
+                                 "self.host.tcp.ext = self\n") == [
+        (1, hooks[0]), (2, "ext")]
+    writes = [f"sttcp/{path.name}:{line} (.{attr})"
+              for path in sorted((PACKAGE / "sttcp").glob("*.py"))
+              for line, attr in _tcp_attribute_writes(
+                  path.read_text(encoding="utf-8"))
+              if attr != "ext"]
+    assert not writes, f"ST-TCP sets TCP state outside .ext: {writes}"
+
+    conn = TcpConnection(World(seed=1), "c", None, 1, None, 2)
+    with pytest.raises(AttributeError):
+        conn.transmit = lambda segment: None
+    assert conn.ext is None
+    assert not set(hooks) & {*TcpConnection.__slots__, *TcpStack.__slots__}
 
 
 def test_the_wire_is_impaired_through_its_hook_and_never_stubbed():

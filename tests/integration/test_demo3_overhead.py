@@ -27,6 +27,8 @@ def transfer_time(enable_sttcp: bool, seed: int = 5) -> int:
     tb.run_until(60)
     assert client.received == SIZE
     assert client.corrupt_at is None
+    assert client.throughput_mbps == pytest.approx(
+        SIZE * 8 * 1e3 / client.transfer_time_ns)
     return client.transfer_time_ns
 
 

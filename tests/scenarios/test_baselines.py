@@ -1,6 +1,8 @@
 """Tests for the non-ST-TCP hot-standby baseline (Demo 1's comparison)."""
 
+from repro.scenarios.builder import build_testbed
 from repro.scenarios.options import RunOptions
+from repro.sim.core import millis, seconds
 from repro.scenarios.runner import run_baseline_failover
 
 
@@ -30,3 +32,22 @@ def test_baseline_without_failure_completes_without_reconnect():
                                    options=RunOptions(run_until_s=20))
     assert result.client.received == 5_000_000
     assert result.client.reconnect_count == 0
+
+
+def test_baseline_client_fails_over_at_once_on_a_reset():
+    """An RST from the primary needs no liveness timeout: the client
+    moves to the standby and finishes the stream."""
+    tb = build_testbed(seed=3, mode="baseline")
+
+    def reset_primary():
+        for conn in tb.primary.tcp.connections:
+            conn.abort()
+    tb.world.sim.schedule(millis(100), reset_primary)
+    result = run_baseline_failover(total_bytes=5_000_000, fault_at_s=30.0,
+                                   liveness_timeout_s=2.0,
+                                   options=RunOptions(run_until_s=20),
+                                   testbed=tb)
+    client = result.client
+    assert client.reset_count == 1 and client.reconnect_count == 1
+    assert client.received == 5_000_000 and client.corrupt_at is None
+    assert client.completed_at < seconds(2)

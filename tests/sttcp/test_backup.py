@@ -65,7 +65,11 @@ def test_takeover_unsuppresses_and_disengages_filter(sttcp):
     sttcp.run(1)
     sttcp.backup_engine.take_over("test reason")
     assert sttcp.backup_engine.mode == MODE_ACTIVE
-    assert sttcp.tb.backup.tcp.segment_filter is None
+    assert sttcp.tb.backup.tcp.ext is None
+    # The gate opens; the extension stays (the replica app may still lag
+    # the client's acks).
+    for mc in sttcp.backup_engine.conns.values():
+        assert mc.conn.ext is mc and not mc.gated
     assert sttcp.backup_engine.takeover_reason == "test reason"
     assert sttcp.backup_engine.events.has(EventKind.TAKEOVER)
     sttcp.run(30)

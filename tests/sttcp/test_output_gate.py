@@ -1,4 +1,4 @@
-"""The backup's output gate (:attr:`TcpConnection.output_gate`).
+"""The backup's output gate (the ``gated`` hook of ``TcpConnection.ext``).
 
 A replica behind a shut gate must be indistinguishable, in every piece of
 sender state, from one that built each segment and threw it away — that
@@ -27,7 +27,9 @@ from repro.scenarios.runner import (run_baseline_failover,
 from repro.sim.core import millis, seconds
 from repro.sttcp.control import ConnClosed
 from repro.sttcp.events import EventKind
+from repro.tcp.extension import TcpExtension
 from repro.tcp.segment import TcpFlags, TcpSegment
+from repro.tcp.stack import TcpStack
 from repro.tcp.states import TcpState
 from repro.workloads import WorkloadSpec, run_workload_failover
 
@@ -164,15 +166,29 @@ MSS = 1460
 CLIENT_ISN = 5000
 
 
+class _Gate(TcpExtension):
+    """A shut gate whose holder records what would have left."""
+
+    def __init__(self, held):
+        self.gated = True
+        self.held = held
+
+    def hold(self, length, flags):
+        self.held.append((length, flags))
+
+
 def _gated_connection(lan, held, wire):
     """An established tap connection on a host of its own, fed by hand:
     gate shut (``held`` sees what would have left), ``wire`` in place of
     the IP layer."""
     host = lan.hosts[0]
-    conn, sock = host.tcp.create_tap_connection(
-        IPAddress("10.0.0.1"), 80, IPAddress("10.0.0.2"), 50000, isn=777)
-    conn.transmit = wire.append
-    conn.output_gate = lambda length, flags: held.append((length, flags))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TcpStack, "_transmitter",
+                      lambda stack, local_ip, remote_ip: wire.append)
+        conn, sock = host.tcp.create_tap_connection(
+            IPAddress("10.0.0.1"), 80, IPAddress("10.0.0.2"), 50000,
+            isn=777)
+    conn.ext = _Gate(held)
     conn.segment_arrived(TcpSegment(50000, 80, seq=CLIENT_ISN, ack=0,
                                     flags=TcpFlags.SYN, window=65535))
     _from_client(conn, data_off=0, ack_off=0)
@@ -243,7 +259,7 @@ def test_gate_opened_mid_flight_resends_from_snd_una_at_the_next_rto(lan):
     assert [h[0] for h in held] == [MSS, MSS, MSS] and not wire
     assert conn.snd_nxt_off == 3 * MSS and conn.snd_una_off == 0
     _from_client(conn, data_off=0, ack_off=MSS)      # the client got one
-    conn.output_gate = None
+    conn.ext.gated = False
     lan.world.run(until=lan.world.sim.now + millis(100))
     assert not wire, "opening the gate sends nothing by itself"
     lan.world.run(until=lan.world.sim.now + seconds(2))
@@ -254,17 +270,31 @@ def test_gate_opened_mid_flight_resends_from_snd_una_at_the_next_rto(lan):
 
 
 def test_disposing_a_live_replica_keeps_its_rst_off_the_wire_and_in_the_pool(
-        sttcp):
+        sttcp, monkeypatch):
     """``_dispose`` of a replica that is not yet CLOSED aborts it; the RST
     is a pooled segment.  It must neither reach the client nor leak its
     claim (the old ``transmit = lambda seg: None`` silencer leaked it)."""
+    leaked = []
+    backup_stack = sttcp.tb.backup.tcp
+    transmitter = TcpStack._transmitter
+
+    def watched(stack, local_ip, remote_ip):
+        """The backup's connections get a wire that records what leaves."""
+        send = transmitter(stack, local_ip, remote_ip)
+        if stack is not backup_stack:
+            return send
+
+        def record_and_send(segment):
+            leaked.append(segment)
+            send(segment)
+        return record_and_send
+
+    monkeypatch.setattr(TcpStack, "_transmitter", watched)
     sttcp.start_client(total_bytes=5_000_000)
     sttcp.run(0.1)
     (mc,) = sttcp.backup_engine.conns.values()
     conn = mc.conn
-    assert conn.output_gate is not None
-    leaked = []
-    conn.transmit = leaked.append
+    assert conn.ext is mc and mc.gated
     pool.clear()
     depth = pool.stats()["segment_pool"]
     world = sttcp.tb.world

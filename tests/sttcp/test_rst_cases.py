@@ -8,16 +8,13 @@ HB) and holds its RST until the backup agrees or MaxDelayFIN runs out.
   (``sttcp.fin-held`` with ``kind="rst"``) and leaves only at
   MaxDelayFIN (``sttcp.fin-released``).
 * The backup's HB already reports a reset of its own: the RST leaves
-  at once.
+  at once.  The backup reports its own ``abort()`` in an immediate HB,
+  before the closed replica is disposed of and leaves the HBs.
 
-Either way the client sees exactly one RST.  Both paths are wired but
-no scenario runs them, and each has a defect (ROADMAP 6(d)), pinned
-here as a strict xfail: holding the RST emits ``kind="rst"`` into
-``SttcpEngine.emit(kind, **detail)`` and raises ``TypeError``; and the
-backup disposes of a replica its own reset closed before any HB reports
-that reset, so the primary never learns of it.  The immediate branch
-itself is driven by handing the primary an HB entry that carries the
-reset.
+Either way the client sees exactly one RST.  The immediate branch is
+also driven by handing the primary an HB entry that carries the reset.
+The held RST's event keeps its ``kind="rst"`` field: ``emit`` takes its
+own ``kind`` positionally.
 """
 
 import dataclasses
@@ -65,7 +62,6 @@ def _idle_connection():
     return fixture, client
 
 
-@pytest.mark.xfail(strict=True, raises=TypeError, reason="ROADMAP 6(d)")
 def test_primary_rst_is_held_until_max_delay_fin():
     fixture, client = _idle_connection()
     watch = _Watch(fixture)
@@ -100,7 +96,6 @@ def _abort_after_backup_reset(fixture, client, watch, mc) -> None:
     assert client.reset_count == 1
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP 6(d)")
 def test_primary_rst_leaves_at_once_when_the_backup_reset_too():
     fixture, client = _idle_connection()
     watch = _Watch(fixture)

@@ -7,7 +7,7 @@ counts them, and three start fast retransmit), each in-order segment is
 acked and announced to the application, and a host that crashes between
 two of them has processed the first and never sees the second.
 
-The segments are real ones: the server's ``segment_filter`` holds back a
+The segments are real ones: a filter on the server's stack holds back a
 flight the client sent, and one event then feeds the chosen segments to
 ``TcpStack._on_packet`` back to back.
 """
@@ -16,6 +16,7 @@ import pytest
 
 from repro.net.packet import IPPacket, IPProtocol
 from repro.sim.core import millis, seconds
+from repro.tcp.extension import TcpExtension
 from repro.tcp.segment import TcpSegment
 
 from tests.tcp.conftest import TcpPair
@@ -38,20 +39,26 @@ class HeldFlight:
         self.payload = (bytes(range(256)) * 6 * segments)[:MSS * segments]
         self.held = []
 
-        def hold(segment, src, dst):
-            if not segment.payload:
-                return False
-            # A copy: the delivering frame's segment is recycled after
-            # this call.
-            self.held.append(IPPacket(src, dst, IPProtocol.TCP, TcpSegment(
-                segment.src_port, segment.dst_port, segment.seq, segment.ack,
-                segment.flags, segment.window, segment.payload)))
-            return True
+        held = self.held
 
-        self.stack.segment_filter = hold
+        class Hold(TcpExtension):
+            filters = True
+
+            def filter_segment(self, segment, src, dst):
+                if not segment.payload:
+                    return False
+                # A copy: the delivering frame's segment is recycled
+                # after this call.
+                held.append(IPPacket(src, dst, IPProtocol.TCP, TcpSegment(
+                    segment.src_port, segment.dst_port, segment.seq,
+                    segment.ack, segment.flags, segment.window,
+                    segment.payload)))
+                return True
+
+        self.stack.ext = Hold()
         assert pair.client_sock.send(self.payload) == len(self.payload)
         pair.run(0.51)  # the flight is on the wire for ~1 ms; the RTO is 200
-        self.stack.segment_filter = None
+        self.stack.ext = None
         assert len(self.held) == segments
         assert self.reads == [] and self.received == 0
 

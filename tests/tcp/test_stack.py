@@ -5,10 +5,12 @@ import pytest
 from repro.errors import PortInUseError
 from repro.net.addresses import IPAddress
 from repro.sim.core import seconds
+from repro.tcp.extension import TcpExtension
 from repro.tcp.segment import TcpFlags, TcpSegment
+from repro.tcp.stack import TcpStack
 from repro.tcp.states import TcpState
 
-from tests.tcp.conftest import Collector
+from tests.tcp.conftest import Collector, TcpPair
 
 
 def test_flag_rendering_table_covers_every_combination():
@@ -59,12 +61,27 @@ def test_find_listener_wildcard(lan):
     assert host.tcp.find_listener(IPAddress("10.0.0.1"), 81) is None
 
 
-def test_on_connection_accepted_hook(lan):
+class _Recorder(TcpExtension):
+    """A stack extension that records accepts and swallows what it is
+    told to."""
+
+    def __init__(self, filters=False):
+        self.filters = filters
+        self.seen, self.swallowed = [], []
+
+    def accepted(self, conn, socket, listener):
+        self.seen.append((conn, socket, listener))
+
+    def filter_segment(self, segment, src_ip, dst_ip):
+        self.swallowed.append(segment)
+        return True
+
+
+def test_extension_hears_each_accepted_connection(lan):
     host = lan.hosts[0]
     host.tcp.listen(80, lambda s: None)
-    seen = []
-    host.tcp.on_connection_accepted.append(
-        lambda conn, sock, listener: seen.append((conn, sock, listener)))
+    host.tcp.ext = recorder = _Recorder()
+    seen = recorder.seen
     client = Collector()
     client.attach(lan.hosts[1].tcp.connect(IPAddress("10.0.0.1"), 80))
     lan.world.run(until=seconds(1))
@@ -73,17 +90,45 @@ def test_on_connection_accepted_hook(lan):
     assert conn.local_port == 80
 
 
-def test_segment_filter_intercepts(lan):
+def test_extension_filter_intercepts(lan):
     host = lan.hosts[0]
     host.tcp.listen(80, lambda s: None)
-    swallowed = []
-    host.tcp.segment_filter = lambda seg, src, dst: (
-        swallowed.append(seg) or True)
+    host.tcp.ext = recorder = _Recorder(filters=True)
+    swallowed = recorder.swallowed
     client = Collector()
     client.attach(lan.hosts[1].tcp.connect(IPAddress("10.0.0.1"), 80))
     lan.world.run(until=seconds(1))
     assert len(swallowed) >= 1           # SYN(s) captured
     assert len(host.tcp.connections) == 0
+
+
+def test_an_extension_that_overrides_nothing_changes_nothing(lan):
+    """Loaded on the stack and on the connection but overriding no hook,
+    a TcpExtension leaves TCP stock: the accept notice, the future-ack
+    hook and the FIN/RST gate all decline, so an ack for data never sent
+    is ignored, and data, FIN and RST leave as on a plain connection."""
+    lan.hosts[0].tcp.ext = TcpExtension()
+    pair = TcpPair(lan)
+    pair.run(0.5)
+    conn = pair.server_sock.connection
+    conn.ext = TcpExtension()
+    assert pair.server_sock.send(b"x" * 3000) == 3000
+    pair.run(1)
+    assert bytes(pair.client.data) == b"x" * 3000
+    acked = conn.snd_una_off
+    conn.segment_arrived(TcpSegment(
+        pair.client_sock.local_address[1], 80,
+        seq=(conn.irs + 1 + conn.recv_buffer.rcv_next) & 0xFFFFFFFF,
+        ack=(conn.iss + 1 + acked + 100) & 0xFFFFFFFF,
+        flags=TcpFlags.ACK, window=65535))
+    assert conn.snd_una_off == acked == 3000
+    pair.server_sock.close()
+    pair.run(1.5)
+    assert "peer-closed" in pair.client.events
+    pair.server_sock.abort()
+    pair.run(2)
+    assert conn.rst_sent
+    assert [e for e in pair.client.events if e.startswith("reset")]
 
 
 def test_create_tap_connection_uses_given_isn(lan):
@@ -99,12 +144,14 @@ def test_create_tap_connection_uses_given_isn(lan):
         IPAddress("10.0.0.2").value, 50000) is conn
 
 
-def test_tap_connection_accepts_syn_with_matching_isn(lan):
+def test_tap_connection_accepts_syn_with_matching_isn(lan, monkeypatch):
     host = lan.hosts[0]
+    sent = []
+    # The stack hands each connection its wire at construction.
+    monkeypatch.setattr(TcpStack, "_transmitter",
+                        lambda self, local_ip, remote_ip: sent.append)
     conn, _sock = host.tcp.create_tap_connection(
         IPAddress("10.0.0.1"), 80, IPAddress("10.0.0.2"), 50000, isn=777)
-    sent = []
-    conn.transmit = sent.append
     syn = TcpSegment(50000, 80, seq=1000, ack=0, flags=TcpFlags.SYN,
                      window=65535)
     conn.segment_arrived(syn)
