@@ -68,7 +68,12 @@ class Cable:
         self.propagation_delay_ns = propagation_delay_ns
         self._loss_rate = loss_rate
         self.name = name or f"cable:{a.name}<->{b.name}"
-        self._rng = world.rng.stream(f"cable.{self.name}")
+        # Only a lossy cable draws, so only a lossy cable holds a stream;
+        # streams are keyed by name, so a late one draws what an eager
+        # one would have.
+        self._rng = None
+        if loss_rate > 0.0:
+            self._rng = world.rng.stream(f"cable.{self.name}")
         self._cut = False
         self._impair = None
         # Per-direction time at which the transmitter becomes free again.
@@ -113,6 +118,8 @@ class Cable:
     @loss_rate.setter
     def loss_rate(self, rate: float) -> None:
         self._loss_rate = rate
+        if rate > 0.0 and self._rng is None:
+            self._rng = self._world.rng.stream(f"cable.{self.name}")
         self._world.net_epoch += 1
 
     @property

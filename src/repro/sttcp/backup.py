@@ -24,12 +24,14 @@ runs a full replica of each service connection:
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import lru_cache
 from typing import Any, Optional
 
 from repro.net.addresses import IPAddress
 from repro.net.pool import retain
 from repro.sim.timers import Timer
-from repro.tcp.connection import TcpConnection
+from repro.tcp.connection import TcpConfig, TcpConnection
 from repro.tcp.extension import TcpExtension
 from repro.tcp.segment import TcpFlags, TcpSegment, release_segment
 from repro.tcp.sockets import Socket
@@ -47,6 +49,14 @@ _MAX_BUFFERED_SEGMENTS = 256
 # A disposed replica's extension: gate shut, nothing counted.
 _DISPOSED = TcpExtension()
 _DISPOSED.gated = True
+
+
+@lru_cache(maxsize=8)
+def _tap_config(base: TcpConfig, extra_recv_bytes: int) -> TcpConfig:
+    """``base`` with ``extra_recv_bytes`` more receive buffer — one frozen
+    config shared by every replica connection built from the same base."""
+    return replace(base, recv_buffer_bytes=base.recv_buffer_bytes
+                   + extra_recv_bytes)
 
 
 class ManagedBackupConn(ManagedConn):
@@ -201,10 +211,8 @@ class BackupEngine(SttcpEngine):
         # missed-byte recovery the backup's rcv_next can lag by up to the
         # retain allowance.  Size the tap connection's receive buffer to
         # cover both.
-        import copy as _copy
-        tap_config = _copy.deepcopy(listener.config
-                                    or self.host.tcp.config)
-        tap_config.recv_buffer_bytes += self.config.retain_buffer_bytes
+        tap_config = _tap_config(listener.config or self.host.tcp.config,
+                                 self.config.retain_buffer_bytes)
         conn, socket = self.host.tcp.create_tap_connection(
             self.service_ip, init.service_port, client_ip, client_port,
             isn=init.isn, config=tap_config)

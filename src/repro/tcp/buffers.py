@@ -29,14 +29,14 @@ __all__ = ["SendBuffer", "ReceiveBuffer", "RetainBuffer"]
 # A ring starts at this backing size, so a connection costs what it
 # carries: a default TcpConfig advertises 64 KiB each way (and ST-TCP adds
 # a retain ring and a replica of everything), but a connection that moves
-# a few hundred bytes keeps 4 KB rings for life.
-_INITIAL_RING_BYTES = 4096
+# a few hundred bytes keeps 512-byte rings until it no longer needs them.
+_INITIAL_RING_BYTES = 512
 
 # Below this size a write that would wrap doubles the ring instead (see
-# _grown), so a stream owns a ring of this size after its first ~60 KB
-# and wraps as rarely as a ring allocated at full size would — a 4 KB
-# ring left alone wraps on a third of MSS-sized writes when the reader
-# keeps up, and every wrap is a split copy.
+# _grown), so a stream owns a ring of this size after its first ~64 KB
+# and wraps as rarely as a ring allocated at full size would — a small
+# ring left alone wraps often (a 4 KB one on a third of MSS-sized writes
+# when the reader keeps up), and every wrap is a split copy.
 _STEADY_RING_BYTES = 65536
 
 
@@ -150,10 +150,12 @@ class SendBuffer:
         return freed
 
     def discard(self) -> None:
-        """Hand the ring's storage back (the connection is CLOSED).  The
-        offsets stay readable — the heartbeat's progress fields — while a
-        later ``write`` or ``get_range`` finds no ring and raises
-        ``TypeError`` instead of reading freed storage."""
+        """Hand the ring's storage back: nothing in it can be sent or
+        retransmitted again (our FIN is acked, the connection is CLOSED,
+        or its host lost power).  The offsets stay readable — the
+        heartbeat's progress fields — while a later ``write`` or
+        ``get_range`` finds no ring and raises ``TypeError`` instead of
+        reading freed storage."""
         self._buf = None
 
     def get_range(self, offset: int, length: int) -> Union[bytes, memoryview]:
@@ -410,6 +412,13 @@ class ReceiveBuffer:
             out = bytes(self._buf[start:]) + bytes(self._buf[:n - head])
         self._read += n
         return out
+
+    def discard(self) -> None:
+        """Hand the ring's storage back: the peer's FIN is consumed and
+        the application has read everything before it, or the host lost
+        power.  Like :meth:`SendBuffer.discard`, the offsets stay readable
+        and a later ``receive`` of new bytes raises ``TypeError``."""
+        self._buf = None
 
     def peek_tail(self, n: int) -> bytes:
         """Copy the last ``n`` readable bytes without consuming them.

@@ -51,9 +51,13 @@ from repro.tcp.states import TcpState
 __all__ = ["TcpConfig", "TcpConnection"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TcpConfig:
-    """Tunables for one TCP endpoint (Linux-flavoured defaults)."""
+    """Tunables for one TCP endpoint (Linux-flavoured defaults).
+
+    Frozen: a stack hands its own (or its listener's) config to every
+    connection it opens, so a change is a new config
+    (``dataclasses.replace``), never a write through one of them."""
 
     mss: int = 1460
     send_buffer_bytes: int = 65536
@@ -272,6 +276,8 @@ class TcpConnection:
     def read(self, max_bytes: Optional[int] = None) -> bytes:
         """Consume in-order received bytes (may be empty)."""
         data = self.recv_buffer.read(max_bytes)
+        if self.peer_fin_consumed and not self.recv_buffer.readable:
+            self.recv_buffer.discard()  # nothing can arrive or be read now
         if data and self.state.is_synchronized:
             # Window-update ack, but only when the peer may be stalled: the
             # last window we advertised was under one MSS and reading has
@@ -517,6 +523,7 @@ class TcpConnection:
                     self._rtx_timer.start(self.rtt.rto_ns)
         if ack_covers_fin and not self.fin_acked:
             self.fin_acked = True
+            self.send_buffer.discard()  # nothing left to retransmit
             self._rtx_timer.stop()
             self._on_fin_acked()
         # The ack may have opened send-window room for queued data.
@@ -549,6 +556,15 @@ class TcpConnection:
         recv_buffer = self.recv_buffer
         off = seq_sub(segment.seq, (irs + 1) & SEQ_MASK)
         end = off + len(payload)
+        peer_fin_off = self.peer_fin_off
+        if peer_fin_off is not None and end > peer_fin_off:
+            # RFC 9293 3.10.7.4: text at or past the peer's FIN is ignored
+            # (the stream has ended; its receive ring may be gone).
+            if off >= peer_fin_off:
+                self._send_pure_ack()
+                return
+            payload = payload[:peer_fin_off - off]
+            end = peer_fin_off
         if end > self.peer_data_high:
             self.peer_data_high = end
         if end <= recv_buffer.rcv_next:
@@ -607,6 +623,8 @@ class TcpConnection:
                 or self.recv_buffer.rcv_next < self.peer_fin_off):
             return
         self.peer_fin_consumed = True
+        if not self.recv_buffer.readable:
+            self.recv_buffer.discard()  # see read()
         self._delack_timer.stop()
         self._send_pure_ack()
         if self.state is TcpState.ESTABLISHED:

@@ -12,7 +12,6 @@ ST-TCP integration points:
 
 from __future__ import annotations
 
-import copy
 from functools import partial
 from typing import Callable, Optional
 
@@ -143,12 +142,16 @@ class TcpStack:
         return self._isn_rng.randrange(1 << 32)
 
     def freeze(self) -> None:
-        """Host crash: stop every connection's timers, drop all processing."""
+        """Host crash: stop every connection's timers, drop all processing,
+        and hand every ring back — a dead machine's memory is gone, while
+        its connections' offsets stay readable."""
         self._frozen = True
         for conn in self._connections.values():
             for timer in (conn._rtx_timer, conn._persist_timer,
                           conn._delack_timer, conn._timewait_timer):
                 timer.stop()
+            conn.send_buffer.discard()
+            conn.recv_buffer.discard()
 
     # --------------------------------------------------------------- wiring
 
@@ -167,15 +170,12 @@ class TcpStack:
         key = (local_ip, local_port, remote_ip, remote_port)
         if key in self._connections:
             raise TcpError(f"{self.name}: connection {key} already exists")
-        # Shallow copy is enough: TcpConfig is a flat record of ints and
-        # bools, and deepcopy dominated connection-setup cost at fleet scale.
-        conn_config = copy.copy(config or self.config)
         conn = TcpConnection(
             self._world,
             name=f"{self.name}.{local_ip}:{local_port}-{remote_ip}:{remote_port}",
             local_ip=local_ip, local_port=local_port,
             remote_ip=remote_ip, remote_port=remote_port,
-            config=conn_config,
+            config=config or self.config,  # frozen, so shared
             transmit=self._transmitter(local_ip, remote_ip))
         self._connections[key] = conn
         self._conn_by_value[(local_ip._value, local_port,

@@ -123,6 +123,49 @@ def test_loss_is_deterministic_per_seed():
     assert run_once() == run_once()
 
 
+def dropped_indices(world, cable, a, b, count=200):
+    """Offer ``count`` numbered frames from ``a``; return the numbers lost."""
+    for i in range(count):
+        cable.transmit(a, EthernetFrame(MacAddress(2), MacAddress(1),
+                                        EtherType.IPV4, i.to_bytes(2, "big")))
+    world.run()
+    arrived = {int.from_bytes(f.payload, "big") for _, f in b.received}
+    return sorted(set(range(count)) - arrived)
+
+
+def test_a_clean_cable_holds_no_loss_stream():
+    world = World(seed=3)
+    a, b, cable = make(world, name="clean")
+    assert cable._rng is None
+    cable.transmit(a, frame())
+    world.run()
+    assert len(b.received) == 1 and "cable.clean" not in world.rng._streams
+
+
+@pytest.mark.parametrize("reseed", [None, 11])
+def test_a_late_loss_stream_drops_what_an_eager_one_drops(reseed):
+    """A cable made lossy after it was built draws from the same stream,
+    seeded the same, as one built lossy — also after ``RngRegistry.reseed``
+    (the warm-restore path), which re-keys only streams that exist."""
+    def run(lazy):
+        world = World(seed=5)
+        a, b, cable = make(world, name="wire",
+                           loss_rate=0.0 if lazy else 0.1)
+        if reseed is not None:
+            world.rng.reseed(reseed)
+        if lazy:
+            assert cable._rng is None
+            cable.loss_rate = 0.1
+        return dropped_indices(world, cable, a, b)
+
+    eager, lazy = run(False), run(True)
+    assert eager and lazy == eager
+    if reseed is not None:
+        cold = World(seed=reseed)
+        a, b, cable = make(cold, name="wire", loss_rate=0.1)
+        assert dropped_indices(cold, cable, a, b) == eager
+
+
 def test_counters():
     world = World()
     a, b, cable = make(world)

@@ -129,3 +129,19 @@ def test_engine_stops_when_own_host_dies(sttcp):
     sttcp.tb.backup.crash_hw()
     assert sttcp.backup_engine.mode == "stopped"
     assert not sttcp.backup_engine.hb.running
+
+
+def test_replicas_share_one_enlarged_config(sttcp):
+    """A replica's receive buffer is enlarged by the retain allowance (it
+    must never trim what the primary accepted) through one frozen config
+    shared by every replica, not a copy per connection."""
+    sttcp.start_client(total_bytes=20_000_000)
+    sttcp.start_client(total_bytes=20_000_000)
+    sttcp.run(1)
+    replicas = [mc.conn for mc in sttcp.backup_engine.conns.values()]
+    assert len(replicas) == 2
+    assert replicas[0].config is replicas[1].config
+    base = sttcp.tb.backup.tcp.config
+    assert replicas[0].config.recv_buffer_bytes == (
+        base.recv_buffer_bytes + sttcp.backup_engine.config.retain_buffer_bytes)
+    assert replicas[0].config.mss == base.mss

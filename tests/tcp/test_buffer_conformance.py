@@ -16,6 +16,10 @@ found while auditing the buffer layer ahead of the zero-copy rewrite:
 * RFC 1122 4.2.2.21 (ack duplicate segments): a retransmitted *bare* FIN
   arriving while the data gap before it was still open elicited no ack
   at all, stalling the peer's gap recovery by a full RTO.
+* RFC 9293 3.10.7.4 ("Process the segment text"): text at or past a
+  received FIN must be ignored; a CLOSE_WAIT connection handed it to the
+  application as more stream, and once the drained receive ring is
+  handed back it would have written into freed storage.
 
 The remaining tests pin behaviour the ring-buffer rewrite must preserve:
 a partial cumulative ACK followed by a fast retransmit re-sends the
@@ -172,3 +176,25 @@ def test_retransmitted_bare_fin_with_open_gap_is_reacked(world):
     assert len(sent) > n_after_first, \
         "retransmitted bare FIN above a gap elicited no ack"
     assert conn.peer_fin_consumed is False
+
+
+# --------------------------------------------------------------- RFC 9293
+
+
+@pytest.mark.no_invariant_check
+def test_text_at_or_past_a_received_fin_is_ignored(world):
+    """After ``hello`` + FIN the stream is five bytes long: later text at
+    offset 5, or straddling it, is not stream data — it is acked (the FIN
+    included) and never reaches the application."""
+    conn, sent = make_established(world)
+    conn.segment_arrived(from_peer(off=0, payload=b"hello", fin=True))
+    assert conn.state.value == "CLOSE_WAIT"
+    conn.segment_arrived(from_peer(off=5, payload=b"AFTER-FIN"))
+    assert conn.recv_buffer.rcv_next == 5
+    assert conn.read() == b"hello"
+    sent.clear()
+    conn.segment_arrived(from_peer(off=3, payload=b"lo-AFTER"))
+    conn.segment_arrived(from_peer(off=5, payload=b"AFTER-FIN"))
+    assert conn.recv_buffer.rcv_next == 5
+    assert conn.read() == b""
+    assert sent and all(seg.ack == seq_add(IRS, 1 + 5 + 1) for seg in sent)
