@@ -56,8 +56,8 @@ def main() -> None:
     report(part2, part2.testbed.pair.primary, "part 2: backup NIC fails")
 
     print("\nOne HB channel would have made these cases indistinguishable"
-          "\nfrom a machine crash (see bench_ablation_dual_hb) — the serial"
-          "\nlink is what lets ST-TCP assign blame correctly.")
+          "\nfrom a machine crash (see python -m repro ablation_dual_hb)"
+          "\n— the serial link is what lets ST-TCP assign blame correctly.")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Command-line interface: run the paper's demonstrations from a shell.
+"""Command-line interface: run the paper's experiments from a shell.
 
 ::
 
@@ -6,18 +6,21 @@
     python -m repro demo1                # seamless failover vs baseline
     python -m repro demo2 --hb 200 500 1000
     python -m repro demo3 --size 100000000
-    python -m repro demo4
-    python -m repro demo5
-    python -m repro table1
-    python -m repro demo1 --seed 7       # every command takes --seed
+    python -m repro table1               # any repro.experiments entry
+    python -m repro demo1 --seed 7       # default: the entry's own seed
     python -m repro demo1 --obs-out out/ --obs-level frames
     python -m repro sweep --grid hb_period_ms=200,500,1000 --trials 30 \
         --jobs 4 --out sweep.json       # parallel campaign engine
 
+Each :mod:`repro.experiments` entry is a command: it prints the entry's
+table (at its defaults, exactly ``benchmarks/results/<entry>.txt``) and
+exits 1 if one of the paper's claims about it does not hold.
+
 Every command accepts ``--obs-out DIR`` to export observability
 artifacts (counter snapshot, per-connection TCP timeline, pcap-style
-frame log — see ``docs/observability.md``) and ``--obs-level`` to pick
-how much is recorded.  Exports are deterministic per seed.
+frame log — see ``docs/observability.md``), one run per ``DIR/<label>``,
+and ``--obs-level`` to pick how much is recorded.  Exports are
+deterministic per seed.
 
 Every command also accepts ``--check``: the run is validated against the
 protocol invariant oracle (``docs/invariants.md``) and the process exits
@@ -30,19 +33,22 @@ import argparse
 import os
 import sys
 
-from repro.metrics.report import banner, format_duration, format_table
+from repro.experiments import EXPERIMENTS
+from repro.metrics.report import banner, format_table
 from repro.obs.export import OBS_LEVELS
 from repro.tcp.congestion import cc_names
 
 
-def _run_options(args, run_until_s: float = 60.0):
-    """The shared RunOptions every demo hands its runner — one place maps
-    CLI flags (--seed/--obs-out/--obs-level/--check/--cc) onto the API."""
+def _run_options(args, **defaults):
+    """The RunOptions a command hands its runner — one place maps CLI
+    flags (--seed/--obs-out/--obs-level/--check/--cc) onto the API."""
     from repro.scenarios.options import RunOptions
 
-    return RunOptions(seed=args.seed, run_until_s=run_until_s,
-                      obs_level=args.obs_level if args.obs_out else None,
-                      check=args.check, cc=args.cc)
+    changes = {"obs_level": args.obs_level if args.obs_out else None,
+               "check": args.check, "cc": args.cc}
+    if args.seed is not None:
+        changes["seed"] = args.seed
+    return RunOptions(**defaults).with_(**changes)
 
 
 def _export_obs(obs, args, subdir: str = "") -> None:
@@ -56,199 +62,22 @@ def _export_obs(obs, args, subdir: str = "") -> None:
         print(f"  {name}")
 
 
-def _demo1(args) -> int:
-    from repro.faults.faults import HwCrash
-    from repro.scenarios.runner import (run_baseline_failover,
-                                        run_failover_experiment)
-
-    print("Demo 1: 30 MB stream, primary HW crash at t=1s")
-    options = _run_options(args)
-    sttcp = run_failover_experiment(
-        lambda tb, sp, sb: HwCrash(tb.primary),
-        total_bytes=30_000_000, fault_at_s=1.0, options=options)
-    baseline = run_baseline_failover(
-        total_bytes=30_000_000, fault_at_s=1.0,
-        liveness_timeout_s=2.0, options=options)
-    rows = [
-        ["ST-TCP", sttcp.client.reset_count, 0,
-         format_duration(sttcp.glitch_ns),
-         "yes" if sttcp.stream_intact else "NO"],
-        ["hot standby (no ST-TCP)", baseline.client.reset_count,
-         baseline.client.reconnect_count,
-         format_duration(baseline.disruption_ns), "n/a"],
-    ]
-    print(format_table(["system", "resets", "reconnects", "outage",
-                        "stream intact"], rows))
-    print("\nST-TCP timeline:", sttcp.timeline.describe())
-    # The ST-TCP run's artifacts land in the --obs-out root; the
-    # baseline's in a subdirectory, so the headline run is easy to find.
-    _export_obs(sttcp.obs, args)
-    _export_obs(baseline.obs, args, subdir="baseline")
-    return 0 if sttcp.stream_intact else 1
-
-
-def _demo2(args) -> int:
-    from repro.faults.faults import HwCrash
-    from repro.scenarios.runner import run_failover_experiment
-    from repro.sim.core import millis
-    from repro.sttcp.config import SttcpConfig
-
-    print(f"Demo 2: failover time vs HB period {args.hb} ms")
-    rows = []
-    for period_ms in args.hb:
-        result = run_failover_experiment(
-            lambda tb, sp, sb: HwCrash(tb.primary),
-            total_bytes=30_000_000, fault_at_s=2.0,
-            config=SttcpConfig(hb_period_ns=millis(period_ms)),
-            options=_run_options(args))
-        _export_obs(result.obs, args, subdir=f"hb_{period_ms}ms")
-        timeline = result.timeline
-        rows.append([f"{period_ms} ms",
-                     format_duration(timeline.detection_latency_ns),
-                     format_duration(timeline.backoff_residue_ns),
-                     format_duration(timeline.failover_time_ns)])
-    print(format_table(["HB period", "detection", "residue",
-                        "failover time"], rows))
-    return 0
-
-
-def _demo3(args) -> int:
-    from repro.apps.filetransfer import FileClient, FileServer
-    from repro.check.oracle import (CheckTopology, InvariantOracle,
-                                    InvariantViolationError)
-    from repro.obs.export import ObsSession
-    from repro.scenarios.builder import build_testbed
-
-    print(f"Demo 3: {args.size / 1e6:.0f} MB transfer, ST-TCP on vs off")
-    times = {}
-    for enabled in (True, False):
-        tb = build_testbed(seed=args.seed,
-                           mode="sttcp" if enabled else "baseline",
-                           cc=args.cc)
-        obs = (ObsSession(tb.world, level=args.obs_level)
-               if args.obs_out else None)
-        # Demo 3 builds its testbed inline, so it attaches the oracle
-        # itself; wire-role hints only make sense with ST-TCP on.
-        oracle = (InvariantOracle(
-            tb.world, CheckTopology.from_testbed(tb) if enabled else None)
-            .attach() if args.check else None)
-        FileServer(tb.primary, "fs-p", port=80).start()
-        if enabled:
-            FileServer(tb.backup, "fs-b", port=80).start()
-            tb.pair.start()
-        target = tb.service_ip if enabled else tb.addresses.primary_ip
-        client = FileClient(tb.client, "c", target, port=80,
-                            file_size=args.size)
-        client.start()
-        tb.run_until(120)
-        times[enabled] = client.transfer_time_ns
-        if obs is not None:
-            obs.finalize()
-            _export_obs(obs, args,
-                        subdir="sttcp_on" if enabled else "sttcp_off")
-        if oracle is not None:
-            oracle.detach()
-            if oracle.violations:
-                raise InvariantViolationError(oracle.violations)
-    overhead = (times[True] - times[False]) / times[False] * 100
-    print(format_table(
-        ["configuration", "transfer time"],
-        [["ST-TCP enabled", f"{times[True] / 1e9:.4f} s"],
-         ["ST-TCP disabled", f"{times[False] / 1e9:.4f} s"]]))
-    print(f"\noverhead: {overhead:+.2f}%")
-    return 0
-
-
-def _demo4(args) -> int:
-    from repro.faults.faults import AppCrashWithCleanup, AppHang
-    from repro.scenarios.runner import run_failover_experiment
-    from repro.sim.core import seconds
-    from repro.sttcp.config import SttcpConfig
-
-    config = SttcpConfig(max_delay_fin_ns=seconds(5))
-    print("Demo 4: application crash failures (primary app, t=1s)")
-    rows = []
-    for label, subdir, fault in (
-            ("hang (no FIN)", "app_hang", lambda tb, sp, sb: AppHang(sp)),
-            ("OS cleanup (FIN)", "app_crash_fin",
-             lambda tb, sp, sb: AppCrashWithCleanup(sp))):
-        result = run_failover_experiment(
-            fault, total_bytes=30_000_000, fault_at_s=1.0,
-            config=config, options=_run_options(args))
-        _export_obs(result.obs, args, subdir=subdir)
-        rows.append([label,
-                     format_duration(result.timeline.detection_latency_ns),
-                     format_duration(result.timeline.failover_time_ns),
-                     "yes" if result.stream_intact else "NO"])
-    print(format_table(["scenario", "detection", "failover",
-                        "stream intact"], rows))
-    return 0
-
-
-def _demo5(args) -> int:
-    from repro.faults.faults import NicFailure
-    from repro.scenarios.runner import run_failover_experiment
-
-    print("Demo 5: NIC failures (t=1s)")
-    rows = []
-    for label, fault, side in (
-            ("primary NIC", lambda tb, sp, sb: NicFailure(tb.primary.nics[0]),
-             "backup"),
-            ("backup NIC", lambda tb, sp, sb: NicFailure(tb.backup.nics[0]),
-             "primary")):
-        result = run_failover_experiment(
-            fault, total_bytes=30_000_000, fault_at_s=1.0,
-            options=_run_options(args))
-        _export_obs(result.obs, args,
-                    subdir=label.replace(" ", "_"))
-        pair = result.testbed.pair
-        action = ("backup took over" if pair.backup.takeover_at is not None
-                  else "primary went non-FT")
-        rows.append([label, action,
-                     "yes" if result.stream_intact else "NO"])
-    print(format_table(["failed NIC", "recovery", "stream intact"], rows))
-    return 0
-
-
-def _table1(args) -> int:
-    from repro.faults.faults import (AppCrashWithCleanup, AppHang, HwCrash,
-                                     NicFailure)
-    from repro.scenarios.runner import run_failover_experiment
-    from repro.sim.core import seconds
-    from repro.sttcp.config import SttcpConfig
-
-    config = SttcpConfig(max_delay_fin_ns=seconds(5))
-    scenarios = [
-        ("1 HW/OS crash", "primary", lambda tb, sp, sb: HwCrash(tb.primary)),
-        ("1 HW/OS crash", "backup", lambda tb, sp, sb: HwCrash(tb.backup)),
-        ("2 app hang", "primary", lambda tb, sp, sb: AppHang(sp)),
-        ("2 app hang", "backup", lambda tb, sp, sb: AppHang(sb)),
-        ("3 app crash+FIN", "primary",
-         lambda tb, sp, sb: AppCrashWithCleanup(sp)),
-        ("3 app crash+FIN", "backup",
-         lambda tb, sp, sb: AppCrashWithCleanup(sb)),
-        ("4 NIC failure", "primary",
-         lambda tb, sp, sb: NicFailure(tb.primary.nics[0])),
-        ("4 NIC failure", "backup",
-         lambda tb, sp, sb: NicFailure(tb.backup.nics[0])),
-    ]
-    print("Table 1: all single-failure scenarios")
-    rows = []
-    for failure, location, fault in scenarios:
-        result = run_failover_experiment(
-            fault, total_bytes=30_000_000, fault_at_s=1.0,
-            config=config, options=_run_options(args))
-        slug = (failure.replace(" ", "_").replace("/", "-")
-                .replace("+", "-"))
-        _export_obs(result.obs, args, subdir=f"{slug}_{location}")
-        pair = result.testbed.pair
-        action = ("backup takes over" if pair.backup.takeover_at is not None
-                  else "primary non-FT")
-        rows.append([failure, location, action,
-                     "yes" if result.stream_intact else "NO"])
-    print(format_table(["failure", "location", "recovery",
-                        "client unaffected"], rows))
-    return 0
+def _experiment(args) -> int:
+    """Run one registry entry: print its table, export each run's
+    artifacts under ``--obs-out/<label>``, exit 1 if a claim fails."""
+    experiment = EXPERIMENTS[args.command]
+    params = {name: getattr(args, name) for name in ("hb", "size")
+              if getattr(args, name, None) is not None}
+    runs = experiment.run(_run_options(args, seed=experiment.seed,
+                                       run_until_s=experiment.run_until_s),
+                          **params)
+    print(experiment.render(runs))
+    for label, result in runs.items():
+        _export_obs(result.obs, args, subdir=label)
+    failed = [text for text, holds in experiment.claims(runs) if not holds]
+    for text in failed:
+        print(f"claim does not hold: {text}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _workload(args) -> int:
@@ -282,12 +111,8 @@ def _sweep(args) -> int:
 
 
 _COMMANDS = {
-    "demo1": (_demo1, "client-transparent seamless failover vs baseline"),
-    "demo2": (_demo2, "failover time vs heartbeat frequency"),
-    "demo3": (_demo3, "failure-free overhead (bulk transfer)"),
-    "demo4": (_demo4, "application crash failures"),
-    "demo5": (_demo5, "NIC failures"),
-    "table1": (_table1, "the full single-failure matrix"),
+    **{name: (_experiment, f"{e.title} ({e.section})")
+       for name, e in EXPERIMENTS.items()},
     "workload": (_workload, "many-connection workload through a failover"),
     "sweep": (_sweep, "parallel campaign: grid sweep / Monte Carlo trials"),
 }
@@ -309,10 +134,12 @@ def main(argv=None) -> int:
 
             add_sweep_args(p)
             continue
-        p.add_argument("--seed", type=int, default=3)
+        p.add_argument("--seed", type=int, default=None,
+                       help="world RNG seed (default: the experiment's)")
         p.add_argument("--obs-out", metavar="DIR", default=None,
                        help="export observability artifacts into DIR "
-                            "(see docs/observability.md)")
+                            "(an experiment's runs: DIR/<label>; see "
+                            "docs/observability.md)")
         p.add_argument("--obs-level", choices=OBS_LEVELS, default="frames",
                        help="how much to record when --obs-out is given "
                             "(default: frames)")
@@ -326,10 +153,11 @@ def main(argv=None) -> int:
                             "reno; see docs/congestion.md)")
         if name == "demo2":
             p.add_argument("--hb", type=int, nargs="+",
-                           default=[200, 500, 1000],
-                           help="heartbeat periods in ms")
+                           help="heartbeat periods in ms "
+                                "(default: 200 500 1000)")
         if name == "demo3":
-            p.add_argument("--size", type=int, default=100_000_000)
+            p.add_argument("--size", type=int,
+                           help="file size in bytes (default: 100000000)")
         if name == "workload":
             p.add_argument("--kind", choices=("stream", "kv"),
                            default="stream")
@@ -346,7 +174,7 @@ def main(argv=None) -> int:
     if args.command in (None, "list"):
         print(banner("ST-TCP demonstrations"))
         for name, (_fn, help_text) in _COMMANDS.items():
-            print(f"  {name:8s} {help_text}")
+            print(f"  {name:23s} {help_text}")
         return 0
     handler, _help = _COMMANDS[args.command]
     if args.check and args.command != "sweep":

@@ -1,9 +1,11 @@
-"""Canned experiment runners — one call per paper demo.
+"""Canned experiment runners: a stream through a fault, and its
+no-ST-TCP hot-standby counterfactual.
 
 Each runner builds the Figure-2 testbed, wires the workload, injects the
 scenario's fault, runs to quiescence, and returns a structured result the
-tests and benchmarks share.  Keeping these here means a benchmark, a test
-and an example all measure *the same* experiment.
+experiment registry (:mod:`repro.experiments`), the tests and the
+campaign engine share.  :class:`Watch` attaches what a run is watched
+with, for runners and registry entries that build their own testbed.
 """
 
 from __future__ import annotations
@@ -25,7 +27,40 @@ from repro.scenarios.options import RunOptions
 from repro.sttcp.config import SttcpConfig
 
 __all__ = ["FailoverResult", "run_failover_experiment",
-           "run_baseline_failover", "BaselineResult"]
+           "run_baseline_failover", "BaselineResult", "Watch"]
+
+
+class Watch:
+    """The observers ``options`` ask for, attached to ``tb`` before a run:
+    an :class:`~repro.obs.export.ObsSession` when ``options.obs_level``
+    is set, an :class:`~repro.check.oracle.InvariantOracle` when
+    ``options.check`` is.  The oracle gets wire-role hints only on an
+    ST-TCP testbed: in a plain hot-standby world the standby is entitled
+    to speak on the service port.  :meth:`close` settles both after the
+    run; nothing is done per event."""
+
+    __slots__ = ("obs", "oracle")
+
+    def __init__(self, tb: Testbed, options: RunOptions):
+        self.obs = (ObsSession(tb.world, level=options.obs_level)
+                    if options.obs_level else None)
+        self.oracle = None
+        if options.check:
+            hints = (CheckTopology.from_testbed(tb) if tb.pair is not None
+                     else None)
+            self.oracle = InvariantOracle(tb.world, hints).attach()
+
+    def close(self, timeline: Optional[FailoverTimeline] = None,
+              extra: Optional[dict] = None) -> None:
+        """Finalize the session against ``timeline``; detach the oracle
+        and raise :class:`~repro.check.oracle.InvariantViolationError` if
+        it saw any breach."""
+        if self.obs is not None:
+            self.obs.finalize(timeline=timeline, extra=extra)
+        if self.oracle is not None:
+            self.oracle.detach()
+            if self.oracle.violations:
+                raise InvariantViolationError(self.oracle.violations)
 
 
 @dataclass
@@ -99,9 +134,7 @@ def run_failover_experiment(
     else:
         tb = build_testbed(seed=opts.seed, config=config, cc=opts.cc,
                            **build_kwargs)
-    obs = ObsSession(tb.world, level=opts.obs_level) if opts.obs_level else None
-    oracle = (InvariantOracle(tb.world, CheckTopology.from_testbed(tb))
-              .attach() if opts.check else None)
+    watch = Watch(tb, opts)
     server_primary = StreamServer(tb.primary, "server-primary", port=80)
     server_backup = StreamServer(tb.backup, "server-backup", port=80)
     server_primary.start()
@@ -118,14 +151,9 @@ def run_failover_experiment(
     tb.run_until(opts.run_until_s)
     timeline = build_timeline(fault_at, tb.pair.backup.events,
                               tb.pair.primary.events, monitor)
-    if obs is not None:
-        obs.finalize(timeline=timeline)
-    if oracle is not None:
-        oracle.detach()
-        if oracle.violations:
-            raise InvariantViolationError(oracle.violations)
+    watch.close(timeline)
     return FailoverResult(tb, client, monitor, timeline, fault.description,
-                          obs=obs, oracle=oracle)
+                          obs=watch.obs, oracle=watch.oracle)
 
 
 @dataclass
@@ -176,8 +204,7 @@ def run_baseline_failover(total_bytes: int = 50_000_000,
     else:
         tb = build_testbed(seed=opts.seed, mode="baseline", cc=opts.cc,
                            **build_kwargs)
-    obs = ObsSession(tb.world, level=opts.obs_level) if opts.obs_level else None
-    oracle = InvariantOracle(tb.world).attach() if opts.check else None
+    watch = Watch(tb, opts)
     StreamServer(tb.primary, "server-primary", port=80).start()
     StreamServer(tb.backup, "server-backup", port=80).start()
     monitor = ClientStreamMonitor(tb.world)
@@ -195,11 +222,6 @@ def run_baseline_failover(total_bytes: int = 50_000_000,
     # carry the fault marker (and the stall-derived resumption) so ST-TCP
     # and baseline artifacts line up side by side.
     timeline = build_timeline(fault_at, None, None, monitor)
-    if obs is not None:
-        obs.finalize(timeline=timeline)
-    if oracle is not None:
-        oracle.detach()
-        if oracle.violations:
-            raise InvariantViolationError(oracle.violations)
-    return BaselineResult(tb, client, monitor, fault_at, obs=obs,
-                          oracle=oracle, timeline=timeline)
+    watch.close(timeline)
+    return BaselineResult(tb, client, monitor, fault_at, obs=watch.obs,
+                          oracle=watch.oracle, timeline=timeline)

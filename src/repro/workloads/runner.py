@@ -14,14 +14,14 @@ from typing import Callable, Optional
 
 from repro.apps.kvstore import KvServer
 from repro.apps.streaming import StreamServer
-from repro.check.oracle import (CheckTopology, InvariantOracle,
-                                InvariantViolationError)
+from repro.check.oracle import InvariantOracle
 from repro.faults.faults import Fault, HwCrash
 from repro.metrics.monitor import ClientStreamMonitor
 from repro.metrics.timeline import FailoverTimeline, build_timeline
 from repro.obs.export import ObsSession
 from repro.scenarios.builder import Testbed, build_testbed
 from repro.scenarios.options import RunOptions
+from repro.scenarios.runner import Watch
 from repro.sim import gcctl
 from repro.sim.core import seconds
 from repro.sttcp.config import SttcpConfig
@@ -91,9 +91,7 @@ def run_workload_failover(
                            num_clients=num_clients, **build_kwargs)
     if opts.gc_freeze:
         gcctl.freeze_baseline()
-    obs = ObsSession(tb.world, level=opts.obs_level) if opts.obs_level else None
-    oracle = (InvariantOracle(tb.world, CheckTopology.from_testbed(tb))
-              .attach() if opts.check else None)
+    watch = Watch(tb, opts)
 
     server_cls = StreamServer if spec.kind == "stream" else KvServer
     port = spec.port if spec.port is not None else (
@@ -117,16 +115,11 @@ def run_workload_failover(
                                   tb.pair.primary.events, monitor)
     else:
         timeline = FailoverTimeline(fault_at=fault_at)
-    if obs is not None:
-        obs.finalize(timeline=timeline, extra={
-            "workload.connections": len(engine.records),
-            "workload.clients": len(tb.clients),
-            "workload.completed": engine.completed_count,
-            "workload.intact": engine.intact_count,
-        })
-    if oracle is not None:
-        oracle.detach()
-        if oracle.violations:
-            raise InvariantViolationError(oracle.violations)
+    watch.close(timeline, extra={
+        "workload.connections": len(engine.records),
+        "workload.clients": len(tb.clients),
+        "workload.completed": engine.completed_count,
+        "workload.intact": engine.intact_count,
+    })
     return WorkloadResult(tb, engine, timeline, fault.description,
-                          monitor=monitor, obs=obs, oracle=oracle)
+                          monitor=monitor, obs=watch.obs, oracle=watch.oracle)

@@ -1,10 +1,14 @@
-"""Shared fixtures: a bare world, a two-host LAN, and testbed factories.
+"""Shared fixtures: a bare world, a two-host LAN, testbed factories and
+the runs of the paper's experiments.
 
 Setting ``REPRO_CHECK=1`` in the environment additionally attaches the
 protocol invariant oracle (``docs/invariants.md``) to every ``World``
-any test constructs, and fails the test if a run breached an invariant.
-Tests that deliberately produce hostile or corrupted traffic opt out
-with ``@pytest.mark.no_invariant_check``.
+any test constructs — in the test body or in a fixture of any scope,
+the experiment cache included — and fails the test whose setup, body
+or teardown built a world that breached an invariant.  Tests that
+deliberately produce hostile or corrupted traffic opt out with
+``@pytest.mark.no_invariant_check``: the worlds their bodies and
+function-scoped fixtures build get no oracle.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from typing import Optional
 import pytest
 
 from repro.check.autocheck import env_enabled, patch_worlds
+from repro.experiments import EXPERIMENTS
 from repro.net.addresses import IPAddress
 from repro.net.cable import Cable
 from repro.net.switch import Switch
@@ -29,19 +34,64 @@ def pytest_configure(config):
         "skip the REPRO_CHECK=1 invariant oracle for it")
 
 
-@pytest.fixture(autouse=True)
-def _invariant_check(request):
-    """The ``REPRO_CHECK=1`` opt-in oracle (see module docstring)."""
-    if (not env_enabled()
-            or request.node.get_closest_marker("no_invariant_check")):
-        yield
+_PLAIN_INIT = World.__init__
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _checked_worlds():
+    """Under ``REPRO_CHECK=1``, the oracles of the worlds built since the
+    last test's teardown.  Session-scoped, so that ``World`` is patched
+    before any module- or session-scoped fixture builds one."""
+    if not env_enabled():
+        yield None
         return
     with patch_worlds() as oracles:
-        yield
+        yield oracles
+
+
+@pytest.fixture(autouse=True)
+def _invariant_check(request, _checked_worlds):
+    """The ``REPRO_CHECK=1`` opt-in oracle (see module docstring)."""
+    exempt = request.node.get_closest_marker("no_invariant_check")
+    if exempt and _checked_worlds is not None:
+        request.getfixturevalue("monkeypatch").setattr(
+            World, "__init__", _PLAIN_INIT)
+    yield
+    if _checked_worlds is None:
+        return
+    oracles = _checked_worlds[:]
+    _checked_worlds.clear()
+    for oracle in oracles:
+        oracle.detach()
     violations = [v for oracle in oracles for v in oracle.violations]
-    assert not violations, (
+    assert exempt or not violations, (
         "invariant oracle tripped (REPRO_CHECK=1):\n"
         + "\n".join(f"  {v}" for v in violations[:20]))
+
+
+#: Runs that demonstrate a breach on purpose: label per registry entry.
+#: A2's single-link run is the old design's split brain, which
+#: ``sttcp.single-active`` rightly flags.
+_UNCHECKED_RUNS = {"ablation_dual_hb": "single"}
+
+
+@pytest.fixture(scope="session")
+def experiment(_checked_worlds):
+    """``experiment(name)``: the runs of a :mod:`repro.experiments` entry
+    at its defaults (label -> result), run once per session."""
+    cache: dict[str, dict] = {}
+
+    def runs(name: str) -> dict:
+        if name not in cache:
+            cache[name] = EXPERIMENTS[name].run()
+            if _checked_worlds is not None and name in _UNCHECKED_RUNS:
+                world = cache[name][_UNCHECKED_RUNS[name]].testbed.world
+                for oracle in [o for o in _checked_worlds
+                               if o.world is world]:
+                    oracle.detach()
+                    _checked_worlds.remove(oracle)
+        return cache[name]
+    return runs
 
 
 @pytest.fixture

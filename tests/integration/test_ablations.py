@@ -1,58 +1,34 @@
 """Ablations from paper Sec. 3: the design changes between the original
-ST-TCP prototype and the demonstrated one.
+ST-TCP prototype and the demonstrated one, on the runs of the
+``ablation_dual_hb`` and ``ablation_architecture`` experiments.
 
 A2 (dual HB links): with a UDP-only heartbeat, a backup NIC failure makes
 the *backup* believe the *primary* died — it wrongly powers the primary
 down and takes over.  The dual-link design diagnoses it correctly.
 
 A1 (state exchange over HB instead of tapping primary→client traffic):
-with mirroring on and a per-frame CPU cost, the backup processes roughly
-double the frames and falls behind, eventually suspected as failed.
+with mirroring on and an 80 us per-frame CPU cost, the backup falls
+behind and is eventually suspected as failed.
 """
-
-import pytest
-
-from repro.apps.streaming import StreamClient, StreamServer
-from repro.faults.faults import NicFailure
-from repro.metrics.monitor import ClientStreamMonitor
-from repro.scenarios.builder import build_testbed
-from repro.sim.core import seconds
-from repro.sttcp.config import SttcpConfig
-from repro.sttcp.events import EventKind
-
-
-def run_backup_nic_failure(use_serial_hb: bool):
-    config = SttcpConfig(use_serial_hb=use_serial_hb)
-    tb = build_testbed(seed=9, config=config)
-    StreamServer(tb.primary, "srv-p", port=80).start()
-    StreamServer(tb.backup, "srv-b", port=80).start()
-    tb.pair.start()
-    monitor = ClientStreamMonitor(tb.world)
-    client = StreamClient(tb.client, "client", tb.service_ip, port=80,
-                          total_bytes=30_000_000, monitor=monitor)
-    client.start()
-    tb.inject.at(seconds(1), NicFailure(tb.backup.nics[0]))
-    tb.run_until(60)
-    return tb, client
 
 
 class TestDualHbAblation:
-    def test_dual_links_diagnose_backup_nic_correctly(self):
-        tb, client = run_backup_nic_failure(use_serial_hb=True)
+    def test_dual_links_diagnose_backup_nic_correctly(self, experiment):
+        run = experiment("ablation_dual_hb")["dual"]
+        tb, client = run.testbed, run.client
         assert tb.pair.backup.takeover_at is None
         assert tb.pair.primary.mode == "non-fault-tolerant"
         assert tb.power_strip.was_powered_down("backup")
         assert not tb.power_strip.was_powered_down("primary")
         assert client.received == client.total_bytes
 
-    # This ablation DEMONSTRATES a split brain; the invariant oracle
-    # (rightly) flags sttcp.single-active, so it must not police it.
-    @pytest.mark.no_invariant_check
-    def test_single_link_misdiagnoses_backup_nic(self):
+    # This run DEMONSTRATES a split brain; the invariant oracle (rightly)
+    # flags sttcp.single-active, so tests/conftest.py exempts it.
+    def test_single_link_misdiagnoses_backup_nic(self, experiment):
         """The paper's motivating bug: 'if the backup NIC failed, the
         backup would ... conclude that the primary has failed ... shut
         down the primary and attempt to take over'."""
-        tb, _client = run_backup_nic_failure(use_serial_hb=False)
+        tb = experiment("ablation_dual_hb")["single"].testbed
         # The deaf backup saw total HB silence and "took over".
         assert tb.pair.backup.takeover_at is not None
         assert tb.power_strip.was_powered_down("primary")
@@ -61,29 +37,16 @@ class TestDualHbAblation:
 
 
 class TestOldArchitectureAblation:
-    def _run(self, mirror: bool, frame_cost_ns: int = 80_000):
-        # 80 us per frame: ~65% CPU at the unidirectional frame rate of a
-        # full-speed transfer, ~130% once the mirrored primary->client
-        # traffic is added — exactly the Sec. 3 overload regime.
-        tb = build_testbed(seed=9, mirror_to_backup=mirror,
-                           backup_frame_cost_ns=frame_cost_ns)
-        StreamServer(tb.primary, "srv-p", port=80).start()
-        StreamServer(tb.backup, "srv-b", port=80).start()
-        tb.pair.start()
-        client = StreamClient(tb.client, "client", tb.service_ip, port=80,
-                              total_bytes=60_000_000)
-        client.start()
-        tb.run_until(90)
-        return tb, client
-
-    def test_new_architecture_survives_cpu_constrained_backup(self):
+    def test_new_architecture_survives_cpu_constrained_backup(
+            self, experiment):
         """Without mirroring, the same CPU keeps up: the pair stays FT."""
-        tb, client = self._run(mirror=False)
+        run = experiment("ablation_architecture")["new"]
+        tb, client = run.testbed, run.client
         assert client.received == client.total_bytes
         assert tb.pair.primary.mode == "fault-tolerant"
         assert tb.pair.backup.mode == "fault-tolerant"
 
-    def test_old_architecture_overloads_backup(self):
+    def test_old_architecture_overloads_backup(self, experiment):
         """With primary->client traffic mirrored to the backup, the
         CPU-constrained backup lags ever further behind — the Sec. 3
         'backup starts lagging behind the primary' problem.  Depending on
@@ -91,7 +54,7 @@ class TestOldArchitectureAblation:
         declaring the backup failed (app lag) or the starved backup
         mistaking the delayed heartbeats for a primary crash; either way
         the pair degrades out of fault-tolerant operation."""
-        tb, client = self._run(mirror=True)
+        tb = experiment("ablation_architecture")["old"].testbed
         degraded = (tb.pair.primary.mode != "fault-tolerant"
                     or tb.pair.backup.mode != "fault-tolerant")
         assert degraded

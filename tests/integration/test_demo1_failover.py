@@ -7,21 +7,18 @@ the client must reconnect.
 
 import pytest
 
-from repro.faults.faults import HwCrash, OsCrash
+from repro.faults.faults import OsCrash
 from repro.scenarios.options import RunOptions
-from repro.scenarios.runner import run_baseline_failover, run_failover_experiment
+from repro.scenarios.runner import run_failover_experiment
 from repro.sim.core import seconds
 from repro.sttcp.events import EventKind
 
 TOTAL = 30_000_000
 
 
-@pytest.fixture(scope="module")
-def demo1():
-    return run_failover_experiment(
-        lambda tb, sp, sb: HwCrash(tb.primary),
-        total_bytes=TOTAL, fault_at_s=1.0,
-        options=RunOptions(seed=3, run_until_s=40))
+@pytest.fixture
+def demo1(experiment):
+    return experiment("demo1")["sttcp"]
 
 
 def test_every_byte_delivered_exactly_once(demo1):
@@ -68,16 +65,11 @@ def test_os_crash_is_equivalent_to_hw_crash():
     assert result.testbed.pair.backup.events.has(EventKind.PEER_CRASH_DETECTED)
 
 
-def test_baseline_shows_the_contrast():
+def test_baseline_shows_the_contrast(experiment):
     """Without ST-TCP the same crash costs a reconnect and a multi-second
     outage — the paper's Demo-1 comparison."""
-    sttcp = run_failover_experiment(
-        lambda tb, sp, sb: HwCrash(tb.primary),
-        total_bytes=TOTAL, fault_at_s=1.0,
-        options=RunOptions(seed=3, run_until_s=40))
-    baseline = run_baseline_failover(total_bytes=TOTAL, fault_at_s=1.0,
-                                     liveness_timeout_s=2.0,
-                                     options=RunOptions(seed=3, run_until_s=60))
+    runs = experiment("demo1")
+    sttcp, baseline = runs["sttcp"], runs["baseline"]
     assert baseline.client.reconnect_count >= 1     # client-visible outage
     assert sttcp.client.reset_count == 0            # ST-TCP: none
     assert baseline.disruption_ns > sttcp.glitch_ns * 2

@@ -8,25 +8,16 @@ the HB period.
 
 import pytest
 
-from repro.faults.faults import HwCrash
-from repro.scenarios.options import RunOptions
-from repro.scenarios.runner import run_failover_experiment
 from repro.sim.core import millis, seconds
 from repro.sttcp.config import SttcpConfig
 
 PERIODS_MS = (200, 500, 1000)
 
 
-@pytest.fixture(scope="module")
-def sweep():
-    results = {}
-    for period_ms in PERIODS_MS:
-        results[period_ms] = run_failover_experiment(
-            lambda tb, sp, sb: HwCrash(tb.primary),
-            total_bytes=30_000_000, fault_at_s=2.0,
-            options=RunOptions(seed=3, run_until_s=60),
-            config=SttcpConfig(hb_period_ns=millis(period_ms)))
-    return results
+@pytest.fixture
+def sweep(experiment):
+    runs = experiment("demo2")
+    return {ms: runs[f"hb_{ms}ms"] for ms in PERIODS_MS}
 
 
 def test_all_streams_intact(sweep):

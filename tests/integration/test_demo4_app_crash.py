@@ -4,33 +4,26 @@ FIN-disagreement cases of Sec. 4.2.2.
 
 import pytest
 
-from repro.faults.faults import AppCrashWithCleanup, AppHang
+from repro.faults.faults import AppHang
 from repro.scenarios.options import RunOptions
 from repro.scenarios.runner import run_failover_experiment
 from repro.sim.core import seconds
 from repro.sttcp.config import SttcpConfig
 from repro.sttcp.events import EventKind
 
-TOTAL = 30_000_000
 CONFIG = SttcpConfig(max_delay_fin_ns=seconds(5))
 
 
-@pytest.fixture(scope="module")
-def hang_result():
+@pytest.fixture
+def hang_result(experiment):
     """Scenario 1: primary app crashes, socket NOT closed (no FIN)."""
-    return run_failover_experiment(
-        lambda tb, sp, sb: AppHang(sp),
-        total_bytes=TOTAL, fault_at_s=1.0,
-        options=RunOptions(seed=5, run_until_s=60), config=CONFIG)
+    return experiment("demo4")["app_hang_primary"]
 
 
-@pytest.fixture(scope="module")
-def cleanup_result():
+@pytest.fixture
+def cleanup_result(experiment):
     """Scenario 2: OS cleans the app up and closes the socket (FIN)."""
-    return run_failover_experiment(
-        lambda tb, sp, sb: AppCrashWithCleanup(sp),
-        total_bytes=TOTAL, fault_at_s=1.0,
-        options=RunOptions(seed=5, run_until_s=60), config=CONFIG)
+    return experiment("demo4")["app_crash_fin_primary"]
 
 
 class TestScenario1NoFin:
@@ -82,13 +75,11 @@ class TestScenario2WithFin:
 
 
 class TestBackupAppFailures:
-    """Rows 2-3 of Table 1, backup side: primary survives, backup killed."""
+    """Rows 2-3 of Table 1, backup side (the ``table1`` experiment's
+    cells): primary survives, backup killed."""
 
-    def test_backup_hang_primary_goes_non_ft(self):
-        result = run_failover_experiment(
-            lambda tb, sp, sb: AppHang(sb),
-            total_bytes=TOTAL, fault_at_s=1.0,
-            options=RunOptions(seed=5, run_until_s=60), config=CONFIG)
+    def test_backup_hang_primary_goes_non_ft(self, experiment):
+        result = experiment("table1")["app_hang_backup"]
         assert result.stream_intact
         primary = result.testbed.pair.primary
         assert primary.mode == "non-fault-tolerant"
@@ -98,14 +89,11 @@ class TestBackupAppFailures:
         # The client never noticed anything at all.
         assert result.glitch_ns < seconds(1)
 
-    def test_backup_cleanup_crash_fin_suppressed(self):
+    def test_backup_cleanup_crash_fin_suppressed(self, experiment):
         """Sec. 4.2.2 case 2b: backup generates a FIN (crash), primary does
         not.  The backup's FIN is suppressed; the primary detects the
         failure and goes non-FT; the client sees nothing."""
-        result = run_failover_experiment(
-            lambda tb, sp, sb: AppCrashWithCleanup(sb),
-            total_bytes=TOTAL, fault_at_s=1.0,
-            options=RunOptions(seed=5, run_until_s=60), config=CONFIG)
+        result = experiment("table1")["app_crash_fin_backup"]
         assert result.stream_intact
         backup_events = result.testbed.pair.backup.events
         assert backup_events.has(EventKind.FIN_SUPPRESSED)

@@ -7,7 +7,7 @@ survives; the servers use HB progress counters and gateway pings to decide
 
 import pytest
 
-from repro.faults.faults import CableCut, NicFailure
+from repro.faults.faults import CableCut
 from repro.scenarios.options import RunOptions
 from repro.scenarios.runner import run_failover_experiment
 from repro.sim.core import seconds
@@ -16,20 +16,14 @@ from repro.sttcp.events import EventKind
 TOTAL = 30_000_000
 
 
-@pytest.fixture(scope="module")
-def primary_nic_result():
-    return run_failover_experiment(
-        lambda tb, sp, sb: NicFailure(tb.primary.nics[0]),
-        total_bytes=TOTAL, fault_at_s=1.0,
-        options=RunOptions(seed=6, run_until_s=60))
+@pytest.fixture
+def primary_nic_result(experiment):
+    return experiment("demo5")["nic_failure_primary"]
 
 
-@pytest.fixture(scope="module")
-def backup_nic_result():
-    return run_failover_experiment(
-        lambda tb, sp, sb: NicFailure(tb.backup.nics[0]),
-        total_bytes=TOTAL, fault_at_s=1.0,
-        options=RunOptions(seed=6, run_until_s=60))
+@pytest.fixture
+def backup_nic_result(experiment):
+    return experiment("demo5")["nic_failure_backup"]
 
 
 class TestPrimaryNicFailure:

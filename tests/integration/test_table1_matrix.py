@@ -5,7 +5,8 @@ symptom classification AND recovery action.
 milestone of the run (instant, probe, source, message and the fields in
 the order they were passed).  It was recorded before the two engines'
 decision trees became one ``classify``, so any change in which detector
-fires, when, with which reason or symptom, shows up here.
+fires, when, with which reason or symptom, shows up here.  The runs are
+the ``table1`` experiment's (:mod:`repro.experiments`).
 """
 
 import json
@@ -13,45 +14,31 @@ import pathlib
 
 import pytest
 
-from repro.faults.faults import (AppCrashWithCleanup, AppHang, HwCrash,
-                                 NicFailure)
-from repro.scenarios.options import RunOptions
-from repro.scenarios.runner import run_failover_experiment
-from repro.sim.core import seconds
-from repro.sttcp.config import SttcpConfig
 from repro.sttcp.events import EventKind
 
-TOTAL = 30_000_000
-CONFIG = SttcpConfig(max_delay_fin_ns=seconds(5))
 PINS = json.loads(pathlib.Path(__file__).with_name(
     "table1_pins.json").read_text(encoding="utf-8"))
 
-# (row, fault factory, expected detection kind, expected recovery)
+# (row, the table1 experiment's run, expected detection kind, expected
+# recovery)
 MATRIX = [
-    ("row1-primary", lambda tb, sp, sb: HwCrash(tb.primary),
+    ("row1-primary", "hw_crash_primary",
      EventKind.PEER_CRASH_DETECTED, "takeover"),
-    ("row1-backup", lambda tb, sp, sb: HwCrash(tb.backup),
+    ("row1-backup", "hw_crash_backup",
      EventKind.PEER_CRASH_DETECTED, "non-ft"),
-    ("row2-primary", lambda tb, sp, sb: AppHang(sp),
+    ("row2-primary", "app_hang_primary",
      EventKind.APP_FAILURE_DETECTED, "takeover"),
-    ("row2-backup", lambda tb, sp, sb: AppHang(sb),
+    ("row2-backup", "app_hang_backup",
      EventKind.APP_FAILURE_DETECTED, "non-ft"),
-    ("row3-primary", lambda tb, sp, sb: AppCrashWithCleanup(sp),
+    ("row3-primary", "app_crash_fin_primary",
      EventKind.APP_FAILURE_DETECTED, "takeover"),
-    ("row3-backup", lambda tb, sp, sb: AppCrashWithCleanup(sb),
+    ("row3-backup", "app_crash_fin_backup",
      EventKind.APP_FAILURE_DETECTED, "non-ft"),
-    ("row4-primary", lambda tb, sp, sb: NicFailure(tb.primary.nics[0]),
+    ("row4-primary", "nic_failure_primary",
      EventKind.NIC_FAILURE_DETECTED, "takeover"),
-    ("row4-backup", lambda tb, sp, sb: NicFailure(tb.backup.nics[0]),
+    ("row4-backup", "nic_failure_backup",
      EventKind.NIC_FAILURE_DETECTED, "non-ft"),
 ]
-
-
-def run_cell(fault):
-    return run_failover_experiment(fault, total_bytes=TOTAL,
-                                   fault_at_s=1.0,
-                                   options=RunOptions(seed=3, run_until_s=60),
-                                   config=CONFIG)
 
 
 def decision_rows(result):
@@ -69,8 +56,9 @@ def test_every_cell_is_pinned():
 
 @pytest.mark.parametrize("row_id,fault,kind,recovery",
                          MATRIX, ids=[m[0] for m in MATRIX])
-def test_single_failure_masked_and_classified(row_id, fault, kind, recovery):
-    result = run_cell(fault)
+def test_single_failure_masked_and_classified(row_id, fault, kind, recovery,
+                                              experiment):
+    result = experiment("table1")[fault]
     # The ST-TCP guarantee: the client never notices a single failure.
     assert result.stream_intact, f"{row_id}: stream damaged"
     pair = result.testbed.pair

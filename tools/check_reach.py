@@ -40,10 +40,6 @@ PACKAGE = SRC / "repro"
 ALLOWED = {
     # Entry points that run only in a child process.
     "campaign/engine.py:_worker_main": "the forked campaign worker's loop",
-    "cli.py:_demo1": "python -m repro demo1",
-    "cli.py:_demo4": "python -m repro demo4",
-    "cli.py:_demo5": "python -m repro demo5",
-    "cli.py:_table1": "python -m repro table1",
     "cli.py:_workload": "python -m repro workload",
     # Abstract bases: every subclass overrides them.
     "faults/faults.py:Fault.inject": "abstract",
