@@ -350,12 +350,11 @@ def _run_cc_ident(trial: TrialSpec) -> dict:
     loss_rate = float(params.pop("loss_rate", 0.01))
     _reject_unknown(params, "cc_ident")
 
-    opts = trial.options.with_(seed=trial.seed, cc=cc)
     record = _base_record(trial)
     record["oracle"] = "off"
-    result = run_cc_ident(cc, seed=opts.seed, total_bytes=total_bytes,
-                          loss_rate=loss_rate,
-                          run_until_s=opts.run_until_s)
+    result = run_cc_ident(
+        trial.options.with_(seed=trial.seed, cc=cc, check=False),
+        total_bytes=total_bytes, loss_rate=loss_rate)
     record["cc"] = cc
     record["guess"] = result.guess
     record["correct"] = result.correct

@@ -10,9 +10,11 @@ read the same runs, so the three cannot drift apart.
 An entry's :meth:`Experiment.run` returns its runs as a dict, label ->
 result.  A label names one run (its fault, its configuration) and is
 where ``--obs-out DIR`` writes that run's artifacts (``DIR/<label>``).
-Every result carries ``obs`` and ``testbed``; the failover runs are
-:class:`~repro.scenarios.runner.FailoverResult`, the rest are
-:class:`Run`.
+Every result carries ``obs``; the failover runs are
+:class:`~repro.scenarios.runner.FailoverResult`, ``cc_ident``'s are
+:class:`~repro.scenarios.ccident.CcIdentResult`, the rest are
+:class:`Run`.  An entry whose runs another entry already makes reads
+them from it, so each distinct simulation runs once per process.
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ from repro.apps.echo import EchoClient, EchoServer
 from repro.apps.filetransfer import FileClient, FileServer
 from repro.apps.streaming import StreamClient, StreamServer
 from repro.campaign.scenarios import FAULTS
+from repro.campaign.spec import CampaignSpec, expand
 from repro.faults.faults import HwCrash, NicFailure, TransientLoss
 from repro.metrics.figures import bar_chart
 from repro.metrics.report import banner, format_duration, format_table
 from repro.net.serial_link import SERIAL_DEFAULT_BAUD
 from repro.obs.export import ObsSession
 from repro.scenarios.builder import Testbed, build_testbed
+from repro.scenarios.ccident import run_cc_ident
 from repro.scenarios.options import RunOptions
 from repro.scenarios.runner import (Watch, run_baseline_failover,
                                     run_failover_experiment)
@@ -37,7 +41,7 @@ from repro.sim.core import millis, seconds
 from repro.sttcp.config import SttcpConfig
 from repro.sttcp.events import EventKind
 from repro.sttcp.state import PER_CONNECTION_BYTES
-from repro.tcp.congestion import cc_names
+from repro.tcp.congestion import DEFAULT_CC, cc_names
 
 __all__ = ["Experiment", "EXPERIMENTS", "Run"]
 
@@ -63,14 +67,22 @@ class Experiment:
         super().__init_subclass__(**kwargs)
         EXPERIMENTS[cls.name] = cls()
 
+    def __init__(self):
+        self._runs: dict = {}
+
     def options(self, **changes) -> RunOptions:
         """This entry's default run options, with ``changes`` applied."""
         return RunOptions(seed=self.seed,
                           run_until_s=self.run_until_s).with_(**changes)
 
     def run(self, options: Optional[RunOptions] = None, **params) -> dict:
-        """Every run of the experiment, label -> result."""
-        return self.runs(options or self.options(), **params)
+        """Every run of the experiment, label -> result: run on the first
+        call with these options and params, the same objects after."""
+        options = options or self.options()
+        key = (options, repr(sorted(params.items())))
+        if key not in self._runs:
+            self._runs[key] = self.runs(options, **params)
+        return self._runs[key]
 
 
 @dataclass
@@ -92,6 +104,20 @@ def _page(title: str, table: str, *notes: str, preface=()) -> str:
     """A rendered results page: banner, preface lines, table, notes."""
     return "\n".join([banner(title), *preface, table,
                       *(("", *notes) if notes else ())])
+
+
+def _progress(title: str, result, width: int = 30) -> list:
+    """The client's download progress every 500 ms as a bar — the
+    headless form of the paper's GUI pie chart — marking the fault."""
+    total = result.client.total_bytes
+    lines = ["", title]
+    for t_s, got in result.monitor.progress_series(millis(500)):
+        filled = round(got / total * width)
+        bar = "#" * filled + "." * (width - filled)
+        crashed = abs(t_s * 1e9 - result.timeline.fault_at) < millis(260)
+        lines.append(f"  t={t_s:6.2f}s [{bar}] {got / total:5.1%}"
+                     + ("  <-- primary crashed" if crashed else ""))
+    return lines
 
 
 def _failover(options, fault: str, fault_at_s: float = 1.0,
@@ -164,7 +190,11 @@ class Demo1(Experiment):
             "  backoff residue   : "
             + format_duration(timeline.backoff_residue_ns),
             "  total failover    : "
-            + format_duration(timeline.failover_time_ns))
+            + format_duration(timeline.failover_time_ns),
+            *_progress("Download progress, ST-TCP (client unmodified):",
+                       sttcp),
+            *_progress("Download progress, hot standby (client "
+                       "reconnects):", baseline))
 
     def claims(self, runs):
         sttcp, baseline = runs["sttcp"], runs["baseline"]
@@ -222,23 +252,31 @@ class Demo2(Experiment):
 
 class Demo3(Experiment):
     name, section, seed = "demo3", "Demo 3", 5
-    title = "failure-free overhead (bulk transfer)"
+    title = "failure-free overhead (bulk transfer and echo RTT)"
+    MODES = (("on", "sttcp"), ("off", "baseline"))
 
     def runs(self, options, size=100_000_000):
-        runs = {}
-        for label, mode in (("sttcp_on", "sttcp"), ("sttcp_off", "baseline")):
+        def case(mode, server, client, **kwargs):
             tb = build_testbed(seed=options.seed, mode=mode, cc=options.cc)
             watch = Watch(tb, options)
-            FileServer(tb.primary, "fs-p", port=80).start()
+            server(tb.primary, "srv-p", port=80).start()
             target = tb.addresses.primary_ip
             if tb.pair is not None:
-                FileServer(tb.backup, "fs-b", port=80).start()
+                server(tb.backup, "srv-b", port=80).start()
                 tb.pair.start()
                 target = tb.service_ip
-            client = FileClient(tb.client, "client", target, port=80,
-                                file_size=size)
-            client.start()
-            runs[label] = _settle(tb, watch, options, client)
+            app = client(tb.client, "client", target, port=80, **kwargs)
+            app.start()
+            return _settle(tb, watch, options, app)
+
+        runs = {f"sttcp_{on}": case(mode, FileServer, FileClient,
+                                    file_size=size)
+                for on, mode in self.MODES}
+        # The per-request view: 64-byte echo round trips.
+        runs.update({f"echo_{on}": case(mode, EchoServer, EchoClient,
+                                        message_size=64,
+                                        interval_ns=millis(10), count=200)
+                     for on, mode in self.MODES})
         return runs
 
     @staticmethod
@@ -247,8 +285,15 @@ class Demo3(Experiment):
         off = runs["sttcp_off"].client.transfer_time_ns
         return (on - off) / off
 
+    @staticmethod
+    def rtt_overhead(runs) -> float:
+        on = runs["echo_on"].client.mean_rtt_ns
+        off = runs["echo_off"].client.mean_rtt_ns
+        return (on - off) / off
+
     def render(self, runs):
         on, off = runs["sttcp_on"].client, runs["sttcp_off"].client
+        labels = ("ST-TCP enabled", "ST-TCP disabled")
         return _page(
             "Demo 3: overhead during failure-free operation",
             format_table(
@@ -256,17 +301,31 @@ class Demo3(Experiment):
                  f"{on.total_bytes / 1e6:.0f} MB transfer time", "goodput"],
                 [[label, f"{c.transfer_time_ns / 1e9:.4f} s",
                   f"{c.throughput_mbps:.1f} Mbps"]
-                 for label, c in (("ST-TCP enabled", on),
-                                  ("ST-TCP disabled", off))]),
+                 for label, c in zip(labels, (on, off))]),
             f"ST-TCP overhead: {self.overhead(runs) * 100:+.2f}%  "
-            "(paper claim: negligible)")
+            "(paper claim: negligible)",
+            "",
+            format_table(
+                ["configuration", "64-byte echo mean RTT", "echoes"],
+                [[label, f"{r.client.mean_rtt_ns / 1e6:.3f} ms",
+                  f"{len(r.client.rtts_ns)}/{r.client.count}"]
+                 for label, r in zip(labels, (runs["echo_on"],
+                                              runs["echo_off"]))]),
+            "",
+            f"RTT overhead: {self.rtt_overhead(runs) * 100:+.2f}%")
 
     def claims(self, runs):
+        transfers = (runs["sttcp_on"].client, runs["sttcp_off"].client)
+        echoes = (runs["echo_on"].client, runs["echo_off"].client)
         return [
             ("both transfers deliver the whole file uncorrupted",
-             all(r.client.received == r.client.total_bytes
-                 and r.client.corrupt_at is None for r in runs.values())),
+             all(c.received == c.total_bytes and c.corrupt_at is None
+                 for c in transfers)),
             ("ST-TCP's overhead is under 2%", self.overhead(runs) < 0.02),
+            ("every echo completes in both runs",
+             all(len(c.rtts_ns) == c.count for c in echoes)),
+            ("ST-TCP's echo round trip is under 2% longer",
+             self.rtt_overhead(runs) < 0.02),
         ]
 
 
@@ -631,11 +690,16 @@ class AblationTakeoverKick(Experiment):
     PERIODS_MS = (200, 1000)
 
     def runs(self, options):
-        return {f"hb_{ms}ms_{'kick' if kick else 'wait'}": _failover(
-            options, "hw_crash_primary", fault_at_s=2.0,
-            config=SttcpConfig(hb_period_ns=millis(ms),
-                               kick_on_takeover=kick))
-            for ms in self.PERIODS_MS for kick in (False, True)}
+        # Waiting is the default policy: those runs are Demo 2's.
+        waited = EXPERIMENTS["demo2"].run(options)
+        runs = {}
+        for ms in self.PERIODS_MS:
+            runs[f"hb_{ms}ms_wait"] = waited[f"hb_{ms}ms"]
+            runs[f"hb_{ms}ms_kick"] = _failover(
+                options, "hw_crash_primary", fault_at_s=2.0,
+                config=SttcpConfig(hb_period_ns=millis(ms),
+                                   kick_on_takeover=True))
+        return runs
 
     def render(self, runs):
         rows = []
@@ -785,8 +849,12 @@ class CcFailover(Experiment):
     title = "failover under each congestion-control algorithm"
 
     def runs(self, options):
-        return {cc: _failover(options.with_(cc=cc), "hw_crash_primary",
-                              fault_at_s=2.0) for cc in cc_names()}
+        # cc=None runs DEFAULT_CC, so that row is Demo 2's 200 ms run,
+        # which Demo 2 keeps under cc=None.
+        default = EXPERIMENTS["demo2"].run(options.with_(cc=None))
+        return {cc: default["hb_200ms"] if cc == DEFAULT_CC
+                else _failover(options.with_(cc=cc), "hw_crash_primary",
+                               fault_at_s=2.0) for cc in cc_names()}
 
     def render(self, runs):
         def ms(ns):
@@ -806,7 +874,7 @@ class CcFailover(Experiment):
                          f"{goodput:.3f}", _yes(result.stream_intact)])
         return _page(
             "Failover by congestion-control algorithm",
-            format_table(["cc", "takeover (ms)", "post-handoff recovery (ms)",
+            format_table(["cc", "failover (ms)", "post-handoff recovery (ms)",
                           "goodput (MB/s)", "stream intact"], rows))
 
     def claims(self, runs):
@@ -816,4 +884,51 @@ class CcFailover(Experiment):
             # Detection rides on heartbeats, not data.
             ("failover time does not depend on the algorithm",
              len({r.timeline.failover_time_ns for r in runs.values()}) == 1),
+        ]
+
+
+class CcIdent(Experiment):
+    name, section, seed = "cc_ident", "extension", 3
+    title = "identifying the congestion-control algorithm from its cwnd"
+    SEEDS = 10
+    TOTAL_BYTES, LOSS_RATE = 4_000_000, 0.01
+
+    def runs(self, options):
+        # The campaign's trials: each algorithm on SEEDS seeds derived
+        # from the entry's seed.
+        trials = expand(CampaignSpec(scenario="cc_ident",
+                                     grid={"cc": cc_names()},
+                                     trials=self.SEEDS, seed=options.seed))
+        return {f"{t.params['cc']}_{t.index}": run_cc_ident(
+            options.with_(seed=t.seed, cc=t.params["cc"]),
+            total_bytes=self.TOTAL_BYTES, loss_rate=self.LOSS_RATE)
+            for t in trials}
+
+    @staticmethod
+    def correct(runs) -> int:
+        return sum(r.correct for r in runs.values())
+
+    def render(self, runs):
+        names = cc_names()
+        rows = []
+        for actual in names:
+            guesses = [r.guess for r in runs.values() if r.actual == actual]
+            rows.append([actual, *(guesses.count(g) for g in names),
+                         f"{guesses.count(actual) / len(guesses):.0%}"])
+        return _page(
+            "CC identification from the sender's cwnd timeline",
+            format_table(["actual \\ guessed", *names, "accuracy"], rows),
+            f"overall: {self.correct(runs)}/{len(runs)} correct "
+            f"({self.correct(runs) / len(runs):.1%}); the bar is 90%",
+            preface=(f"{len(names)} algorithms x {self.SEEDS} seeds, "
+                     f"{self.TOTAL_BYTES:,} bytes per run over a "
+                     f"{self.LOSS_RATE:.0%}-loss link.", ""))
+
+    def claims(self, runs):
+        return [
+            ("every algorithm is run",
+             {r.actual for r in runs.values()} == set(cc_names())),
+            ("the matrix covers at least 20 runs", len(runs) >= 20),
+            ("at least 90% of runs are identified",
+             self.correct(runs) >= 0.9 * len(runs)),
         ]

@@ -19,16 +19,22 @@ probes, and classifies the algorithm from three trajectory fingerprints:
 
 Run it standalone via :func:`run_cc_ident`, or as the ``cc_ident``
 campaign scenario (``python -m repro sweep --scenario cc_ident --grid
-cc=tahoe,reno,newreno,cubic --trials N``); ``tools/make_cc_ident_report.py``
-turns such a campaign into the accuracy report committed under docs/.
+cc=tahoe,reno,newreno,cubic --trials N``).  The accuracy matrix over
+every algorithm and ten seeds is the ``cc_ident`` experiment
+(``python -m repro cc_ident``, ``benchmarks/results/cc_ident.txt``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.apps.streaming import StreamClient, StreamServer
+from repro.obs.export import ObsSession
 from repro.scenarios.builder import build_testbed
+from repro.scenarios.options import RunOptions
+from repro.scenarios.runner import Watch
+from repro.tcp.connection import TcpConfig
 
 __all__ = ["CcIdentResult", "run_cc_ident", "extract_features",
            "classify_features"]
@@ -50,6 +56,8 @@ class CcIdentResult:
     guess: str
     features: dict = field(default_factory=dict)
     bytes_received: int = 0
+    #: Attached when the run had ``options.obs_level`` set.
+    obs: Optional[ObsSession] = None
 
     @property
     def correct(self) -> bool:
@@ -139,30 +147,28 @@ def classify_features(features: dict) -> str:
     return "reno"
 
 
-def run_cc_ident(cc: str, seed: int = 3,
-                 total_bytes: int = 4_000_000,
-                 loss_rate: float = 0.01,
-                 run_until_s: float = 60.0) -> CcIdentResult:
-    """Stream ``total_bytes`` under ``cc`` over a lossy link, then guess
-    the algorithm back from the sender's timeline alone.
+def run_cc_ident(options: RunOptions, total_bytes: int = 4_000_000,
+                 loss_rate: float = 0.01) -> CcIdentResult:
+    """Stream ``total_bytes`` under ``options.cc`` over a lossy link, then
+    guess the algorithm back from the sender's timeline alone.
 
     The testbed is the baseline (no ST-TCP) Figure-2 topology; the client
     talks straight to the primary's own address, and the primary's cable
     drops frames at ``loss_rate`` from its deterministic per-cable RNG
-    stream.  Equal (cc, seed) pairs give byte-identical runs.
+    stream.  Equal options give byte-identical runs; ``cc=None`` runs the
+    ``TcpConfig`` default, reno.
 
     The buffers are enlarged past the Figure-2 default 64 KiB so the
     window can grow wide enough for multi-loss flights — the situation
     that separates NewReno's partial-ack retransmit from Reno's
     wait-for-more-dupacks.
     """
-    from repro.tcp.connection import TcpConfig
-
     tcp_config = TcpConfig(send_buffer_bytes=262144,
                            recv_buffer_bytes=262144)
-    tb = build_testbed(seed=seed, mode="baseline", cc=cc,
+    tb = build_testbed(seed=options.seed, mode="baseline", cc=options.cc,
                        tcp_config=tcp_config)
     tb.cables["primary"].loss_rate = loss_rate
+    watch = Watch(tb, options)
 
     events: list = []
 
@@ -187,9 +193,11 @@ def run_cc_ident(cc: str, seed: int = 3,
     client = StreamClient(tb.client, "client", tb.addresses.primary_ip,
                           port=80, total_bytes=total_bytes)
     client.start()
-    tb.run_until(run_until_s)
+    tb.run_until(options.run_until_s)
+    watch.close()
 
     features = extract_features(events)
-    return CcIdentResult(actual=cc, guess=classify_features(features),
+    return CcIdentResult(actual=options.cc or tcp_config.cc,
+                         guess=classify_features(features),
                          features=features,
-                         bytes_received=client.received)
+                         bytes_received=client.received, obs=watch.obs)

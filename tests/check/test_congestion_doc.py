@@ -14,8 +14,7 @@ from pathlib import Path
 from repro.tcp.congestion import (CC_ALGORITHMS, CongestionControl,
                                   cc_names)
 
-DOCS = Path(__file__).resolve().parents[2] / "docs"
-DOC = DOCS / "congestion.md"
+DOC = Path(__file__).resolve().parents[2] / "docs" / "congestion.md"
 
 HOOKS = ("on_new_ack", "on_dupack", "on_timeout", "on_retransmit",
          "on_exit_recovery", "send_window", "export_state")
@@ -53,16 +52,3 @@ def test_export_state_matches_documented_keys():
                 "fast_retransmits", "timeouts"):
         assert f"`{key}`" in text
 
-
-def test_generated_accuracy_report_exists_and_meets_bar():
-    report = DOCS / "cc-ident-report.md"
-    assert report.exists(), (
-        "regenerate with `PYTHONPATH=src python tools/make_cc_ident_report.py`")
-    text = report.read_text(encoding="utf-8")
-    match = re.search(r"Overall: (\d+)/(\d+) correct", text)
-    assert match, "report lost its Overall line"
-    correct, total = int(match.group(1)), int(match.group(2))
-    assert total >= 4 * 5, "report must cover all algorithms, several seeds"
-    assert correct / total >= 0.9
-    for name in cc_names():
-        assert name in text

@@ -78,19 +78,16 @@ _UNCHECKED_RUNS = {"ablation_dual_hb": "single"}
 @pytest.fixture(scope="session")
 def experiment(_checked_worlds):
     """``experiment(name)``: the runs of a :mod:`repro.experiments` entry
-    at its defaults (label -> result), run once per session."""
-    cache: dict[str, dict] = {}
-
+    at its defaults (label -> result); ``Experiment.run`` makes them once
+    per process."""
     def runs(name: str) -> dict:
-        if name not in cache:
-            cache[name] = EXPERIMENTS[name].run()
-            if _checked_worlds is not None and name in _UNCHECKED_RUNS:
-                world = cache[name][_UNCHECKED_RUNS[name]].testbed.world
-                for oracle in [o for o in _checked_worlds
-                               if o.world is world]:
-                    oracle.detach()
-                    _checked_worlds.remove(oracle)
-        return cache[name]
+        result = EXPERIMENTS[name].run()
+        if _checked_worlds is not None and name in _UNCHECKED_RUNS:
+            world = result[_UNCHECKED_RUNS[name]].testbed.world
+            for oracle in [o for o in _checked_worlds if o.world is world]:
+                oracle.detach()
+                _checked_worlds.remove(oracle)
+        return result
     return runs
 
 

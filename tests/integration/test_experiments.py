@@ -28,3 +28,13 @@ def test_experiment_reproduces_its_results_file(name, experiment):
     assert not failed, f"{name}: claims that do not hold: {failed}"
     committed = (RESULTS / f"{name}.txt").read_text(encoding="utf-8")
     assert EXPERIMENTS[name].render(runs) + "\n" == committed
+
+
+def test_a_run_two_entries_report_is_made_once(experiment):
+    """Demo 2's runs are the takeover ablation's "wait" rows and
+    cc_failover's default-algorithm row: the same objects, not reruns."""
+    demo2 = experiment("demo2")
+    kick = experiment("ablation_takeover_kick")
+    assert kick["hb_200ms_wait"] is demo2["hb_200ms"]
+    assert kick["hb_1000ms_wait"] is demo2["hb_1000ms"]
+    assert experiment("cc_failover")["reno"] is demo2["hb_200ms"]

@@ -7,6 +7,12 @@ from repro.tcp.seq import (SEQ_MASK, SEQ_MOD, seq_add, seq_ge, seq_gt,
 
 seqs = st.integers(min_value=0, max_value=SEQ_MASK)
 small = st.integers(min_value=-(1 << 30), max_value=(1 << 30))
+#: Two sequence numbers less than 2**31 apart: the domain the comparisons
+#: are defined on (RFC 1982 leaves exactly 2**31 undefined; see
+#: tests/tcp/test_seq.py for what they return there).
+pairs = st.builds(lambda a, d: (a, seq_add(a, d)), seqs,
+                  st.integers(min_value=-(1 << 31) + 1,
+                              max_value=(1 << 31) - 1))
 
 
 @given(seqs, small)
@@ -19,24 +25,27 @@ def test_add_is_associative_mod(seq, a, b):
     assert seq_add(seq_add(seq, a), b) == seq_add(seq, a + b)
 
 
-@given(seqs, seqs)
-def test_comparison_trichotomy(a, b):
+@given(pairs)
+def test_comparison_trichotomy(pair):
     """Within the half-circle, exactly one of <, ==, > holds."""
+    a, b = pair
     d = seq_sub(a, b)
     assert (seq_lt(a, b), a == b or d == 0, seq_gt(a, b)).count(True) >= 1
     if d != 0:
         assert seq_lt(a, b) != seq_gt(a, b)
 
 
-@given(seqs, seqs)
-def test_lt_gt_antisymmetric(a, b):
+@given(pairs)
+def test_lt_gt_antisymmetric(pair):
+    a, b = pair
     if seq_lt(a, b):
         assert seq_gt(b, a)
         assert not seq_gt(a, b)
 
 
-@given(seqs, seqs)
-def test_le_ge_duality(a, b):
+@given(pairs)
+def test_le_ge_duality(pair):
+    a, b = pair
     assert seq_le(a, b) == seq_ge(b, a)
 
 
@@ -47,8 +56,9 @@ def test_forward_add_is_greater(seq, delta):
         assert seq_lt(seq, seq_add(seq, delta))
 
 
-@given(seqs, seqs)
-def test_min_max_consistent(a, b):
+@given(pairs)
+def test_min_max_consistent(pair):
+    a, b = pair
     lo, hi = seq_min(a, b), seq_max(a, b)
     assert {lo, hi} == {a, b}
     assert seq_le(lo, hi)

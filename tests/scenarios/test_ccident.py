@@ -5,6 +5,7 @@ import pytest
 
 from repro.scenarios.ccident import (CcIdentResult, classify_features,
                                      extract_features, run_cc_ident)
+from repro.scenarios.options import RunOptions
 
 MSS = 1460
 
@@ -106,10 +107,10 @@ def test_floor_clamped_episodes_carry_no_vote():
 @pytest.mark.parametrize("cc", ["tahoe", "newreno"])
 def test_round_trip_identifies_algorithm(cc):
     """A small lossy run must be classified back correctly.  The full
-    four-algorithm, multi-seed accuracy matrix lives in the generated
-    report (tools/make_cc_ident_report.py -> docs/cc-ident-report.md)."""
-    result = run_cc_ident(cc, seed=3, total_bytes=1_000_000,
-                          run_until_s=30.0)
+    four-algorithm, multi-seed accuracy matrix is the ``cc_ident``
+    experiment (benchmarks/results/cc_ident.txt)."""
+    result = run_cc_ident(RunOptions(seed=3, cc=cc, run_until_s=30.0),
+                          total_bytes=1_000_000)
     assert isinstance(result, CcIdentResult)
     assert result.bytes_received == 1_000_000
     assert result.guess == cc
@@ -117,7 +118,18 @@ def test_round_trip_identifies_algorithm(cc):
 
 
 def test_equal_seed_equal_features():
-    a = run_cc_ident("reno", seed=4, total_bytes=500_000, run_until_s=20.0)
-    b = run_cc_ident("reno", seed=4, total_bytes=500_000, run_until_s=20.0)
+    options = RunOptions(seed=4, cc="reno", run_until_s=20.0)
+    a = run_cc_ident(options, total_bytes=500_000)
+    b = run_cc_ident(options, total_bytes=500_000)
     assert a.features == b.features
     assert a.guess == b.guess
+
+
+def test_options_attach_the_observers(tmp_path):
+    """``RunOptions`` reach the run as for every other runner: an
+    observability session to export, and the invariant oracle."""
+    result = run_cc_ident(RunOptions(seed=4, cc="cubic", run_until_s=20.0,
+                                     obs_level="counters", check=True),
+                          total_bytes=500_000)
+    assert result.actual == "cubic"
+    assert "counters.json" in result.obs.write(tmp_path)

@@ -30,6 +30,20 @@ def test_comparisons_across_wrap():
     assert seq_gt(low, high)
 
 
+def test_comparisons_at_exactly_half_the_circle():
+    """At distance 2**31 each number reads as preceding the other: the
+    distance is undefined (RFC 1982 Sec. 3.2), and ``seq_sub`` maps both
+    directions to -2**31.  TCP's windows keep peers closer than that."""
+    half = 1 << 31
+    for a in (0, 1, half, SEQ_MASK):
+        b = seq_add(a, half)
+        assert seq_sub(a, b) == seq_sub(b, a) == -half
+        assert seq_lt(a, b) and seq_lt(b, a)
+        assert seq_le(a, b) and seq_le(b, a)
+        assert not (seq_gt(a, b) or seq_gt(b, a))
+        assert not (seq_ge(a, b) or seq_ge(b, a))
+
+
 def test_between():
     assert seq_between(10, 15, 20)
     assert seq_between(10, 10, 20)
