@@ -149,18 +149,17 @@ def run_churn_probe(params: dict, seed: int = 3) -> dict:
     Runs the same workload under ``tracemalloc`` and reports what the
     allocator saw per processed event.  ``net_blocks_per_event`` is the
     growth of ``sys.getallocatedblocks()`` across the run divided by the
-    event count — with the recycle pools and GC orchestration working it
+    event count — with every per-event object freed by refcount it
     amortizes the one-time testbed build to a small constant, and any
-    per-event retention regression (a holder that stops releasing, a
-    path that stops recycling) shows up as a step.  Peak memory is
-    tracemalloc's traced high-water mark (the resident size is
-    ``measure``'s ``peak_rss_mb``, from an untraced process).  GC counter
-    deltas and the pool depths ride along for the CI artifact.
+    per-event retention regression (a holder that keeps what it should
+    drop) shows up as a step.  Peak memory is tracemalloc's traced
+    high-water mark (the resident size is ``measure``'s ``peak_rss_mb``,
+    from an untraced process).  GC counter deltas ride along for the CI
+    artifact.
     """
     import gc
     import tracemalloc
 
-    from repro.net import pool
     from repro.scenarios.options import RunOptions
     from repro.sim import gcctl
     from repro.workloads import WorkloadSpec, run_workload_failover
@@ -169,7 +168,6 @@ def run_churn_probe(params: dict, seed: int = 3) -> dict:
                         connections=params["connections"],
                         bytes_per_conn=params["bytes_per_conn"],
                         mean_interarrival_s=params["mean_interarrival_s"])
-    pool.clear()
     gc.collect()
     gc_before = gcctl.stats()
     blocks_before = sys.getallocatedblocks()
@@ -198,7 +196,6 @@ def run_churn_probe(params: dict, seed: int = 3) -> dict:
                          zip(gc_after["collected"], gc_before["collected"])],
         "safe_point_collects": (gc_after["safe_point_collects"]
                                 - gc_before["safe_point_collects"]),
-        "pools": gc_after["pools"],
     }
 
 

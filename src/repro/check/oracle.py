@@ -12,9 +12,10 @@ Every invariant is evaluated on every event it applies to and counted in
 :attr:`InvariantOracle.checks`; what is lazy is the *evidence*.  The
 ``conn``/``detail`` strings of a :class:`Violation` are formatted only
 when a check fails, and a wire-layer violation stores the decoded
-``describe_frame`` row of the offending frame, not the frame: frames
-are pooled and recycled as the run goes on (a sender-state violation,
-likewise, the connection's name).
+``describe_frame`` row of the offending frame, not the frame, so a
+violation is plain data that prints and compares without the frame's
+wrapper chain (a sender-state violation, likewise, the connection's
+name).
 
 Three front doors, all documented in ``docs/invariants.md``:
 
@@ -80,7 +81,7 @@ class Violation:
     conn: str             # connection / flow / service identifier
     detail: str           # human-readable specifics (observed vs expected)
     #: The probe record itself; a ``frame`` field holds the decoded row
-    #: (:func:`~repro.obs.export.describe_frame`), not the pooled frame,
+    #: (:func:`~repro.obs.export.describe_frame`), not the frame,
     #: and a ``conn`` field the connection's name, not the connection.
     event: Optional[ProbeEvent] = None
 
@@ -184,8 +185,7 @@ class InvariantOracle:
     def _fail_wire(self, invariant: str, ev: ProbeEvent, packet: IPPacket,
                    detail: str) -> None:
         """A wire-layer breach: filed under the packet's flow direction,
-        with the frame decoded now — it is pooled, and carries other
-        traffic by the time anybody reads the violation."""
+        with the frame decoded into its row."""
         seg = packet.payload
         decoded = {**ev.fields, "frame": describe_frame(ev.fields["frame"])}
         self._fail(invariant, ev._replace(fields=decoded),

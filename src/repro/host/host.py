@@ -19,7 +19,6 @@ from repro.net.icmp import IcmpLayer
 from repro.net.ip import Interface, IpStack
 from repro.net.nic import Nic
 from repro.net.packet import IPProtocol
-from repro.net.pool import release_frame, retain
 from repro.net.serial_link import SerialPort
 from repro.net.udp import UdpLayer
 from repro.sim.world import World
@@ -105,11 +104,6 @@ class Host:
             self.frames_dropped_host_down += 1
             return
         if self.cpu is not None:
-            # The CPU model defers processing to a later event: claim
-            # pooled frames so the wire's release at the end of this
-            # delivery cannot recycle them under the closure;
-            # _process_frame drops the claim.
-            retain(frame)
             self.cpu.submit(
                 self.frame_processing_cost_ns,
                 lambda: self._process_frame(frame, iface))
@@ -119,7 +113,6 @@ class Host:
     def _process_frame(self, frame: EthernetFrame, iface: Interface) -> None:
         if self.is_up:
             self.ip.receive_frame(frame, iface)
-        release_frame(frame)  # the CPU-model closure's claim
 
     # ---------------------------------------------------------- power state
 

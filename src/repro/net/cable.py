@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional, Protocol, runtime_checkable
 
 from repro.net.frame import EthernetFrame
-from repro.net.pool import release_frame, retain
 from repro.sim.world import World
 
 __all__ = ["Cable", "CableEndpoint"]
@@ -152,8 +151,7 @@ class Cable:
         ``()`` drops the frame, ``(0,)`` passes it, ``(0, 0)`` duplicates
         it, ``(2_000_000,)`` holds it back 2 ms.  Each copy then queues,
         draws for loss and meets a cut like any offered frame; a dropped
-        frame costs no wire time and no RNG draw.  The frame is valid only
-        during the call (the ``eth.frame`` probe's rule).  The setter bumps
+        frame costs no wire time and no RNG draw.  The setter bumps
         ``World.net_epoch``, like :attr:`loss_rate`.
         """
         return self._impair
@@ -170,32 +168,21 @@ class Cable:
 
         Never blocks: queueing is expressed as added delay.  Loss and cuts
         silently drop — exactly what real Ethernet does.
-
-        Claims: the caller's claim on a pooled frame transfers to the
-        cable — it is released when the frame is dropped (cut, loss, cut
-        while in flight) or after the final delivery to the far end.
         """
         if self._impair is not None:
-            # One claim per copy; the caller's goes last, so the frame
-            # outlives every delayed copy and recycles after the last.
             for delay in self._impair(sender, frame):
-                retain(frame)
                 if delay:
                     self._sim.post(delay, self._offer, sender, frame,
                                    label=self._deliver_label)
                 else:
                     self._offer(sender, frame)
-            release_frame(frame)
             return
         self._offer(sender, frame)
 
     def _offer(self, sender: CableEndpoint, frame: EthernetFrame) -> None:
-        """Put one copy on the wire, past the impairment hook; consumes
-        one claim."""
+        """Put one copy on the wire, past the impairment hook."""
         plan = self.plan_transmit(sender, frame)
-        if plan is None:
-            release_frame(frame)
-        else:
+        if plan is not None:
             self._sim.post(plan[0], self._deliver, plan[1], frame,
                            label=self._deliver_label)
 
@@ -232,9 +219,6 @@ class Cable:
             return None
         return arrival_delay, ends[1 - direction]
 
-    # plan_transmit carries NO claim: flood planning keeps the frame's
-    # single claim with the arrival-time group event (see Switch._forward).
-
     def deliver_planned(self, receiver: CableEndpoint,
                         frame: EthernetFrame) -> None:
         """Complete a delivery planned by :meth:`plan_transmit` (re-checks
@@ -244,15 +228,10 @@ class Cable:
     def _deliver(self, receiver: CableEndpoint, frame: EthernetFrame) -> None:
         if self._cut:  # cut while the frame was in flight
             self.frames_lost += 1
-            release_frame(frame)
             return
         self.frames_delivered += 1
         self.bytes_delivered += frame.size_bytes
         receiver.receive_frame(frame)
-        # Delivery complete: drop the wire claim.  Receivers that keep the
-        # frame past this event (switch ingress, deferred CPU processing)
-        # retained their own claim inside receive_frame.
-        release_frame(frame)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "CUT" if self._cut else "up"

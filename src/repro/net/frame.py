@@ -46,8 +46,7 @@ class EthernetFrame:
     times per hop.
     """
 
-    __slots__ = ("dst", "src", "ethertype", "payload", "size_bytes",
-                 "_claims")
+    __slots__ = ("dst", "src", "ethertype", "payload", "size_bytes")
 
     def __init__(self, dst: MacAddress, src: MacAddress, ethertype: str,
                  payload: Any):
@@ -55,7 +54,6 @@ class EthernetFrame:
         self.src = src
         self.ethertype = ethertype
         self.payload = payload
-        self._claims = 0  # 0 = GC-owned; >0 = pooled (see repro.net.pool)
         payload_size = getattr(payload, "size_bytes", None)
         if payload_size is None:
             payload_size = len(payload)

@@ -16,7 +16,6 @@ from repro.net.arp import ArpTable
 from repro.net.frame import EtherType, EthernetFrame
 from repro.net.nic import Nic
 from repro.net.packet import IPPacket
-from repro.net.pool import acquire_frame, acquire_packet, demote_packet
 from repro.sim.world import World
 
 __all__ = ["Interface", "IpStack"]
@@ -183,16 +182,10 @@ class IpStack:
             self.packets_sent += 1
             if nic._failed or nic._cable is None or not nic.host_up:
                 return
-            # One packet + one frame per data segment on an established
-            # flow goes through here, so the wrappers come from the
-            # recycle pools.  Both carry one creator claim that
-            # Cable.transmit consumes (it is released on drop, or after
-            # final delivery, cascading frame -> packet -> segment; see
-            # repro.net.pool).
-            packet = acquire_packet(src if src is not None else src_ip,
-                                    dst, protocol, payload)
+            packet = IPPacket(src if src is not None else src_ip,
+                              dst, protocol, payload)
             # Nic.send inlined (keep in sync).
-            frame = acquire_frame(mac, nic.mac, EtherType.IPV4, packet)
+            frame = EthernetFrame(mac, nic.mac, EtherType.IPV4, packet)
             nic.frames_sent += 1
             nic.bytes_sent += frame.size_bytes
             nic._cable.transmit(nic, frame)
@@ -261,10 +254,6 @@ class IpStack:
         if type(packet) is not IPPacket and not isinstance(packet, IPPacket):
             return
         if self._promiscuous_taps:
-            # Taps may retain what they observe (the stream logger, test
-            # fixtures keep whole packets): demote the wrapper chain to
-            # GC-owned so the pools never recycle an object a tap saw.
-            demote_packet(packet)
             for tap in self._promiscuous_taps:
                 tap(packet)
         # owns() inlined (keep in sync): once per delivered packet.
@@ -282,9 +271,6 @@ class IpStack:
         # The method itself stays for the loopback/local-delivery events.
         self.packets_received += 1
         if self._packet_taps:
-            # Same demotion as the promiscuous taps above: tap observers
-            # may keep the packet past this event, so it must not recycle.
-            demote_packet(packet)
             for tap in self._packet_taps:
                 tap(packet)
         handler = self._protocols.get(packet.protocol)
@@ -298,7 +284,6 @@ class IpStack:
     def _deliver_up(self, packet: IPPacket) -> None:
         self.packets_received += 1
         if self._packet_taps:
-            demote_packet(packet)  # tap observers may retain: see receive_frame
             for tap in self._packet_taps:
                 tap(packet)
         handler = self._protocols.get(packet.protocol)

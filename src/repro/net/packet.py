@@ -30,8 +30,7 @@ class IPPacket:
     because the link layer reads it several times per hop.
     """
 
-    __slots__ = ("src", "dst", "protocol", "payload", "ttl", "size_bytes",
-                 "_claims")
+    __slots__ = ("src", "dst", "protocol", "payload", "ttl", "size_bytes")
 
     def __init__(self, src: IPAddress, dst: IPAddress, protocol: str,
                  payload: Any, ttl: int = 64):
@@ -40,7 +39,6 @@ class IPPacket:
         self.protocol = protocol
         self.payload = payload
         self.ttl = ttl
-        self._claims = 0  # 0 = GC-owned; >0 = pooled (see repro.net.pool)
         payload_size = getattr(payload, "size_bytes", None)
         if payload_size is None:
             payload_size = len(payload)

@@ -19,7 +19,6 @@ from repro.net.addresses import MacAddress
 from repro.net.cable import Cable
 from repro.net.frame import EthernetFrame
 from repro.net.nic import Nic
-from repro.net.pool import release_frame, retain
 from repro.sim.world import World
 
 __all__ = ["Switch", "SwitchPort"]
@@ -149,11 +148,7 @@ class Switch:
                 self._mac_by_value.get(src_value) is not port:
             self._mac_by_value[src_value] = port
             self._mac_table[frame.src] = port
-        # The frame outlives the delivering event (the fabric holds it
-        # until _forward runs), so take the switch's own claim on pooled
-        # frames; _forward settles it.  Forwards are never cancelled: a
-        # kernel-owned event record.
-        retain(frame)
+        # Forwards are never cancelled: a kernel-owned event record.
         self._world.sim.post(self.forwarding_delay_ns, self._forward,
                              port, frame, label=self._fwd_label)
 
@@ -170,26 +165,17 @@ class Switch:
             if learned is not None and learned is not ingress:
                 self.frames_forwarded += 1
                 # SwitchPort.transmit inlined (keep in sync): one call
-                # per forwarded unicast frame.  Claims: the fabric's claim
-                # transfers into cable.transmit; a SPAN copy needs its own
-                # (taken *before* the main transmit, which may drop and
-                # recycle the frame).
+                # per forwarded unicast frame.
                 cable = learned._cable
+                if cable is not None:
+                    cable.transmit(learned, frame)
                 mirror = self._mirror_port
                 if (mirror is not None and mirror is not learned
                         and mirror is not ingress):
-                    if cable is not None:
-                        retain(frame)
-                        cable.transmit(learned, frame)
                     self.frames_mirrored += 1
                     mirror.transmit(frame)
-                elif cable is not None:
-                    cable.transmit(learned, frame)
-                else:
-                    release_frame(frame)
                 return
             if learned is ingress:
-                release_frame(frame)
                 return  # destination is on the ingress segment; drop
         # Multicast, broadcast, or unknown unicast: flood (batched).
         self.frames_flooded += 1
@@ -285,24 +271,19 @@ class Switch:
             # credit_events): throughput metrics stay apples-to-apples.
             sim.credit_events(delivered_sinks)
         # One kernel-owned event per arrival-time group (usually a single
-        # group per flooded frame).  Claims: every group event takes its
-        # own claim (_deliver_flood releases it), then the fabric drops
-        # the one _ingress took — with no groups that recycles the frame.
+        # group per flooded frame).
         for delay, group in groups.items():
-            retain(frame)
             sim.post(delay, self._deliver_flood, group, frame,
                      label=self._flood_label)
-        release_frame(frame)
 
     def _plan_slow_target(self, cable, direction, frame, groups) -> None:
         """Full wire semantics for an ``odd`` flood target (cut, lossy,
         impaired): plan the delivery with :meth:`Cable.plan_transmit` and
         append it to the arrival-time groups.  An impaired cable decides
         per frame how many copies leave and when, so it gets the frame
-        through :meth:`Cable.transmit`, with a claim of its own."""
+        through :meth:`Cable.transmit`."""
         sender = cable._ends[direction]   # the switch-port end
         if cable._impair is not None:
-            retain(frame)
             cable.transmit(sender, frame)
             return
         plan = cable.plan_transmit(sender, frame)
@@ -392,9 +373,6 @@ class Switch:
                     receiver.frames_filtered += 1
                     continue
             receiver.receive_frame(frame)
-        # All group deliveries ran synchronously above: drop this group
-        # event's claim (receivers that kept the segment retained it).
-        release_frame(frame)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Switch {self.name} ports={len(self.ports)}>"

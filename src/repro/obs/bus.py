@@ -35,12 +35,11 @@ __all__ = ["ProbeEvent", "ProbeBus"]
 class ProbeEvent(NamedTuple):
     """One probe firing, as delivered to subscribers (immutable).
 
-    ``fields`` holds what the emitter passed; a value may be a live
-    simulator object that is only valid during the callback (``eth.frame``
-    passes a pooled frame — copy it with
-    :func:`~repro.obs.export.describe_frame` to keep it; ``tcp.segment_tx``
-    passes the sending connection — copy the state you need from it).  A
-    subscriber that keeps ``fields`` past the callback must copy inside it.
+    ``fields`` holds what the emitter passed.  ``eth.frame``'s frame is
+    never mutated after it is sent, so a subscriber may keep it;
+    ``tcp.segment_tx`` passes the sending connection, which is live state
+    that moves on as soon as the callback returns — copy the state you
+    need from it inside the callback.
     """
 
     time: int                    # virtual time, ns

@@ -14,9 +14,10 @@ bus and accumulates three artifacts:
 Rows are *captured* when the probe fires and *decoded* when somebody asks
 for them.  The two fixed-shape, high-volume rows — a TCP/IP frame and a
 transmitted segment — are captured as one fixed-width row of int64s in a
-:class:`~repro.obs.metrics.PackedRows` history, copied out of the pooled
-frame or the live connection (never a reference to either: the frame is
-recycled and the connection moves on as soon as the callback returns).
+:class:`~repro.obs.metrics.PackedRows` history, copied out of the frame
+or the live connection (never a reference to either: a packed row is a
+fraction of the frame's wrapper chain, and the connection moves on as
+soon as the callback returns).
 Addresses are stored by their integer value, the ethertype, the IP
 protocol and the connection name by a per-session code, and ``None`` by
 :data:`_NONE`.  Everything else is rare: it is decoded on the spot and
@@ -529,12 +530,11 @@ class ObsSession:
 
     @staticmethod
     def gc_report() -> dict:
-        """Interpreter-GC and recycle-pool counters
-        (:func:`repro.sim.gcctl.stats`).  Process-local wall-clock-ish
-        state — **never** part of the exported artifacts, which must stay
-        byte-identical across runs; callers that want the churn picture
-        (the allocation benchmark, capacity dashboards) fetch it
-        explicitly."""
+        """Interpreter-GC counters (:func:`repro.sim.gcctl.stats`).
+        Process-local wall-clock-ish state — **never** part of the
+        exported artifacts, which must stay byte-identical across runs;
+        callers that want the churn picture (the allocation benchmark,
+        capacity dashboards) fetch it explicitly."""
         from repro.sim import gcctl
         return gcctl.stats()
 

@@ -1,12 +1,10 @@
 """Interpreter-GC orchestration for the event loop.
 
 The wire path's per-event garbage — frames, packets, segments, event
-tuples — holds no reference cycles and dies by refcount alone, with the
-recycle pools of :mod:`repro.net.pool` or without them (collector counts
-are identical either way: docs/performance.md, "Ablation ledger: the
-recycle pools"); what remains interesting for CPython's *cyclic*
-collector is the testbed object graph itself — hosts, NICs, cables,
-connections — which stays alive for the whole run.
+tuples — holds no reference cycles and dies by refcount alone; what
+remains interesting for CPython's *cyclic* collector is the testbed
+object graph itself — hosts, NICs, cables, connections — which stays
+alive for the whole run.
 Letting the generational collector fire on its own allocation thresholds
 therefore buys nothing and costs unpredictable pauses in the middle of
 the hot loop, each one scanning the very graph that never dies.
@@ -28,8 +26,8 @@ This module puts the collector under simulator control:
   Re-entrant; the pre-existing enabled state is restored on exit.
 * :func:`collect_full` — an explicit, counted full collection for
   coarse boundaries (campaign trial batches).
-* :func:`stats` — collector counters plus the recycle-pool depths, for
-  :mod:`repro.obs` exports and the benchmark's churn report.
+* :func:`stats` — collector counters, for :mod:`repro.obs` exports and
+  the benchmark's churn report.
 """
 
 from __future__ import annotations
@@ -116,9 +114,7 @@ def collect_full() -> int:
 
 
 def stats() -> dict:
-    """Collector counters + recycle-pool depths (one flat record)."""
-    from repro.net import pool  # lazy: repro.net imports repro.sim
-
+    """Collector counters (one flat record)."""
     per_gen = gc.get_stats()
     return {
         "enabled": gc.isenabled(),
@@ -129,5 +125,4 @@ def stats() -> dict:
         "safe_point_collects": _safe_point_collects,
         "collections": [g.get("collections", 0) for g in per_gen],
         "collected": [g.get("collected", 0) for g in per_gen],
-        "pools": pool.stats(),
     }

@@ -29,11 +29,10 @@ from functools import lru_cache
 from typing import Any, Optional
 
 from repro.net.addresses import IPAddress
-from repro.net.pool import retain
 from repro.sim.timers import Timer
 from repro.tcp.connection import TcpConfig, TcpConnection
 from repro.tcp.extension import TcpExtension
-from repro.tcp.segment import TcpFlags, TcpSegment, release_segment
+from repro.tcp.segment import TcpFlags, TcpSegment
 from repro.tcp.sockets import Socket
 from repro.sttcp.control import (AppFailureNotice, ConnClosed, ConnInit,
                                  FetchReply, FetchRequest)
@@ -165,10 +164,6 @@ class BackupEngine(SttcpEngine):
         key: ConnKey = (src_ip._value, segment.src_port)
         queue = self._pending_segments.setdefault(key, [])
         if len(queue) < _MAX_BUFFERED_SEGMENTS:
-            # The tap buffer keeps the segment until the replica exists
-            # (or the key is disposed): claim pooled segments, released
-            # on replay/dispose.
-            retain(segment)
             queue.append(segment)
         return True
 
@@ -225,7 +220,6 @@ class BackupEngine(SttcpEngine):
         listener.on_accept(socket)
         for segment in self._pending_segments.pop(init.key, []):
             conn.segment_arrived(segment)
-            release_segment(segment)  # the tap buffer's claim
 
     # --------------------------------------------------- missed-byte fetch
 
@@ -343,8 +337,7 @@ class BackupEngine(SttcpEngine):
                 # for a live peer.
                 mc.conn.ext = _DISPOSED
                 mc.conn.abort()
-        for segment in self._pending_segments.pop(key, ()):
-            release_segment(segment)  # the tap buffer's claim
+        self._pending_segments.pop(key, None)
 
     # ------------------------------------------------------------ takeover
 

@@ -41,8 +41,7 @@ from repro.tcp.buffers import ReceiveBuffer, SendBuffer
 from repro.tcp.congestion import (CC_ALGORITHMS, DEFAULT_CC,
                                   make_congestion_control)
 from repro.tcp.rtt import RttEstimator
-from repro.tcp.segment import (TcpFlags, TcpSegment, acquire_segment,
-                               release_segment)
+from repro.tcp.segment import TcpFlags, TcpSegment
 from repro.tcp.seq import SEQ_MASK, SEQ_MOD, seq_add, seq_sub
 
 SEQ_HALF = 1 << 31
@@ -686,10 +685,7 @@ class TcpConnection:
                    + (1 if self.peer_fin_consumed else 0)) & SEQ_MASK
         window = recv_buffer.advertise_window()
         self._last_sent_window = window
-        # Every data segment and pure ack is built here, so it comes from
-        # the recycle pool with one creator claim, released when its wire
-        # wrappers die (or by a shut output gate); see repro.net.pool.
-        return acquire_segment(
+        return TcpSegment(
             self.local_port, self.remote_port, seq,
             ack if (flags & TcpFlags.ACK or ack_bit) else 0,
             flags | ack_bit, window, payload)
@@ -712,7 +708,6 @@ class TcpConnection:
             self._transmit(segment)
         else:
             ext.hold(len(payload), segment.flags)
-            release_segment(segment)  # the claim the wire would have consumed
 
     def _hold(self, flags: int, off: int, length: int) -> None:
         """One data segment or pure ack behind a shut output gate: advance

@@ -1,12 +1,8 @@
-"""TCP segments, plus their recycle pool (see repro.net.pool for the
-ownership protocol — the pool lives here rather than in repro.net.pool
-because that module must not import repro.tcp)."""
+"""TCP segments."""
 
 from __future__ import annotations
 
-__all__ = ["TcpFlags", "TcpSegment", "TCP_HEADER_BYTES",
-           "SEGMENT_POOL", "SEGMENT_POOL_MAX",
-           "acquire_segment", "release_segment"]
+__all__ = ["TcpFlags", "TcpSegment", "TCP_HEADER_BYTES"]
 
 TCP_HEADER_BYTES = 20
 
@@ -56,7 +52,7 @@ class TcpSegment:
     """
 
     __slots__ = ("src_port", "dst_port", "seq", "ack", "flags", "window",
-                 "payload", "size_bytes", "_claims")
+                 "payload", "size_bytes")
 
     def __init__(self, src_port: int, dst_port: int, seq: int, ack: int,
                  flags: int, window: int, payload: bytes = b""):
@@ -68,7 +64,6 @@ class TcpSegment:
         self.window = window
         self.payload = payload
         self.size_bytes = TCP_HEADER_BYTES + len(payload)
-        self._claims = 0  # 0 = GC-owned; >0 = pooled (see repro.net.pool)
 
     @property
     def syn(self) -> bool:
@@ -99,59 +94,3 @@ class TcpSegment:
         return (f"TCP[{self.src_port}->{self.dst_port} "
                 f"{TcpFlags.describe(self.flags)} seq={self.seq} ack={self.ack} "
                 f"win={self.window} len={len(self.payload)}]")
-
-
-# ------------------------------------------------------------ recycle pool
-#
-# Same ownership protocol as repro.net.pool: _claims == 0 means GC-owned
-# (plain constructor — tests, handshake paths), _claims >= 1 means pooled
-# with one creator claim; holders that keep a segment past the current
-# event retain, and the last release scrubs + recycles.
-
-#: Cap on the free list (see repro.net.pool for sizing rationale).
-SEGMENT_POOL_MAX = 256
-
-#: The free list itself (tests inspect its depth and contents).
-SEGMENT_POOL: list[TcpSegment] = []
-
-
-def acquire_segment(src_port: int, dst_port: int, seq: int, ack: int,
-                    flags: int, window: int,
-                    payload: bytes = b"") -> TcpSegment:
-    """A managed segment (one creator claim), recycled when possible."""
-    if SEGMENT_POOL:
-        segment = SEGMENT_POOL.pop()
-        segment.src_port = src_port
-        segment.dst_port = dst_port
-        segment.seq = seq
-        segment.ack = ack
-        segment.flags = flags
-        segment.window = window
-        segment.payload = payload
-        segment.size_bytes = TCP_HEADER_BYTES + len(payload)
-    else:
-        segment = TcpSegment(src_port, dst_port, seq, ack, flags, window,
-                             payload)
-    segment._claims = 1
-    return segment
-
-
-def release_segment(segment: TcpSegment) -> None:
-    """Drop one claim; at zero, scrub the payload ref and recycle."""
-    claims = segment._claims
-    if claims == 0:          # unmanaged: the GC owns it
-        return
-    if claims > 1:
-        segment._claims = claims - 1
-        return
-    segment._claims = 0
-    segment.payload = b""    # drop the (possibly large) bytes reference
-    if len(SEGMENT_POOL) < SEGMENT_POOL_MAX:
-        SEGMENT_POOL.append(segment)
-
-
-# Register with the frame/packet pool so release_packet can cascade the
-# creator claim down to the segment without importing repro.tcp there.
-from repro.net.pool import _register_segment_cascade  # noqa: E402
-
-_register_segment_cascade(TcpSegment, release_segment, SEGMENT_POOL)

@@ -217,8 +217,6 @@ class TcpStack:
             (packet.dst._value, segment.dst_port,
              packet.src._value, segment.src_port))
         if conn is not None:
-            # The wire's claim on the delivering frame holds the segment
-            # for the whole of this call.
             conn.segment_arrived(segment)
             return
         listener = self.find_listener(packet.dst, segment.dst_port)

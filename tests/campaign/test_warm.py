@@ -67,26 +67,14 @@ CUBIC_SPEC = CampaignSpec(
     timeout_s=120.0)
 
 
-def test_warm_cubic_campaign_matches_cold_and_leaks_no_pooled_segments():
-    """Warm trials share the worker's recycle pools (they live outside the
-    world snapshot), so three consecutive CUBIC trials exercise the full
-    interaction: thawed testbeds acquiring segments that previous trials
-    recycled.  The aggregate must still be byte-identical to cold runs,
-    and every pooled segment must sit scrubbed between trials — a leaked
-    claim would alias one trial's payload into the next."""
-    from repro.net import pool
-    from repro.tcp.segment import SEGMENT_POOL
-
-    pool.clear()
+def test_warm_cubic_campaign_matches_cold():
+    """Three consecutive CUBIC trials on one thawed testbed: the
+    aggregate is byte-identical to cold runs."""
     warm.get_cache().clear()
     warm.reset_stats()
     hot = run_campaign(CUBIC_SPEC, jobs=1)
     stats = dict(warm.get_cache().stats)
     assert stats["builds"] == 1 and stats["restores"] == 2
-    assert SEGMENT_POOL, "CUBIC trials recycled no segments"
-    assert all(s._claims == 0 and s.payload == b"" for s in SEGMENT_POOL)
-    assert all(f._claims == 0 and f.payload is None for f in pool.FRAME_POOL)
-    assert all(p._claims == 0 and p.payload is None for p in pool.PACKET_POOL)
     cold = run_campaign(CUBIC_SPEC, jobs=1, warm=False)
     assert hot.to_json() == cold.to_json()
     assert hot.to_jsonl() == cold.to_jsonl()

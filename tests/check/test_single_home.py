@@ -1,15 +1,15 @@
 """One home per protocol: the ownership gate.
 
-Two mechanisms sit under every frame on the wire — how an event enters
-the scheduler's queue, and what a recycle pool's ``_claims`` count means.
-Each used to be hand-copied into its callers ("inlined, keep in sync"),
-and the copies drifted: the scheduler insert in ``Cable.transmit`` lost
-``Simulator.post``'s past-time check.  These tests statically scan
-``src/`` (the way ``tests/obs/test_registry_sync.py`` does for probe
-names) and fail when a module other than the owner names the owner's
-private state, so a new copy cannot land by accident.  There is no
-allow-list: a cross-module copy needs a measured reason in
-docs/performance.md's inlining ledger and a change to this file.
+Under every frame on the wire sits how an event enters the scheduler's
+queue.  It used to be hand-copied into its callers ("inlined, keep in
+sync"), and the copies drifted: the scheduler insert in
+``Cable.transmit`` lost ``Simulator.post``'s past-time check.  These
+tests statically scan ``src/`` (the way
+``tests/obs/test_registry_sync.py`` does for probe names) and fail when
+a module other than the owner names the owner's private state, so a new
+copy cannot land by accident.  There is no allow-list: a cross-module
+copy needs a measured reason in docs/performance.md's inlining ledger
+and a change to this file.
 """
 
 import ast
@@ -36,12 +36,6 @@ PROTOCOLS = {
     "event handle re-arming": (
         re.compile(r"\bhandle\w*\.(?:time|_fired)\s*=(?!=)"),
         {"sim/core.py"}),
-    "pool claim counts": (
-        re.compile(r"\b_claims\b"),
-        {"net/pool.py", "tcp/segment.py", "net/frame.py", "net/packet.py"}),
-    "pool free lists": (
-        re.compile(r"\b(?:FRAME_POOL|PACKET_POOL|SEGMENT_POOL)\b"),
-        {"net/pool.py", "tcp/segment.py"}),
 }
 
 #: ``x < 64  # == COMPACT_MIN_QUEUE``: a literal standing in for a constant.
@@ -76,8 +70,22 @@ def test_each_protocol_is_named_only_by_its_owner():
         f"{set(PROTOCOLS) - seen_at_home} — pattern or layout changed?")
     assert not strays, (
         f"private state named outside its owning module (call the owner's "
-        f"function instead: sim.post / sim.rearm / pool.retain / "
-        f"release_* / demote_* / acquire_*): {strays}")
+        f"function instead: sim.post / sim.rearm): {strays}")
+
+
+def test_the_recycle_pools_stay_deleted():
+    """Frames, packets and segments are plain objects freed by refcount:
+    no free list, no claim count, no acquire/release/demote protocol in
+    which an over-release would hand a live frame to its next sender.
+    ``net/pool.py`` keeps only a no-op ``clear()`` for the benchmark
+    suite's callers."""
+    gone = re.compile(r"\b(?:_claims|acquire_(?:frame|packet|segment)"
+                      r"|release_(?:frame|packet|segment)|demote_packet"
+                      r"|[A-Z][A-Z0-9_]*_POOL\w*)\b")
+    assert gone.search("SEGMENT_POOL_MAX") and gone.search("retain(f._claims)")
+    strays = [f"{_where(module, text, m)} ({m.group(0)})"
+              for module, text in _sources() for m in gone.finditer(text)]
+    assert not strays, f"deleted mechanism named under src/: {strays}"
 
 
 def test_the_tick_end_phase_and_the_receive_batch_stay_deleted():

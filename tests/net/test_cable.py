@@ -4,7 +4,6 @@ and the per-frame impairment hook."""
 import pytest
 
 from repro.errors import SimulationError
-from repro.net import pool
 from repro.net.addresses import MacAddress
 from repro.net.cable import Cable
 from repro.net.frame import EthernetFrame, EtherType
@@ -273,11 +272,6 @@ TX = frame().size_bytes * 8 * 1_000_000_000 // 100_000_000
 PROP = 1_000
 
 
-def managed_frame():
-    return pool.acquire_frame(MacAddress(2), MacAddress(1), EtherType.IPV4,
-                              b"x" * 100)
-
-
 @pytest.mark.parametrize("delays, arrivals", [
     ((), []),                                    # drop
     ((0,), [TX + PROP]),                         # pass
@@ -314,31 +308,6 @@ def test_impair_sees_the_sender_and_only_its_own_cable_direction():
     assert seen == ["a", "b"] and len(b.received) == 2
 
 
-def test_impair_keeps_pool_claims_balanced(clean_pools):
-    """One claim per copy, the caller's released last: a dropped frame is
-    back at once, a duplicated one after its second delivery, and a
-    delayed one is not recycled while its copy waits."""
-    world = World()
-    a, b, cable = make(world)
-    script = iter([(), (0, 0), (1_000_000,)])
-    cable.impair = lambda sender, f: next(script)
-    dropped, doubled, held = managed_frame(), managed_frame(), managed_frame()
-    cable.transmit(a, dropped)
-    assert pool.FRAME_POOL == [dropped]
-    cable.transmit(a, doubled)
-    assert doubled._claims == 2
-    cable.transmit(a, held)
-    assert held._claims == 1
-    world.run(until=500_000)
-    assert len(b.received) == 2                  # both copies of `doubled`
-    assert held._claims == 1 and held.payload is not None
-    assert held not in pool.FRAME_POOL
-    world.run()
-    assert len(b.received) == 3
-    assert len(pool.FRAME_POOL) == 3
-    assert dropped._claims == doubled._claims == held._claims == 0
-
-
 def test_impaired_drop_costs_no_wire_time_and_no_loss_draw():
     world = World(seed=7)
     a, b, cable = make(world, loss_rate=0.5)
@@ -372,18 +341,16 @@ def test_impair_composes_with_loss_rate():
     assert run(lambda sender, f: (0, 0), 25) == plain
 
 
-def test_cut_while_a_delayed_copy_waits_loses_it(clean_pools):
+def test_cut_while_a_delayed_copy_waits_loses_it():
     world = World()
     a, b, cable = make(world)
     cable.impair = lambda sender, f: (1_000_000,)
-    held = managed_frame()
-    cable.transmit(a, held)
+    cable.transmit(a, frame())
     world.sim.schedule(500_000, cable.cut)
     world.run()
     assert b.received == []
     assert cable.frames_lost == 1
     assert cable._tx_free_at == [0, 0]
-    assert pool.FRAME_POOL == [held]
 
 
 MULTI = MacAddress("03:00:5e:00:00:64")
@@ -438,7 +405,7 @@ def test_impair_installed_on_a_warm_flood_cache_and_cleared_again():
     assert switch.frames_flooded == 4
 
 
-def test_impaired_cable_behind_a_span_mirror_port(clean_pools):
+def test_impaired_cable_behind_a_span_mirror_port():
     world = World()
     switch = Switch(world)
     ends = a, b, mirror = [Endpoint(f"s{i}", world) for i in range(3)]
@@ -451,23 +418,18 @@ def test_impaired_cable_behind_a_span_mirror_port(clean_pools):
         end.received.clear()
 
     def send_to_b():
-        sent = pool.acquire_frame(MacAddress(2), MacAddress(1),
-                                  EtherType.IPV4, b"x" * 50)
-        cables[0].transmit(a, sent)
+        cables[0].transmit(a, EthernetFrame(MacAddress(2), MacAddress(1),
+                                            EtherType.IPV4, b"x" * 50))
         world.run()
-        return sent
 
     cables[2].impair = lambda sender, f: (0, 0)   # the mirror doubles
-    first = send_to_b()
+    send_to_b()
     assert len(b.received) == 1 and len(mirror.received) == 2
-    assert pool.FRAME_POOL == [first]             # all three claims settled
     cables[2].impair = None
     cables[1].impair = lambda sender, f: ()       # the destination drops
-    second = send_to_b()
+    send_to_b()
     assert len(b.received) == 1 and len(mirror.received) == 3
     assert switch.frames_mirrored == 2
-    assert second is first                        # recycled, and back again
-    assert pool.FRAME_POOL == [second]
 
 
 def test_impaired_switch_to_switch_link():

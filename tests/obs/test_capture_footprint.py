@@ -61,7 +61,7 @@ def _golden_workload(obs_level: str):
 
 
 def test_a_captured_row_costs_at_most_160_bytes():
-    _golden_workload("frames")     # warm imports, caches and pools
+    _golden_workload("frames")     # warm imports and caches
     unwatched, _plain = _retained(lambda: _golden_workload("counters"))
     watched, result = _retained(lambda: _golden_workload("frames"))
     rows = len(result.obs.frames) + len(result.obs.tcp_rows)
@@ -84,7 +84,7 @@ def _long_workload(obs_level: str):
 @pytest.fixture(scope="module")
 def long_run():
     """(bytes retained unwatched, watched, the watched run's result)."""
-    _golden_workload("frames")     # warm imports, caches and pools
+    _golden_workload("frames")     # warm imports and caches
     unwatched, _plain = _retained(lambda: _long_workload("counters"))
     watched, result = _retained(lambda: _long_workload("frames"))
     return unwatched, watched, result

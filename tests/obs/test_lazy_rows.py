@@ -12,8 +12,9 @@ code produced:
   themselves pin ``frames.jsonl`` / ``tcp_timeline.jsonl``);
 * the directly rendered JSONL text equals ``jsonl_line`` of the decoded
   rows, for every row shape;
-* a row read mid-run says the same thing after every pooled frame it
-  was captured from has been recycled.
+* a row read mid-run says the same thing after every frame it was
+  captured from has been freed, and a frame a probe subscriber keeps
+  reads the same after the run as inside the callback.
 
 Refresh the pins (only after an *intended* behaviour change) with
 ``PYTHONPATH=src python tools/make_goldens.py``.
@@ -27,7 +28,7 @@ import pathlib
 import pytest
 
 from repro.faults.faults import HwCrash
-from repro.obs.export import ObsSession, jsonl_line
+from repro.obs.export import ObsSession, describe_frame, jsonl_line
 from repro.scenarios.options import RunOptions
 from repro.scenarios.runner import (run_baseline_failover,
                                     run_failover_experiment)
@@ -182,11 +183,9 @@ def test_write_twice_gives_identical_bytes(tmp_path):
                 == pathlib.Path(second[name]).read_bytes()), name
 
 
-# ------------------------------------------- captures outlive pooled frames
+# ------------------------------------------- captures outlive their frames
 
 def test_rows_read_mid_run_survive_the_recycling_of_their_frames():
-    from repro.net.pool import FRAME_POOL_MAX
-
     fx = SttcpFixture()
     obs = ObsSession(fx.tb.world, level="frames")
     fx.start_client(total_bytes=2_000_000)
@@ -197,8 +196,26 @@ def test_rows_read_mid_run_survive_the_recycling_of_their_frames():
     fx.run(5)
     assert fx.client.received == 2_000_000
     late_frames, late_tcp = obs.frames, obs.tcp_rows
-    # More frames have crossed since than the pool holds: every frame an
-    # early row was captured from has carried other traffic by now.
-    assert len(late_frames) - len(early_frames) > 4 * FRAME_POOL_MAX
+    # Far more frames have crossed since: every frame an early row was
+    # captured from has long been freed.
+    assert len(late_frames) - len(early_frames) > 1024
     assert late_frames[:len(early_frames)] == early_frames
     assert late_tcp[:len(early_tcp)] == early_tcp
+
+
+def test_a_kept_frame_reads_after_the_run_as_it_did_in_the_callback():
+    """Nothing on the wire reuses a frame once it is sent, so an
+    ``eth.frame`` subscriber may keep the frame itself."""
+    fx = SttcpFixture(seed=3)
+    kept = []
+    fx.tb.world.probes.subscribe(
+        "eth.frame",
+        lambda ev: kept.append((ev.fields["frame"],
+                                describe_frame(ev.fields["frame"]))))
+    fx.start_client(total_bytes=2_000_000)
+    fx.tb.inject.at(seconds(0.05), HwCrash(fx.tb.primary))
+    fx.run(5)
+    assert fx.client.received == 2_000_000
+    assert len(kept) > 2000
+    changed = sum(describe_frame(frame) != row for frame, row in kept)
+    assert changed == 0, f"{changed} of {len(kept)} kept frames changed"

@@ -18,7 +18,6 @@ import pathlib
 import pytest
 
 from repro.faults.faults import HwCrash
-from repro.net import pool
 from repro.net.addresses import IPAddress
 from repro.scenarios.builder import build_testbed
 from repro.scenarios.options import RunOptions
@@ -205,16 +204,20 @@ def _from_client(conn, data_off, ack_off, payload=b""):
         window=65535, payload=payload))
 
 
-def test_gated_data_and_acks_take_nothing_from_the_pool(lan, monkeypatch):
-    """N gated data sends and N gated pure acks: no ``acquire_segment``,
-    no ring read, no ``bytes`` — and every counter a send moves, moves."""
+def test_gated_data_and_acks_build_no_segment(lan, monkeypatch):
+    """N gated data sends and N gated pure acks: no ``TcpSegment``, no
+    ring read, no ``bytes`` — and every counter a send moves, moves."""
     from repro.tcp import connection as connection_module
 
     held, wire = [], []
     conn, sock = _gated_connection(lan, held, wire)
-    monkeypatch.setattr(
-        connection_module, "acquire_segment",
-        lambda *a: pytest.fail("a gated send drew from the segment pool"))
+    built = []
+
+    def counted_segment(*args, **kwargs):
+        built.append(args)
+        return TcpSegment(*args, **kwargs)
+
+    monkeypatch.setattr(connection_module, "TcpSegment", counted_segment)
     monkeypatch.setattr(
         type(conn.send_buffer), "get_range",
         lambda *a: pytest.fail("a gated send read the send ring"))
@@ -245,6 +248,7 @@ def test_gated_data_and_acks_take_nothing_from_the_pool(lan, monkeypatch):
     _from_client(conn, data_off=rounds, ack_off=conn.snd_nxt_off)
     assert held == [(1, TcpFlags.ACK | TcpFlags.PSH | TcpFlags.FIN)]
     assert conn.fin_sent and conn._rtx_timer.armed and not wire
+    assert not built, "a gated send built a segment"
 
 
 def test_gate_opened_mid_flight_resends_from_snd_una_at_the_next_rto(lan):
@@ -269,11 +273,10 @@ def test_gate_opened_mid_flight_resends_from_snd_una_at_the_next_rto(lan):
     assert conn.retransmissions >= 1 and len(held) == 3
 
 
-def test_disposing_a_live_replica_keeps_its_rst_off_the_wire_and_in_the_pool(
-        sttcp, monkeypatch):
+def test_disposing_a_live_replica_keeps_its_rst_off_the_wire(sttcp,
+                                                             monkeypatch):
     """``_dispose`` of a replica that is not yet CLOSED aborts it; the RST
-    is a pooled segment.  It must neither reach the client nor leak its
-    claim (the old ``transmit = lambda seg: None`` silencer leaked it)."""
+    it builds must not reach the client."""
     leaked = []
     backup_stack = sttcp.tb.backup.tcp
     transmitter = TcpStack._transmitter
@@ -295,8 +298,6 @@ def test_disposing_a_live_replica_keeps_its_rst_off_the_wire_and_in_the_pool(
     (mc,) = sttcp.backup_engine.conns.values()
     conn = mc.conn
     assert conn.ext is mc and mc.gated
-    pool.clear()
-    depth = pool.stats()["segment_pool"]
     world = sttcp.tb.world
     sent, suppressed = conn.segments_sent, mc.suppressed_segments
     world_suppressed = world.segments_suppressed
@@ -308,8 +309,6 @@ def test_disposing_a_live_replica_keeps_its_rst_off_the_wire_and_in_the_pool(
     assert mc.suppressed_segments == suppressed
     assert world.segments_suppressed == world_suppressed
     assert not leaked
-    assert pool.stats()["segment_pool"] == depth + 1, \
-        "the replica's RST did not return to the segment pool"
     sttcp.run(3)
     assert sttcp.client.reset_count == 0
     assert sttcp.client.received == 5_000_000

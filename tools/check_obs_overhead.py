@@ -35,7 +35,6 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.net import pool  # noqa: E402
 from repro.scenarios import RunOptions  # noqa: E402
 from repro.workloads import WorkloadSpec, run_workload_failover  # noqa: E402
 
@@ -78,7 +77,6 @@ def fleet_run(options: dict):
 
 def run_once(options: dict) -> float:
     """Host seconds of one fleet run with ``options`` switched on."""
-    pool.clear()
     gc.collect()
     start = time.perf_counter()
     result = fleet_run(options)  # noqa: F841 - freed after the clock stops
@@ -88,7 +86,6 @@ def run_once(options: dict) -> float:
 def retained_mb(options: dict) -> tuple:
     """(MB ``tracemalloc`` still traces when a fleet run returns, with its
     result (testbed, observation session, oracle) alive; the result)."""
-    pool.clear()
     gc.collect()
     tracemalloc.start()
     try:
