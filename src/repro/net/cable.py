@@ -197,7 +197,7 @@ class Cable:
         several planned deliveries into one event (see
         ``Switch._forward``) produces the same wire-level behaviour as
         per-frame ``transmit`` calls.  The caller must invoke
-        :meth:`deliver_planned` at ``now + arrival_delay_ns``.
+        :meth:`_deliver` at ``now + arrival_delay_ns``.
         """
         if self._cut:
             self.frames_lost += 1
@@ -219,13 +219,8 @@ class Cable:
             return None
         return arrival_delay, ends[1 - direction]
 
-    def deliver_planned(self, receiver: CableEndpoint,
-                        frame: EthernetFrame) -> None:
-        """Complete a delivery planned by :meth:`plan_transmit` (re-checks
-        the cut state, as a cut may have happened while in flight)."""
-        self._deliver(receiver, frame)
-
     def _deliver(self, receiver: CableEndpoint, frame: EthernetFrame) -> None:
+        """Complete a delivery planned by :meth:`plan_transmit`."""
         if self._cut:  # cut while the frame was in flight
             self.frames_lost += 1
             return

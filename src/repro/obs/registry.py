@@ -127,9 +127,10 @@ _ALL_PROBES = [
     _spec("tcp.state", "a connection changed state (fields: state)",
           "repro.tcp.connection.TcpConnection"),
     _spec("tcp.peer-fin", "the peer's FIN was first seen (fields: off)",
-          "repro.tcp.connection.TcpConnection._note_peer_fin"),
-    _spec("tcp.rst-received", "an acceptable RST arrived",
-          "repro.tcp.connection.TcpConnection._handle_rst"),
+          "repro.tcp.connection.TcpConnection._check_fin"),
+    _spec("tcp.rst-received", "an RST at RCV.NXT arrived (in SYN_SENT: "
+          "one that acks our SYN)",
+          "repro.tcp.connection.TcpConnection._check_rst/_handle_syn_sent"),
     _spec("tcp.window-probe", "one byte was sent into a zero window",
           "repro.tcp.connection.TcpConnection._on_persist_timeout"),
     _spec("tcp.give-up", "the retransmission limit was exceeded",

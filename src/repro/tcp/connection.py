@@ -9,12 +9,10 @@ ST-TCP integration points (used by :mod:`repro.sttcp`):
 
 * :attr:`TcpConnection.ext` is the one hook: ``None`` on every plain
   connection, else a :class:`~repro.tcp.extension.TcpExtension` (the
-  engine's per-connection record).  Through it the backup holds the
-  output gate shut — the replica's segments are counted and advance every
-  piece of sender state, but never leave, and on the two hot paths (data,
-  pure ack) are never even built (paper Sec. 2) — and accepts client acks
-  for bytes its lagging replica application has not written yet; the
-  primary taps in-order client bytes into its retain buffer (Sec. 4.3).
+  engine's per-connection record).  Through it the backup holds its
+  output gate shut — segments advance sender state but never leave
+  (paper Sec. 2) — and takes client acks of bytes its lagging replica
+  has not written; the primary taps in-order client bytes (Sec. 4.3).
 * :meth:`open_passive` accepts an ISN override so the backup's replica
   connection uses the primary's ISN (paper Sec. 2).
 * Progress counters :attr:`last_byte_received`, :attr:`last_ack_received`,
@@ -42,9 +40,7 @@ from repro.tcp.congestion import (CC_ALGORITHMS, DEFAULT_CC,
                                   make_congestion_control)
 from repro.tcp.rtt import RttEstimator
 from repro.tcp.segment import TcpFlags, TcpSegment
-from repro.tcp.seq import SEQ_MASK, SEQ_MOD, seq_add, seq_sub
-
-SEQ_HALF = 1 << 31
+from repro.tcp.seq import SEQ_MASK, seq_add, seq_sub
 from repro.tcp.states import TcpState
 
 __all__ = ["TcpConfig", "TcpConnection"]
@@ -171,11 +167,9 @@ class TcpConnection:
         self.on_reset: Callable[[str], None] = lambda reason: None
         self.on_writable: Callable[[], None] = lambda: None
 
-        # Highest stream offset the peer has *attempted* to send us, even
-        # if the data was trimmed at the window edge.  The ST-TCP backup
-        # uses this to recognize an unfillable hole after takeover (data
-        # beyond a gap wider than the receive window never enters the
-        # buffer, so has_gap alone cannot see it).
+        # End of the furthest acceptable text the peer sent, even where
+        # the ring trimmed it at the window edge: after takeover the
+        # ST-TCP backup reads from it a hole has_gap cannot see.
         self.peer_data_high = 0
 
         # --- statistics ---
@@ -354,15 +348,13 @@ class TcpConnection:
     # ---------------------------------------------------------- segment input
 
     def segment_arrived(self, segment: TcpSegment) -> None:
-        """Demultiplexed entry point for one inbound segment."""
+        """Demultiplexed entry point for one inbound segment.  From
+        SYN_RCVD on, RFC 9293 §3.10.7.4's steps in order, one method
+        each; only the arrival counters move before the first passes."""
         self.segments_received += 1
         self.world.segments_received += 1
         state = self.state
-        flags = segment.flags
         if state is TcpState.CLOSED:
-            return
-        if flags & TcpFlags.RST:
-            self._handle_rst(segment)
             return
         if state is TcpState.LISTEN:
             self._handle_listen(segment)
@@ -370,105 +362,96 @@ class TcpConnection:
         if state is TcpState.SYN_SENT:
             self._handle_syn_sent(segment)
             return
-        if flags & TcpFlags.SYN:
-            # Retransmitted SYN on a SYN_RCVD connection: re-send SYN-ACK.
-            if self.state is TcpState.SYN_RCVD:
-                self._send_syn_ack()
-            elif self.state.is_synchronized:
-                # Challenge-ack a stray SYN (RFC 5961 flavour).  Covers the
-                # lost-final-ACK handshake case: the peer retransmits its
-                # SYN-ACK and our ack re-completes its handshake even if
-                # we have no data to send.
-                self._send_pure_ack()
+        off = self._check_sequence(segment)
+        if off is None:
             return
-        if self.state is TcpState.TIME_WAIT:
+        flags = segment.flags
+        if flags & TcpFlags.RST:
+            self._check_rst(off)
+        elif flags & TcpFlags.SYN:
+            self._check_syn()
+        elif self._check_ack(segment):
+            if segment.payload:
+                self._process_text(segment, off)
             if flags & TcpFlags.FIN:
-                self._send_pure_ack()
-            return
-        if flags & TcpFlags.ACK:
-            self._process_ack(segment)
-            if self.state is TcpState.CLOSED:
-                return
-        if segment.payload:
-            self._process_payload(segment)
-        if flags & TcpFlags.FIN:
-            self._note_peer_fin(segment)
-        self._maybe_consume_peer_fin()
+                self._check_fin(segment, off)
+            self._maybe_consume_peer_fin()
 
-    # -------------------------------------------------------- handshake paths
+    def _check_sequence(self, segment: TcpSegment) -> Optional[int]:
+        """RFC 9293 §3.10.7.4, first step, the one window test: the
+        segment's stream offset if any of it lies in [RCV.NXT,
+        RCV.NXT+RCV.WND), else None once it is acked (unless an RST).
+        RCV.WND runs to the ring's acceptance edge, which
+        ``ReceiveBuffer.receive`` trims to.  A zero-length segment at
+        that edge is acceptable, as in Linux's ``tcp_sequence``: after
+        a takeover the backup's acks reach the client there, with new
+        ack information.  RCV.NXT does not count a consumed FIN; nor
+        does our SND.NXT, so our segments after a FIN carry its number."""
+        recv_buffer = self.recv_buffer
+        nxt = recv_buffer._rcv_next  # slot reads: this runs per segment
+        off = nxt + seq_sub(segment.seq, (self.irs + 1 + nxt) & SEQ_MASK)
+        edge = recv_buffer._read + recv_buffer.capacity
+        flags = segment.flags
+        length = len(segment.payload)
+        if flags & (TcpFlags.SYN | TcpFlags.FIN):
+            length = segment.seq_space
+        if length:
+            if off < edge and off + length > nxt:
+                return off
+        elif nxt <= off <= edge:
+            return off
+        if not flags & TcpFlags.RST:
+            self._send_pure_ack()
+        return None
 
-    def _handle_listen(self, segment: TcpSegment) -> None:
-        if not segment.syn or segment.ack_flag:
+    def _check_rst(self, off: int) -> None:
+        """RFC 9293 §3.10.7.4, second step, with RFC 5961 §3.2: only an
+        RST exactly at RCV.NXT resets; others draw a challenge ACK.  Past
+        a consumed FIN both RFC's RCV.NXT (a peer without the connection)
+        and the FIN's own number (this stack's abort) count."""
+        nxt = self.recv_buffer.rcv_next
+        if off != nxt and not (self.peer_fin_consumed and off == nxt + 1):
+            self._send_pure_ack()
             return
-        self.irs = segment.seq
-        self.peer_window = segment.window
-        self.state = TcpState.SYN_RCVD
-        self._syn_sent_at = self.world.sim.now
-        self.world.probes.fire("tcp.state", self.name, state="SYN_RCVD",
-                               irs=self.irs)
-        self._send_syn_ack()
+        self.world.probes.fire("tcp.rst-received", self.name)
+        self._enter_closed("connection reset by peer", reset=True)
 
-    def _handle_syn_sent(self, segment: TcpSegment) -> None:
-        if not segment.syn:
-            return
-        if segment.ack_flag:
-            if seq_sub(segment.ack, seq_add(self.iss, 1)) != 0:
-                # Bogus ack of our SYN: reset per RFC 793.
-                self._emit(TcpSegment(self.local_port, self.remote_port,
-                                      seq=segment.ack, ack=0,
-                                      flags=TcpFlags.RST, window=0))
-                return
-            self.irs = segment.seq
+    def _check_syn(self) -> None:
+        """RFC 9293 §3.10.7.4, fourth step, with RFC 5961 §4: a SYN draws
+        a challenge ACK (in SYN_RCVD our SYN-ACK), which re-completes the
+        peer's handshake if our final ACK was lost."""
+        self._send_pure_ack()
+
+    def _check_ack(self, segment: TcpSegment) -> bool:
+        """RFC 9293 §3.10.7.4, fifth step; False drops the segment (no ACK
+        bit, no ack of our SYN in SYN_RCVD, an ack of unsent data — see
+        below — or the connection closed)."""
+        if not segment.flags & TcpFlags.ACK:
+            return False
+        ack_off = seq_sub(segment.ack, (self.iss + 1) & SEQ_MASK)
+        if self.state is TcpState.SYN_RCVD:
+            if ack_off < 0:
+                return False
             self.peer_window = segment.window
-            self.snd_una_off = 0
-            # RFC 6298: the SYN/SYN-ACK exchange provides the first RTT
-            # sample (Karn: only if the SYN was not retransmitted).
             if self._syn_rtx_count == 0:
                 self.rtt.on_sample(self.world.sim.now - self._syn_sent_at)
             self._establish()
-            self._send_pure_ack()
-        # (simultaneous open is not modelled)
-
-    def _establish(self) -> None:
-        self.state = TcpState.ESTABLISHED
-        self.established_at = self.world.sim.now
-        self._rtx_count = 0
-        self._syn_rtx_count = 0
-        self._rtx_timer.stop()
-        self.world.probes.fire("tcp.state", self.name, state="ESTABLISHED")
-        self.on_established()
-        self._try_send()
-
-    # ------------------------------------------------------------ ack handling
-
-    def _process_ack(self, segment: TcpSegment) -> None:
-        if self.state is TcpState.SYN_RCVD:
-            if seq_sub(segment.ack, seq_add(self.iss, 1)) >= 0:
-                self.peer_window = segment.window
-                if self._syn_rtx_count == 0:
-                    self.rtt.on_sample(self.world.sim.now - self._syn_sent_at)
-                self._establish()
-            else:
-                return
-        # seq_sub(segment.ack, seq_add(self.iss, 1)) inlined (keep in
-        # sync): two helper calls per inbound ack are measurable.
-        diff = (segment.ack - self.iss - 1) & SEQ_MASK
-        ack_off = diff - SEQ_MOD if diff >= SEQ_HALF else diff
         if ack_off < 0:
-            return  # old ack from before our ISN; ignore
-        fin_ack_off = (self.fin_off + 1) if self.fin_off is not None else None
-        ack_covers_fin = (fin_ack_off is not None and ack_off >= fin_ack_off
+            return True  # old ack from before our ISN; ignore it
+        fin_off = self.fin_off
+        ack_covers_fin = (fin_off is not None and ack_off > fin_off
                           and self.fin_sent)
-        data_ack_off = min(ack_off, self.fin_off) if self.fin_off is not None \
-            else ack_off
+        data_ack_off = ack_off if fin_off is None or ack_off < fin_off \
+            else fin_off
         stream_end = self.send_buffer.end_offset
         if data_ack_off > stream_end:
-            # Ack for data we never sent: a protocol violation, ignored —
-            # unless the extension takes it (a backup replica whose app
-            # lags the client; it is applied on write).
+            # An ack of data never sent: ack, drop — unless a backup
+            # replica whose app lags the client takes it (applied on
+            # write; the segment goes on): ST-TCP's one exception here.
             ext = self.ext
             if ext is None or not ext.accept_future_ack(data_ack_off):
-                return
+                self._send_pure_ack()
+                return False
             data_ack_off = stream_end
 
         newly_acked = data_ack_off - self.snd_una_off
@@ -527,13 +510,11 @@ class TcpConnection:
             self._on_fin_acked()
         # The ack may have opened send-window room for queued data.
         self._try_send()
+        return self.state is not TcpState.CLOSED
 
     def _all_acked(self) -> bool:
-        if self.snd_una_off < self.snd_nxt_off:
-            return False
-        if self.fin_sent and not self.fin_acked:
-            return False
-        return True
+        return (self.snd_una_off >= self.snd_nxt_off
+                and (self.fin_acked or not self.fin_sent))
 
     def _on_fin_acked(self) -> None:
         if self.state is TcpState.FIN_WAIT_1:
@@ -545,20 +526,16 @@ class TcpConnection:
         elif self.state is TcpState.LAST_ACK:
             self._enter_closed("closed cleanly")
 
-    # ------------------------------------------------------------ data input
-
-    def _process_payload(self, segment: TcpSegment) -> None:
-        irs = self.irs
-        if irs is None:
-            return
+    def _process_text(self, segment: TcpSegment, off: int) -> None:
+        """RFC 9293 §3.10.7.4, seventh step: the text at stream offset
+        ``off``, which the ring trims to the window."""
         payload = segment.payload
         recv_buffer = self.recv_buffer
-        off = seq_sub(segment.seq, (irs + 1) & SEQ_MASK)
         end = off + len(payload)
         peer_fin_off = self.peer_fin_off
         if peer_fin_off is not None and end > peer_fin_off:
-            # RFC 9293 3.10.7.4: text at or past the peer's FIN is ignored
-            # (the stream has ended; its receive ring may be gone).
+            # Text at or past the peer's FIN is ignored (the stream has
+            # ended; its receive ring may be gone).
             if off >= peer_fin_off:
                 self._send_pure_ack()
                 return
@@ -579,11 +556,10 @@ class TcpConnection:
             ext = self.ext
             if ext is not None and ext.taps:
                 ext.tap(before, recv_buffer.peek_tail(newly))
-        if newly == 0 and off > recv_buffer.rcv_next:
-            # Out of order: immediate duplicate ack (triggers peer's
-            # fast retransmit).
-            self._send_pure_ack()
-        elif not self.config.delayed_ack:
+        if not self.config.delayed_ack or (newly == 0
+                                           and off > recv_buffer.rcv_next):
+            # Out of order data draws an immediate duplicate ack, which
+            # triggers the peer's fast retransmit.
             self._send_pure_ack()
         elif not self._delack_timer.armed:
             self._delack_timer.start(self.config.delayed_ack_timeout_ns)
@@ -594,27 +570,23 @@ class TcpConnection:
         if self.recv_buffer.readable:
             self.on_data_available()
 
-    def _note_peer_fin(self, segment: TcpSegment) -> None:
-        if self.irs is None:
-            return
-        off = seq_sub(segment.seq, seq_add(self.irs, 1)) + len(segment.payload)
+    def _check_fin(self, segment: TcpSegment, off: int) -> None:
+        """RFC 9293 §3.10.7.4, eighth step: note the FIN after the text
+        at ``off``, consumed once RCV.NXT reaches it."""
+        off += len(segment.payload)
         if self.peer_fin_off is None:
             self.peer_fin_off = off
             self.world.probes.fire("tcp.peer-fin", self.name, off=off)
             if not segment.payload and self.recv_buffer.rcv_next < off:
                 # Bare FIN beyond missing data: ack what we have now so
                 # the peer can fast-retransmit the gap (a bare FIN takes
-                # no _process_payload path, so nothing else acks it).
+                # no text step, so nothing else acks it).
                 self._send_pure_ack()
         elif self.peer_fin_consumed or not segment.payload:
-            # Retransmitted FIN: our ack was lost (consumed case), or a
-            # bare FIN above a still-open gap took no payload path that
-            # would ack it (RFC 1122 4.2.2.21: duplicates must be acked).
-            # Flush any pending delack and re-ack immediately, or the
-            # peer camps in LAST_ACK / FIN_WAIT_1 retransmitting its FIN
-            # until the give-up limit resets the connection.  (A data-
-            # bearing retransmitted FIN is already acked by the payload
-            # path.)
+            # A retransmitted FIN (our ack was lost), or a bare FIN above
+            # a still-open gap that no text step acked (RFC 1122
+            # 4.2.2.21): re-ack at once, or the peer camps in LAST_ACK /
+            # FIN_WAIT_1 until its give-up limit resets the connection.
             self._send_pure_ack()
 
     def _maybe_consume_peer_fin(self) -> None:
@@ -642,22 +614,56 @@ class TcpConnection:
         self.world.probes.fire("tcp.state", self.name, state=self.state.value)
         self.on_peer_fin()
 
-    # -------------------------------------------------------------- RST paths
+    # -------------------------------------------------------- handshake paths
 
-    def _handle_rst(self, segment: TcpSegment) -> None:
-        if self.state is TcpState.SYN_SENT:
-            if not segment.ack_flag or seq_sub(segment.ack,
-                                               seq_add(self.iss, 1)) != 0:
+    def _handle_listen(self, segment: TcpSegment) -> None:
+        if not segment.syn or segment.ack_flag:
+            return
+        self.irs = segment.seq
+        self.peer_window = segment.window
+        self.state = TcpState.SYN_RCVD
+        self._syn_sent_at = self.world.sim.now
+        self.world.probes.fire("tcp.state", self.name, state="SYN_RCVD",
+                               irs=self.irs)
+        self._send_syn_ack()
+
+    def _handle_syn_sent(self, segment: TcpSegment) -> None:
+        # RFC 9293 §3.10.7.3: only an RST that acks our SYN counts.
+        acks_syn = segment.ack_flag and segment.ack == seq_add(self.iss, 1)
+        if segment.rst:
+            if acks_syn:
+                self.world.probes.fire("tcp.rst-received", self.name)
+                self._enter_closed("connection reset by peer", reset=True)
+            return
+        if not segment.syn:
+            return
+        if segment.ack_flag:
+            if not acks_syn:
+                # Bogus ack of our SYN: reset per RFC 793.
+                self._emit(TcpSegment(self.local_port, self.remote_port,
+                                      seq=segment.ack, ack=0,
+                                      flags=TcpFlags.RST, window=0))
                 return
-        elif self.state.is_synchronized and self.irs is not None:
-            off = seq_sub(segment.seq, seq_add(self.irs, 1))
-            window = max(self.recv_buffer.window, 1)
-            if not (self.recv_buffer.rcv_next - 1 <= off
-                    < self.recv_buffer.rcv_next + window):
-                return  # outside window: blind-reset protection
-        self.world.probes.fire("tcp.rst-received", self.name)
-        reason = "connection reset by peer"
-        self._enter_closed(reason, reset=True)
+            self.irs = segment.seq
+            self.peer_window = segment.window
+            self.snd_una_off = 0
+            # RFC 6298: the SYN/SYN-ACK exchange provides the first RTT
+            # sample (Karn: only if the SYN was not retransmitted).
+            if self._syn_rtx_count == 0:
+                self.rtt.on_sample(self.world.sim.now - self._syn_sent_at)
+            self._establish()
+            self._send_pure_ack()
+        # (simultaneous open is not modelled)
+
+    def _establish(self) -> None:
+        self.state = TcpState.ESTABLISHED
+        self.established_at = self.world.sim.now
+        self._rtx_count = 0
+        self._syn_rtx_count = 0
+        self._rtx_timer.stop()
+        self.world.probes.fire("tcp.state", self.name, state="ESTABLISHED")
+        self.on_established()
+        self._try_send()
 
     # ----------------------------------------------------------------- output
 
@@ -745,7 +751,9 @@ class TcpConnection:
         self._rtx_timer.start(self.rtt.rto_ns)
 
     def _send_pure_ack(self) -> None:
-        if not self.state.is_synchronized or self.irs is None:
+        if not self.state.is_synchronized:
+            if self.state is TcpState.SYN_RCVD:
+                self._send_syn_ack()  # the one ack we can send there
             return
         delack = self._delack_timer
         if delack._handle is not None:  # armed-check inlined; see stop()
@@ -872,27 +880,19 @@ class TcpConnection:
     # ---------------------------------------------------------- retransmission
 
     def _on_rtx_timeout(self) -> None:
-        if self.state is TcpState.SYN_SENT:
+        syn_sent = self.state is TcpState.SYN_SENT
+        if syn_sent or self.state is TcpState.SYN_RCVD:
             self._syn_rtx_count += 1
             if self._syn_rtx_count > self.config.max_syn_retransmits:
-                self._enter_closed("connect timeout", reset=True)
+                self._enter_closed("connect timeout" if syn_sent
+                                   else "handshake timeout", reset=True)
                 return
             self.rtt.on_backoff()
             self.retransmissions += 1
-            self._emit(TcpSegment(self.local_port, self.remote_port,
-                                  seq=self.iss, ack=0, flags=TcpFlags.SYN,
-                                  window=self.recv_buffer.window))
-            self._rtx_timer.start(self.rtt.rto_ns)
-            return
-        if self.state is TcpState.SYN_RCVD:
-            self._syn_rtx_count += 1
-            if self._syn_rtx_count > self.config.max_syn_retransmits:
-                self._enter_closed("handshake timeout", reset=True)
-                return
-            self.rtt.on_backoff()
-            self.retransmissions += 1
-            self._send_syn_ack()
-            self._rtx_timer.start(self.rtt.rto_ns)
+            if syn_sent:
+                self._send_syn()
+            else:
+                self._send_syn_ack()
             return
         if self._all_acked():
             return

@@ -212,7 +212,7 @@ def test_plan_transmit_matches_transmit_timing_and_fifo():
     plans = [c2.plan_transmit(a2, f), c2.plan_transmit(a2, f)]
     for delay, receiver in plans:
         assert receiver is b2
-        w2.sim.schedule(delay, c2.deliver_planned, receiver, f)
+        w2.sim.schedule(delay, c2._deliver, receiver, f)
     w2.run()
     assert [t for t, _ in b1.received] == [t for t, _ in b2.received]
     assert c1._tx_free_at == c2._tx_free_at
@@ -228,7 +228,7 @@ def test_plan_transmit_consumes_loss_rng_like_transmit():
             if planned:
                 plan = cable.plan_transmit(a, frame(10))
                 if plan is not None:
-                    world.sim.schedule(plan[0], cable.deliver_planned,
+                    world.sim.schedule(plan[0], cable._deliver,
                                        plan[1], frame(10))
             else:
                 cable.transmit(a, frame(10))

@@ -4,6 +4,8 @@ future acks, takeover mechanics."""
 from repro.sim.core import seconds
 from repro.sttcp.engine import MODE_ACTIVE, MODE_FT
 from repro.sttcp.events import EventKind
+from repro.tcp.segment import TcpFlags, TcpSegment
+from repro.tcp.seq import seq_add
 
 
 def test_replica_created_with_primary_isn(sttcp):
@@ -145,3 +147,22 @@ def test_replicas_share_one_enlarged_config(sttcp):
     assert replicas[0].config.recv_buffer_bytes == (
         base.recv_buffer_bytes + sttcp.backup_engine.config.retain_buffer_bytes)
     assert replicas[0].config.mss == base.mss
+
+
+def test_a_backup_replica_takes_text_on_an_ack_of_unwritten_bytes(sttcp):
+    """ST-TCP's one exception to the ACK step: the replica's application
+    lags the client, so an ACK past all it wrote is remembered and the
+    segment goes on — its text is delivered as on the primary."""
+    sttcp.start_client(total_bytes=20_000_000)
+    sttcp.run(1)
+    mc = next(iter(sttcp.backup_engine.conns.values()))
+    conn = mc.conn
+    rcv_next = conn.recv_buffer.rcv_next
+    future = conn.send_buffer.end_offset + 5000
+    conn.segment_arrived(TcpSegment(
+        conn.remote_port, conn.local_port,
+        seq=seq_add(conn.irs, 1 + rcv_next),
+        ack=seq_add(conn.iss, 1 + future), flags=TcpFlags.ACK,
+        window=65535, payload=b"GET 1\n"))
+    assert conn.recv_buffer.rcv_next == rcv_next + 6
+    assert mc.future_ack_off == future
